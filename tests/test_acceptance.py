@@ -270,6 +270,24 @@ def test_criterion_7_deterministic_reruns(tmp_path, capsys):
                f"{n_files} output files byte-identical across 3 runs")
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "report_80.sha256")
+
+
+def test_golden_report_80(tmp_path, capsys):
+    """Every file of the criterion-7 tree keeps the sha256 pinned in
+    tests/golden/report_80.sha256 (``sha256sum`` format), so a refactor
+    that changes any output byte fails here."""
+    digests = _run_all_subcommands(str(tmp_path), capsys)
+    expected = {}
+    with open(GOLDEN, encoding="utf-8") as fh:
+        for line in fh:
+            digest, rel = line.rstrip("\n").split("  ", 1)
+            expected[rel] = digest
+    changed = sorted(rel for rel in expected.keys() | digests.keys()
+                     if expected.get(rel) != digests.get(rel))
+    assert not changed, f"outputs differ from {GOLDEN}: {changed}"
+
+
 def test_criterion_8_unit_exactness(bench_synth, bench_labels):
     problems = []
 
