@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Corpus, rel_minutes
-from .labeler import MaliciousLabel, UrlObservation
-from .temporal import EcdfTable, ecdf
+from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
 
 DEFAULT_SCATTER_THRESHOLD = 10
 
@@ -97,15 +96,6 @@ def sample_normal_accounts(corpus: Corpus, attackers: set[str],
     return sample
 
 
-def footprint_ecdfs(footprints: list[AccountFootprint]) -> dict[str, EcdfTable]:
-    return {
-        "n_pages": ecdf([float(f.n_pages) for f in footprints]),
-        "n_posts": ecdf([float(f.n_posts) for f in footprints]),
-        "n_comments": ecdf([float(f.n_comments) for f in footprints]),
-        "n_likes": ecdf([float(f.n_likes) for f in footprints]),
-    }
-
-
 def response_stats(corpus: Corpus, account_id: str) -> ResponseStats:
     """Minutes between each of the account's comments and its post's
     creation, in comment-timestamp order, with mean and population std."""
@@ -129,13 +119,12 @@ def cluster_campaigns(labels: list[MaliciousLabel],
 
     Labels are joined back to their full URLs through the observations:
     an observation belongs to a label when it shares the comment and its
-    URL or domain equals the matched key.
+    URL or domain equals the matched key, with keys normalized as in the
+    join.
     """
     obs_by_comment: dict[str, list[UrlObservation]] = {}
     for o in observations:
         obs_by_comment.setdefault(o.comment_id, []).append(o)
-
-    from .labeler import _strip_scheme  # key normalization shared with the join
 
     hits: dict[str, dict[str, set[str]]] = {}  # url -> comment_id -> accounts
     for lab in labels:

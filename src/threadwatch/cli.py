@@ -9,7 +9,6 @@ with identical inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,16 +22,10 @@ from . import learn as learn_mod
 from . import models as models_mod
 from . import synthgen as synthgen_mod
 from . import temporal as temporal_mod
-from .corpus import Corpus, CorpusError, build_threads, ingest
+from .corpus import Corpus, CorpusError, IngestResult, build_threads, ingest
 
 
-class ValidationError(Exception):
-    pass
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     config = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -40,61 +33,122 @@ def _load_config(path: str | None) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValidationError(f"config line {lineno}: expected key = value")
+                raise ValueError(f"config line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
-def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Config supplies values for flags the user did not pass."""
-    for key, raw in config.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        current = getattr(args, key)
-        setattr(args, key, raw)
+def _with_config(parser: argparse.ArgumentParser, argv: list[str],
+                 args: argparse.Namespace) -> list[str]:
+    """argv with each config entry inserted as ``--flag value`` right after
+    the subcommand name: the user's later flags win, and config values get
+    the flags' types and choices. A key no subcommand defines is an error;
+    one that only other subcommands define is skipped."""
+    subparsers = next(a for a in parser._actions if a.dest == "subcommand")
+    known = {a.dest for p in subparsers.choices.values() for a in p._actions} - {"help"}
+    tokens = []
+    for key, value in _load_config(args.config).items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        if key in vars(args):  # a flag of this subcommand
+            tokens += ["--" + key.replace("_", "-"), value]
+    # only --config options (one token with "=", else two) precede the
+    # subcommand name
+    at = 0
+    while argv[at] != args.subcommand:
+        at += 1 if "=" in argv[at] else 2
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
-def _coerce(args: argparse.Namespace, **types) -> None:
-    for key, typ in types.items():
-        val = getattr(args, key, None)
-        if isinstance(val, str):
-            if typ is bool:
-                setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
-            else:
-                setattr(args, key, typ(val))
-
-
-def _summary(subcommand: str, n_in: int, n_out: int, started: float) -> None:
-    print(f"{subcommand} ok: {n_in} in, {n_out} out, {time.time() - started:.2f}s")
-
-
-def _ingest(path: str) -> Corpus:
+def _ingest(path: str) -> IngestResult:
     result = ingest(path)
     for lineno, msg in result.line_errors:
         print(f"warning: line {lineno}: {msg}", file=sys.stderr)
     if result.dropped:
         print(f"warning: dropped {result.dropped} records", file=sys.stderr)
-    return result.corpus
+    return result
 
 
 def _load_labeling_inputs(args):
-    corpus = _ingest(args.corpus)
+    corpus = _ingest(args.corpus).corpus
     table = labeler_mod.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
     return corpus, table
 
 
-def cmd_synth(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int, threads=int, pages=int, target_fraction=float)
+def _thread_targets(corpus: Corpus, labels) -> dict[str, bool]:
+    thread_labels, _ = labeler_mod.label_threads(corpus, labels)
+    return {pid: tl.is_target for pid, tl in thread_labels.items()}
+
+
+# Stages: each output file is computed and written by one function below.
+# Single-stage subcommands load their inputs from files and call one;
+# report calls them all on the same in-memory values.
+
+def label_stage(corpus: Corpus, table, blacklist, path: str):
+    """URL observations and malicious-comment labels; writes the labels."""
+    observations = labeler_mod.collect_observations(corpus, table)
+    labels = labeler_mod.join_blacklist(observations, blacklist)
+    labeler_mod.write_labels(labels, path)
+    return observations, labels
+
+
+def featurize_stage(corpus: Corpus, labels, path: str, **options):
+    """One feature vector per thread; writes the feature CSV."""
+    vectors = features_mod.featurize_threads(
+        build_threads(corpus), _thread_targets(corpus, labels), **options)
+    features_mod.write_feature_csv(vectors, path)
+    return vectors
+
+
+def metrics_stage(dataset: learn_mod.Dataset, algorithms: list[str],
+                  path: str | None, **split) -> list[learn_mod.Metrics]:
+    """Split evaluation per algorithm; writes one CSV row each when a
+    path is given."""
+    results = [learn_mod.evaluate_split(dataset, algorithm=algorithm, **split)
+               for algorithm in algorithms]
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("algorithm,precision,recall,f1\n")
+            for algorithm, m in zip(algorithms, results):
+                fh.write(f"{algorithm},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}\n")
+    return results
+
+
+def temporal_stage(corpus: Corpus, labels, out: str):
+    """Attack events; writes the three ECDF tables, the within-one-day
+    fractions and the monthly heatmap into the directory out."""
+    events = temporal_mod.attack_events(corpus, labels)
+    os.makedirs(out, exist_ok=True)
+    temporal_mod.write_ecdf_csv(temporal_mod.relative_positions(events),
+                                os.path.join(out, "relative_positions.csv"))
+    tables, within_day = temporal_mod.time_since_post(events)
+    temporal_mod.write_ecdf_csv(tables, os.path.join(out, "time_since_post.csv"))
+    with open(os.path.join(out, "within_one_day.csv"), "w", encoding="utf-8") as fh:
+        fh.write("group,fraction_within_day\n")
+        for group in sorted(within_day):
+            fh.write(f"{group},{within_day[group]:.6f}\n")
+    temporal_mod.write_ecdf_csv(temporal_mod.inter_attack_intervals(events),
+                                os.path.join(out, "inter_attack_intervals.csv"))
+    pages, months, matrix = temporal_mod.monthly_heatmap(events, corpus)
+    temporal_mod.write_heatmap_csv(pages, months, matrix,
+                                   os.path.join(out, "monthly_heatmap.csv"))
+    return events
+
+
+def campaign_stage(labels, observations, out: str):
+    """Campaign clusters by exact URL; writes the scatter into the
+    directory out."""
+    clusters = accounts_mod.cluster_campaigns(labels, observations)
+    accounts_mod.write_scatter_csv(accounts_mod.campaign_scatter(clusters),
+                                   os.path.join(out, "campaign_scatter.csv"))
+    return clusters
+
+
+def cmd_synth(args) -> tuple[int, int]:
     config = synthgen_mod.profile_config(
-        args.profile or "default",
-        seed=args.seed if args.seed is not None else 42,
-        n_threads=args.threads if args.threads is not None else 2000,
-        n_pages=args.pages if args.pages is not None else 10,
-        target_fraction=(args.target_fraction
-                         if args.target_fraction is not None else 0.1),
-    )
+        args.profile, seed=args.seed, n_threads=args.threads,
+        n_pages=args.pages, target_fraction=args.target_fraction)
     result = synthgen_mod.generate(config)
     os.makedirs(args.out, exist_ok=True)
     synthgen_mod.write_corpus_jsonl(result, os.path.join(args.out, "corpus.jsonl"))
@@ -103,51 +157,31 @@ def cmd_synth(args) -> None:
                                        os.path.join(args.out, "shorteners.tsv"),
                                        os.path.join(args.out, "shortener_hosts.txt"))
     synthgen_mod.write_planted_jsonl(result, os.path.join(args.out, "planted.jsonl"))
-    n_out = len(result.corpus.comments) + len(result.corpus.posts)
-    _summary("synth", config.n_threads, n_out, started)
+    return config.n_threads, len(result.corpus.comments) + len(result.corpus.posts)
 
 
-def cmd_ingest(args) -> None:
-    started = time.time()
-    result = ingest(args.corpus)
-    for lineno, msg in result.line_errors:
-        print(f"warning: line {lineno}: {msg}", file=sys.stderr)
+def cmd_ingest(args) -> tuple[int, int]:
+    result = _ingest(args.corpus)
     corpus = result.corpus
     print(f"pages={len(corpus.pages)} posts={len(corpus.posts)} "
           f"comments={len(corpus.comments)} dropped={result.dropped} "
           f"skew_clamped={corpus.skew_clamped}")
-    _summary("ingest", result.kept + result.dropped, result.kept, started)
+    return result.kept + result.dropped, result.kept
 
 
-def cmd_label(args) -> None:
-    started = time.time()
+def cmd_label(args) -> tuple[int, int]:
     corpus, table = _load_labeling_inputs(args)
-    blacklist = labeler_mod.load_blacklist(args.blacklist)
-    observations = labeler_mod.collect_observations(corpus, table)
-    labels = labeler_mod.join_blacklist(observations, blacklist)
-    labeler_mod.write_labels(labels, args.out)
-    _summary("label", len(observations), len(labels), started)
+    observations, labels = label_stage(
+        corpus, table, labeler_mod.load_blacklist(args.blacklist), args.out)
+    return len(observations), len(labels)
 
 
-def _thread_targets(corpus: Corpus, labels_path: str) -> dict[str, bool]:
-    labels = labeler_mod.read_labels(labels_path)
-    thread_labels, _ = labeler_mod.label_threads(corpus, labels)
-    return {pid: tl.is_target for pid, tl in thread_labels.items()}
-
-
-def cmd_featurize(args) -> None:
-    started = time.time()
-    _coerce(args, window=int, t_final=int)
-    corpus = _ingest(args.corpus)
-    is_target = _thread_targets(corpus, args.labels)
-    threads = build_threads(corpus)
-    vectors = features_mod.featurize_threads(
-        threads, is_target,
-        window_minutes=args.window if args.window is not None else 5,
-        t_final_minutes=args.t_final if args.t_final is not None else 60,
-        macro_mode=args.macro_mode or "full")
-    features_mod.write_feature_csv(vectors, args.out)
-    _summary("featurize", len(threads), len(vectors), started)
+def cmd_featurize(args) -> tuple[int, int]:
+    corpus = _ingest(args.corpus).corpus
+    vectors = featurize_stage(corpus, labeler_mod.read_labels(args.labels), args.out,
+                              window_minutes=args.window, t_final_minutes=args.t_final,
+                              macro_mode=args.macro_mode)
+    return len(corpus.posts), len(vectors)
 
 
 def _load_dataset(path: str) -> learn_mod.Dataset:
@@ -155,145 +189,74 @@ def _load_dataset(path: str) -> learn_mod.Dataset:
     return learn_mod.Dataset(np.array(rows), np.array(labels))
 
 
-def cmd_train(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int)
+def cmd_train(args) -> tuple[int, int]:
     dataset = _load_dataset(args.features)
-    scaled, stats = features_mod.normalize_features(dataset.X.tolist())
-    model = learn_mod.train(args.algorithm, learn_mod.Dataset(np.array(scaled), dataset.y),
-                            seed=args.seed if args.seed is not None else 0)
-    doc = model.to_dict()
-    doc["scaling"] = [[lo, hi] for lo, hi in stats]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _summary("train", len(dataset.y), 1, started)
+    stats = features_mod.fit_minmax(dataset.X)
+    scaled = learn_mod.Dataset(features_mod.apply_minmax(dataset.X, stats), dataset.y)
+    models_mod.save_model(learn_mod.train(args.algorithm, scaled), args.out,
+                          scaling=stats.tolist())
+    return len(dataset.y), 1
 
 
-def cmd_eval(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int, train_frac=float, smote=bool)
+def cmd_eval(args) -> tuple[int, int]:
     dataset = _load_dataset(args.features)
-    metrics = learn_mod.evaluate_split(
-        dataset,
-        train_frac=args.train_frac if args.train_frac is not None else 0.75,
-        balance=args.smote if args.smote is not None else True,
-        algorithm=args.algorithm,
-        seed=args.seed if args.seed is not None else 0)
+    [metrics] = metrics_stage(dataset, [args.algorithm], args.out,
+                              train_frac=args.train_frac,
+                              balance=args.smote == "on", seed=args.seed)
     print(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
           f"f1={metrics.f1:.4f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("algorithm,precision,recall,f1\n")
-            fh.write(f"{args.algorithm},{metrics.precision:.6f},"
-                     f"{metrics.recall:.6f},{metrics.f1:.6f}\n")
-    _summary("eval", len(dataset.y), 1, started)
+    return len(dataset.y), 1
 
 
-def cmd_sweep(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int)
-    corpus = _ingest(args.corpus)
-    is_target = _thread_targets(corpus, args.labels)
-    results = learn_mod.sweep_horizon(
-        corpus, is_target, algorithm=args.algorithm or "decision_tree",
-        seed=args.seed if args.seed is not None else 0)
+def cmd_sweep(args) -> tuple[int, int]:
+    corpus = _ingest(args.corpus).corpus
+    is_target = _thread_targets(corpus, labeler_mod.read_labels(args.labels))
+    results = learn_mod.sweep_horizon(corpus, is_target, algorithm=args.algorithm,
+                                      seed=args.seed)
     learn_mod.write_sweep_csv(results, args.out)
-    _summary("sweep", len(corpus.posts), len(results), started)
+    return len(corpus.posts), len(results)
 
 
-def cmd_temporal(args) -> None:
-    started = time.time()
-    corpus = _ingest(args.corpus)
-    labels = labeler_mod.read_labels(args.labels)
-    events = temporal_mod.attack_events(corpus, labels)
-    os.makedirs(args.out, exist_ok=True)
-    temporal_mod.write_ecdf_csv(temporal_mod.relative_positions(events),
-                                os.path.join(args.out, "relative_positions.csv"))
-    tables, within_day = temporal_mod.time_since_post(events)
-    temporal_mod.write_ecdf_csv(tables, os.path.join(args.out, "time_since_post.csv"))
-    with open(os.path.join(args.out, "within_one_day.csv"), "w", encoding="utf-8") as fh:
-        fh.write("group,fraction_within_day\n")
-        for group in sorted(within_day):
-            fh.write(f"{group},{within_day[group]:.6f}\n")
-    temporal_mod.write_ecdf_csv(temporal_mod.inter_attack_intervals(events),
-                                os.path.join(args.out, "inter_attack_intervals.csv"))
-    pages, months, matrix = temporal_mod.monthly_heatmap(events, corpus)
-    temporal_mod.write_heatmap_csv(pages, months, matrix,
-                                   os.path.join(args.out, "monthly_heatmap.csv"))
-    _summary("temporal", len(events), 5, started)
+def cmd_temporal(args) -> tuple[int, int]:
+    corpus = _ingest(args.corpus).corpus
+    events = temporal_stage(corpus, labeler_mod.read_labels(args.labels), args.out)
+    return len(events), 5
 
 
-def cmd_accounts(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int, sample_per_page=int)
+def cmd_accounts(args) -> tuple[int, int]:
     corpus, table = _load_labeling_inputs(args)
     labels = labeler_mod.read_labels(args.labels)
     _, attackers = labeler_mod.label_threads(corpus, labels)
     normals = accounts_mod.sample_normal_accounts(
-        corpus, attackers,
-        per_page=args.sample_per_page if args.sample_per_page is not None else 1000,
-        seed=args.seed if args.seed is not None else 0)
+        corpus, attackers, per_page=args.sample_per_page, seed=args.seed)
+    groups = {"attacker": sorted(attackers), "normal": normals}
     os.makedirs(args.out, exist_ok=True)
-    groups = {
-        "attacker": accounts_mod.footprint(corpus, sorted(attackers)),
-        "normal": accounts_mod.footprint(corpus, normals),
-    }
-    accounts_mod.write_footprint_csv(groups, os.path.join(args.out, "footprints.csv"))
-    stats = {grp: [accounts_mod.response_stats(corpus, aid)
-                   for aid in (sorted(attackers) if grp == "attacker" else normals)]
-             for grp in ("attacker", "normal")}
-    accounts_mod.write_response_csv(stats, os.path.join(args.out, "response_stats.csv"))
+    accounts_mod.write_footprint_csv(
+        {grp: accounts_mod.footprint(corpus, ids) for grp, ids in groups.items()},
+        os.path.join(args.out, "footprints.csv"))
+    accounts_mod.write_response_csv(
+        {grp: [accounts_mod.response_stats(corpus, aid) for aid in ids]
+         for grp, ids in groups.items()},
+        os.path.join(args.out, "response_stats.csv"))
     observations = labeler_mod.collect_observations(corpus, table)
-    clusters = accounts_mod.cluster_campaigns(labels, observations)
-    points = accounts_mod.campaign_scatter(clusters)
-    accounts_mod.write_scatter_csv(points, os.path.join(args.out, "campaign_scatter.csv"))
-    _summary("accounts", len(labels), len(clusters), started)
+    clusters = campaign_stage(labels, observations, args.out)
+    return len(labels), len(clusters)
 
 
-def cmd_report(args) -> None:
-    started = time.time()
-    _coerce(args, seed=int)
+def cmd_report(args) -> tuple[int, int]:
     os.makedirs(args.out, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
-
     corpus, table = _load_labeling_inputs(args)
-    blacklist = labeler_mod.load_blacklist(args.blacklist)
-    observations = labeler_mod.collect_observations(corpus, table)
-    labels = labeler_mod.join_blacklist(observations, blacklist)
-    labels_path = os.path.join(args.out, "labels.tsv")
-    labeler_mod.write_labels(labels, labels_path)
-
-    thread_labels, attackers = labeler_mod.label_threads(corpus, labels)
-    is_target = {pid: tl.is_target for pid, tl in thread_labels.items()}
-    threads = build_threads(corpus)
-    vectors = features_mod.featurize_threads(threads, is_target)
-    features_path = os.path.join(args.out, "features.csv")
-    features_mod.write_feature_csv(vectors, features_path)
-
+    observations, labels = label_stage(
+        corpus, table, labeler_mod.load_blacklist(args.blacklist),
+        os.path.join(args.out, "labels.tsv"))
+    vectors = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
     dataset = learn_mod.Dataset(np.array([v.values() for v in vectors]),
                                 np.array([v.label for v in vectors]))
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("algorithm,precision,recall,f1\n")
-        for algorithm in sorted(models_mod.ALGORITHMS):
-            m = learn_mod.evaluate_split(dataset, algorithm=algorithm, seed=seed)
-            fh.write(f"{algorithm},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}\n")
-
-    events = temporal_mod.attack_events(corpus, labels)
-    temporal_mod.write_ecdf_csv(temporal_mod.relative_positions(events),
-                                os.path.join(args.out, "relative_positions.csv"))
-    tables, _ = temporal_mod.time_since_post(events)
-    temporal_mod.write_ecdf_csv(tables, os.path.join(args.out, "time_since_post.csv"))
-    temporal_mod.write_ecdf_csv(temporal_mod.inter_attack_intervals(events),
-                                os.path.join(args.out, "inter_attack_intervals.csv"))
-    pages, months, matrix = temporal_mod.monthly_heatmap(events, corpus)
-    temporal_mod.write_heatmap_csv(pages, months, matrix,
-                                   os.path.join(args.out, "monthly_heatmap.csv"))
-
-    clusters = accounts_mod.cluster_campaigns(labels, observations)
-    accounts_mod.write_scatter_csv(accounts_mod.campaign_scatter(clusters),
-                                   os.path.join(args.out, "campaign_scatter.csv"))
-    _summary("report", len(corpus.posts), len(labels), started)
+    metrics_stage(dataset, sorted(models_mod.ALGORITHMS),
+                  os.path.join(args.out, "metrics.csv"), seed=args.seed)
+    temporal_stage(corpus, labels, args.out)
+    campaign_stage(labels, observations, args.out)
+    return len(corpus.posts), len(labels)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,106 +265,82 @@ def build_parser() -> argparse.ArgumentParser:
         description="Malicious-URL campaign analysis over discussion-thread corpora")
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    algorithms = sorted(models_mod.ALGORITHMS)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed")
-    p.add_argument("--threads")
-    p.add_argument("--pages")
-    p.add_argument("--target-fraction", dest="target_fraction")
-    p.add_argument("--profile", choices=["default", "early", "late", "burst", "repeat"])
-    p.set_defaults(func=cmd_synth)
+    def command(name: str, summary: str, func, *paths: str,
+                seed: int | None = None) -> argparse.ArgumentParser:
+        """A subcommand with a required --PATH flag per name in paths, and
+        a --seed flag when seed gives its default."""
+        p = sub.add_parser(name, help=summary,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        for path in paths:
+            p.add_argument(f"--{path}", required=True)
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed, help="random seed")
+        return p
 
-    p = sub.add_parser("ingest", help="load and validate a corpus file")
-    p.add_argument("--corpus", required=True)
-    p.set_defaults(func=cmd_ingest)
+    p = command("synth", "generate a synthetic corpus", cmd_synth, "out", seed=42)
+    p.add_argument("--threads", type=int, default=2000, help="number of threads")
+    p.add_argument("--pages", type=int, default=10, help="number of pages")
+    p.add_argument("--target-fraction", type=float, default=0.1, help="attacked share")
+    p.add_argument("--profile", default="default", help="attack strategy",
+                   choices=["default", "early", "late", "burst", "repeat"])
 
-    p = sub.add_parser("label", help="produce malicious-comment labels")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--blacklist", required=True)
-    p.add_argument("--shortener-map", dest="shortener_map", required=True)
-    p.add_argument("--shortener-hosts", dest="shortener_hosts", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
+    command("ingest", "load and validate a corpus file", cmd_ingest, "corpus")
+    command("label", "produce malicious-comment labels", cmd_label,
+            "corpus", "blacklist", "shortener-map", "shortener-hosts", "out")
 
-    p = sub.add_parser("featurize", help="emit the feature matrix CSV")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--window")
-    p.add_argument("--t-final", dest="t_final")
-    p.add_argument("--macro-mode", dest="macro_mode", choices=["full", "censored"])
-    p.set_defaults(func=cmd_featurize)
+    p = command("featurize", "emit the feature matrix CSV", cmd_featurize,
+                "corpus", "labels", "out")
+    p.add_argument("--window", type=int, default=5, help="window width in minutes")
+    p.add_argument("--t-final", type=int, default=60, help="horizon in minutes")
+    p.add_argument("--macro-mode", choices=["full", "censored"], default="full",
+                   help="macro statistics over the whole thread or up to --t-final")
 
-    p = sub.add_parser("train", help="train a classifier and save it as JSON")
-    p.add_argument("--features", required=True)
-    p.add_argument("--algorithm", required=True, choices=sorted(models_mod.ALGORITHMS))
-    p.add_argument("--seed")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p = command("train", "train a classifier and save it as JSON", cmd_train,
+                "features", "out")
+    p.add_argument("--algorithm", required=True, choices=algorithms)
+    p.add_argument("--seed", type=int, default=0, help="unused: fits are deterministic")
 
-    p = sub.add_parser("eval", help="75/25 split evaluation")
-    p.add_argument("--features", required=True)
-    p.add_argument("--algorithm", required=True, choices=sorted(models_mod.ALGORITHMS))
-    p.add_argument("--seed")
-    p.add_argument("--train-frac", dest="train_frac")
-    p.add_argument("--smote", choices=["on", "off"])
+    p = command("eval", "75/25 split evaluation", cmd_eval, "features", seed=0)
+    p.add_argument("--algorithm", required=True, choices=algorithms)
+    p.add_argument("--train-frac", type=float, default=0.75, help="training share")
+    p.add_argument("--smote", choices=["on", "off"], default="on",
+                   help="balance the training portion with SMOTE")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="F1 versus observation horizon")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--algorithm", choices=sorted(models_mod.ALGORITHMS))
-    p.add_argument("--seed")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p = command("sweep", "F1 versus observation horizon", cmd_sweep,
+                "corpus", "labels", "out", seed=0)
+    p.add_argument("--algorithm", choices=algorithms, default="decision_tree", help="model")
 
-    p = sub.add_parser("temporal", help="temporal analyses of labeled attacks")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_temporal)
+    command("temporal", "temporal analyses of labeled attacks", cmd_temporal,
+            "corpus", "labels", "out")
 
-    p = sub.add_parser("accounts", help="attacker vs normal account analyses")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--shortener-map", dest="shortener_map", required=True)
-    p.add_argument("--shortener-hosts", dest="shortener_hosts", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed")
-    p.add_argument("--sample-per-page", dest="sample_per_page")
-    p.set_defaults(func=cmd_accounts)
+    p = command("accounts", "attacker vs normal account analyses", cmd_accounts,
+                "corpus", "labels", "shortener-map", "shortener-hosts", "out", seed=0)
+    p.add_argument("--sample-per-page", type=int, default=1000, help="normals per page")
 
-    p = sub.add_parser("report", help="end-to-end pipeline into one directory")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--blacklist", required=True)
-    p.add_argument("--shortener-map", dest="shortener_map", required=True)
-    p.add_argument("--shortener-hosts", dest="shortener_hosts", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed")
-    p.set_defaults(func=cmd_report)
-
+    command("report", "end-to-end pipeline into one directory", cmd_report,
+            "corpus", "blacklist", "shortener-map", "shortener-hosts", "out", seed=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
-        config = _load_config(args.config)
-        _apply_config(args, config)
-        if getattr(args, "smote", None) in ("on", "off"):
-            args.smote = args.smote == "on"
-        args.func(args)
+        if args.config is not None:
+            args = parser.parse_args(_with_config(parser, argv, args))
+        started = time.perf_counter()
+        n_in, n_out = args.func(args)
+        print(f"{args.subcommand} ok: {n_in} in, {n_out} out, "
+              f"{time.perf_counter() - started:.2f}s")
         return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorpusError as exc:
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return 0 if exc.code == 0 else 1
+    except (OSError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # validation and config errors

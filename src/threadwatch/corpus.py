@@ -67,15 +67,6 @@ class Corpus:
     # comments timestamped before their post; clamped in relative-time math
     skew_clamped: int = 0
 
-    def thread_for(self, post_id: str) -> PostThread:
-        post = self.posts[post_id]
-        members = [c for c in self.comments.values() if c.post_id == post_id]
-        members.sort(key=lambda c: (c.created_ts, c.comment_id))
-        return PostThread(post, members)
-
-    def page_of_post(self, post_id: str) -> Page:
-        return self.pages[self.posts[post_id].page_id]
-
 
 @dataclass
 class IngestResult:

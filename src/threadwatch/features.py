@@ -8,6 +8,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import PostThread, rel_seconds
 
 MacroMode = str  # "full" | "censored"
@@ -106,38 +108,22 @@ def censor_thread(thread: PostThread, horizon_minutes: float) -> PostThread:
     return PostThread(thread.post, kept)
 
 
-def fit_minmax(rows: list[list[float]]) -> list[tuple[float, float]]:
-    """Per-dimension (min, max) over the given rows (training portion)."""
-    if not rows:
+def fit_minmax(rows) -> np.ndarray:
+    """Per-dimension (min, max) over the given rows (training portion),
+    as a (d, 2) array."""
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 0:
         raise FeatureConfigError("cannot fit scaling on an empty dataset")
-    dims = len(rows[0])
-    stats = []
-    for d in range(dims):
-        col = [r[d] for r in rows]
-        stats.append((min(col), max(col)))
-    return stats
+    return np.column_stack([rows.min(axis=0), rows.max(axis=0)])
 
 
-def apply_minmax(rows: list[list[float]],
-                 stats: list[tuple[float, float]]) -> list[list[float]]:
+def apply_minmax(rows, stats: np.ndarray) -> np.ndarray:
     """Scale rows to [0,1] with the given stats; constant dimensions map
     to 0 and out-of-range values are clamped."""
-    out = []
-    for r in rows:
-        scaled = []
-        for v, (lo, hi) in zip(r, stats):
-            if hi == lo:
-                scaled.append(0.0)
-            else:
-                scaled.append(min(1.0, max(0.0, (v - lo) / (hi - lo))))
-        out.append(scaled)
-    return out
-
-
-def normalize_features(rows: list[list[float]]
-                       ) -> tuple[list[list[float]], list[tuple[float, float]]]:
-    stats = fit_minmax(rows)
-    return apply_minmax(rows, stats), stats
+    lo, hi = stats[:, 0], stats[:, 1]
+    constant = hi == lo
+    scaled = (np.asarray(rows, dtype=float) - lo) / np.where(constant, 1.0, hi - lo)
+    return np.where(constant, 0.0, np.clip(scaled, 0.0, 1.0))
 
 
 def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],

@@ -77,10 +77,9 @@ def smote(minority: np.ndarray, k: int = 5, amount_pct: int = 100,
     return out
 
 
-def train(algorithm: str, data: Dataset, hyperparams: dict | None = None,
-          seed: int = 0):
+def train(algorithm: str, data: Dataset, hyperparams: dict | None = None):
     """Fit one of the three classifier variants. All three are
-    deterministic; seed is part of the contract for reproducibility."""
+    deterministic, so no seed is needed."""
     try:
         cls = models.ALGORITHMS[algorithm]
     except KeyError:
@@ -164,9 +163,9 @@ def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
     n_train = int(round(n * train_frac))
     train_idx, test_idx = order[:n_train], order[n_train:]
 
-    stats = fit_minmax(dataset.X[train_idx].tolist())
-    X_train = np.array(apply_minmax(dataset.X[train_idx].tolist(), stats))
-    X_test = np.array(apply_minmax(dataset.X[test_idx].tolist(), stats))
+    stats = fit_minmax(dataset.X[train_idx])
+    X_train = apply_minmax(dataset.X[train_idx], stats)
+    X_test = apply_minmax(dataset.X[test_idx], stats)
     y_train, y_test = dataset.y[train_idx], dataset.y[test_idx]
 
     if len(np.unique(y_test)) < 2:
@@ -175,7 +174,7 @@ def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
     if balance:
         X_train, y_train = _balance_with_smote(X_train, y_train, smote_k, seed)
 
-    model = train(algorithm, Dataset(X_train, y_train), hyperparams, seed)
+    model = train(algorithm, Dataset(X_train, y_train), hyperparams)
     y_pred = model.predict_scores(X_test) >= 0.5
     return metrics_from_predictions(y_test, y_pred)
 

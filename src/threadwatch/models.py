@@ -289,9 +289,10 @@ def _model_dim(model) -> int | None:
     return None
 
 
-def save_model(model, path: str) -> None:
+def save_model(model, path: str, **extra) -> None:
+    """Write the model's JSON, with any extra top-level entries."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump({**model.to_dict(), **extra}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -83,34 +83,33 @@ def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEv
     return events
 
 
-def _grouped(events: list[AttackEvent], value) -> dict[str, EcdfTable]:
+def _grouped(events: list[AttackEvent], value) -> dict[str, list[float]]:
+    """Values per region, per category, and over all events."""
     groups: dict[str, list[float]] = {}
     for e in events:
         groups.setdefault(f"region:{e.region}", []).append(value(e))
         groups.setdefault(f"category:{e.category.value}", []).append(value(e))
     groups.setdefault("all", [value(e) for e in events])
+    return groups
+
+
+def _ecdfs(groups: dict[str, list[float]]) -> dict[str, EcdfTable]:
     return {name: ecdf(vals) for name, vals in sorted(groups.items())}
 
 
 def relative_positions(events: list[AttackEvent]) -> dict[str, EcdfTable]:
-    return _grouped(events, lambda e: e.relative_position)
+    return _ecdfs(_grouped(events, lambda e: e.relative_position))
 
 
 def time_since_post(events: list[AttackEvent]
                     ) -> tuple[dict[str, EcdfTable], dict[str, float]]:
     """ECDFs of minutes since post creation, plus the fraction of each
     group's attacks landing within one day."""
-    tables = _grouped(events, lambda e: e.minutes_since_post)
-    within_day = {}
-    groups: dict[str, list[float]] = {}
-    for e in events:
-        groups.setdefault(f"region:{e.region}", []).append(e.minutes_since_post)
-        groups.setdefault(f"category:{e.category.value}", []).append(e.minutes_since_post)
-    groups["all"] = [e.minutes_since_post for e in events]
-    for name, vals in groups.items():
-        within_day[name] = (sum(1 for v in vals if v <= DAY_MINUTES) / len(vals)
-                            if vals else 0.0)
-    return tables, within_day
+    groups = _grouped(events, lambda e: e.minutes_since_post)
+    within_day = {name: (sum(1 for v in vals if v <= DAY_MINUTES) / len(vals)
+                         if vals else 0.0)
+                  for name, vals in groups.items()}
+    return _ecdfs(groups), within_day
 
 
 def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, EcdfTable]:
@@ -145,7 +144,7 @@ def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, EcdfTable]:
             groups.setdefault(f"category:{category.value}", []).append(
                 (cur.ts - prev.ts) / 60.0)
 
-    return {name: ecdf(vals) for name, vals in sorted(groups.items())}
+    return _ecdfs(groups)
 
 
 def page_gaps(events: list[AttackEvent]) -> dict[str, list[float]]:

@@ -269,6 +269,25 @@ def test_criterion_7_deterministic_reruns(tmp_path, capsys):
                runs[0] == runs[1] == runs[2] and n_files > 20,
                f"{n_files} output files byte-identical across 3 runs")
 
+    # report writes each file through the same stage code as the
+    # single-stage subcommands
+    digests = runs[0]
+    same = [("labels.tsv", "labels.tsv"), ("features.csv", "features.csv"),
+            ("campaign_scatter.csv", os.path.join("accounts", "campaign_scatter.csv"))]
+    same += [(name, os.path.join("temporal", name))
+             for name in ("relative_positions.csv", "time_since_post.csv",
+                          "within_one_day.csv", "inter_attack_intervals.csv",
+                          "monthly_heatmap.csv")]
+    for name, single in same:
+        assert digests[os.path.join("report", name)] == digests[single], name
+    root = str(tmp_path / "run0")
+    with open(os.path.join(root, "report", "metrics.csv")) as fh:
+        report_rows = fh.read().splitlines()
+    with open(os.path.join(root, "eval.csv")) as fh:
+        eval_rows = fh.read().splitlines()
+    assert report_rows[0] == eval_rows[0]
+    assert [r for r in report_rows if r.startswith("decision_tree,")] == eval_rows[1:]
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "report_80.sha256")
 

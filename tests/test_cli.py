@@ -163,6 +163,41 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "synth",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("line,message", [
+        ("profile = bogus", "invalid choice: 'bogus'"),
+        ("threads = ten", "invalid int value: 'ten'"),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg), "synth",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_choices_apply(self, pipeline, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("smote = maybe\n")
+        assert main(["--config", str(cfg), "eval", "--features", pipeline["features"],
+                     "--algorithm", "decision_tree"]) == 1
+
+    def test_unknown_config_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\ncolour = red\n")
+        assert main(["--config", str(cfg), "synth",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "colour" in capsys.readouterr().err
+
+    def test_other_subcommands_keys_skipped(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 10\nseed = 0\n")
+        out = str(tmp_path / "report")
+        assert main(["--config", str(cfg), "report", "--corpus", pipeline["corpus"],
+                     "--blacklist", pipeline["blacklist"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"], "--out", out]) == 0
+        assert "report ok: 120 in" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, pipeline, tmp_path):

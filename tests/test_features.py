@@ -5,7 +5,7 @@ import pytest
 from threadwatch.corpus import Comment, Post, PostThread
 from threadwatch.features import (FeatureConfigError, apply_minmax,
                                   censor_thread, dav, fit_minmax,
-                                  macro_features, normalize_features)
+                                  macro_features)
 
 T0 = 1_400_000_000
 
@@ -116,15 +116,16 @@ class TestCensor:
 
 class TestNormalize:
     def test_single_vector_all_zero(self):
-        scaled, _ = normalize_features([[3.0, 5.0]])
-        assert scaled == [[0.0, 0.0]]
+        rows = [[3.0, 5.0]]
+        assert apply_minmax(rows, fit_minmax(rows)).tolist() == [[0.0, 0.0]]
 
     def test_affine_map(self):
-        scaled, stats = normalize_features([[2.0], [4.0], [6.0]])
-        assert scaled == [[0.0], [0.5], [1.0]]
-        assert stats == [(2.0, 6.0)]
+        rows = [[2.0], [4.0], [6.0]]
+        stats = fit_minmax(rows)
+        assert apply_minmax(rows, stats).tolist() == [[0.0], [0.5], [1.0]]
+        assert stats.tolist() == [[2.0, 6.0]]
 
     def test_test_values_clamped(self):
         stats = fit_minmax([[2.0], [6.0]])
-        assert apply_minmax([[8.0]], stats) == [[1.0]]
-        assert apply_minmax([[0.0]], stats) == [[0.0]]
+        assert apply_minmax([[8.0]], stats).tolist() == [[1.0]]
+        assert apply_minmax([[0.0]], stats).tolist() == [[0.0]]
