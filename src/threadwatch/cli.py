@@ -238,7 +238,11 @@ def cmd_accounts(args) -> tuple[int, int]:
         {grp: [accounts_mod.response_stats(corpus, aid) for aid in ids]
          for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
-    observations = labeler_mod.collect_observations(corpus, table)
+    # campaign clusters read only the observations of labelled comments
+    labelled = {lab.comment_id for lab in labels}
+    observations = labeler_mod.collect_observations(Corpus(
+        corpus.pages, corpus.posts,
+        {cid: c for cid, c in corpus.comments.items() if cid in labelled}), table)
     clusters = campaign_stage(labels, observations, args.out)
     return len(labels), len(clusters)
 

@@ -96,35 +96,48 @@ _REQUIRED = {
 }
 
 
-def _parse_record(obj: dict) -> tuple[str, object]:
+def _int_field(obj: dict, name: str) -> int:
+    """An integer; booleans and non-finite or fractional floats are rejected."""
+    value = obj[name]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_record(obj) -> tuple[str, str, object]:
+    """The kind, id and record of one parsed JSON line."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in _REQUIRED:
         raise ValueError(f"unknown kind {kind!r}")
     missing = [f for f in _REQUIRED[kind] if f not in obj]
     if missing:
         raise ValueError(f"{kind} record missing fields {missing}")
+    rid = str(obj["id"])
     if kind == "page":
         region = _REGION_LOOKUP.get(str(obj["region"]).lower())
         if region is None:
             raise ValueError(f"unknown region {obj['region']!r}")
-        return kind, Page(str(obj["id"]), str(obj["name"]), region)
-    like = int(obj["like_count"])
+        return kind, rid, Page(rid, str(obj["name"]), region)
+    # plain ints, nearly every record, skip _int_field's per-call cost
+    like, ts = obj["like_count"], obj["created_ts"]
+    if type(like) is not int or type(ts) is not int:
+        like, ts = _int_field(obj, "like_count"), _int_field(obj, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
-    ts = int(obj["created_ts"])
-    if kind == "post":
-        return kind, Post(str(obj["id"]), str(obj["page_id"]), str(obj["author_id"]),
+    cls, parent = (Post, "page_id") if kind == "post" else (Comment, "post_id")
+    return kind, rid, cls(rid, str(obj[parent]), str(obj["author_id"]),
                           ts, like, str(obj["text"]))
-    return kind, Comment(str(obj["id"]), str(obj["post_id"]), str(obj["author_id"]),
-                         ts, like, str(obj["text"]))
 
 
 def ingest(path: str) -> IngestResult:
     """Load and validate a corpus file.
 
-    Malformed lines are reported with their line number and skipped;
-    an unreadable file raises CorpusError. Records referencing unknown
-    parents and duplicate ids are dropped.
+    Malformed lines (bad JSON, non-objects, bad fields or numbers) are
+    reported with their line number and skipped; an unreadable file
+    raises CorpusError. Records referencing unknown parents, and later
+    records repeating an id, are dropped.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,6 +148,7 @@ def ingest(path: str) -> IngestResult:
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
+    tables = {"page": pages, "post": posts, "comment": comments}
     errors: list[tuple[int, str]] = []
     dropped = 0
 
@@ -142,25 +156,15 @@ def ingest(path: str) -> IngestResult:
         if not line.strip():
             continue
         try:
-            kind, rec = _parse_record(json.loads(line))
-        except (ValueError, TypeError) as exc:
+            kind, rid, rec = _parse_record(json.loads(line))
+        except (ValueError, TypeError, RecursionError) as exc:
             errors.append((lineno, str(exc)))
             continue
-        if kind == "page":
-            if rec.page_id in pages:
-                dropped += 1
-            else:
-                pages[rec.page_id] = rec
-        elif kind == "post":
-            if rec.post_id in posts:
-                dropped += 1
-            else:
-                posts[rec.post_id] = rec
+        table = tables[kind]
+        if rid in table:
+            dropped += 1
         else:
-            if rec.comment_id in comments:
-                dropped += 1
-            else:
-                comments[rec.comment_id] = rec
+            table[rid] = rec
 
     # referential integrity, resolved after the full pass so that input
     # order never matters

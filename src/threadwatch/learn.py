@@ -30,10 +30,6 @@ class Dataset:
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise LearnError("X and y shapes are inconsistent")
 
-    @property
-    def dimension(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass
 class Metrics:
@@ -42,9 +38,6 @@ class Metrics:
     f1: float
     confusion: tuple[tuple[int, int], tuple[int, int]]  # [actual][predicted]
     per_class: dict = field(default_factory=dict)
-
-    def row(self) -> list[float]:
-        return [self.precision, self.recall, self.f1]
 
 
 def smote(minority: np.ndarray, k: int = 5, amount_pct: int = 100,
@@ -63,11 +56,13 @@ def smote(minority: np.ndarray, k: int = 5, amount_pct: int = 100,
             f"minority size {n} must exceed k={k}; use a smaller k")
     rng = np.random.default_rng(seed)
     total = int(round(n * amount_pct / 100.0))
-    # pairwise distances once; neighbor lists exclude the point itself
-    diff = minority[:, None, :] - minority[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # one row of distances at a time; neighbor lists exclude the point
+    # itself, and equal distances keep the lower index
+    neighbors = np.empty((n, k), dtype=int)
+    for i in range(n):
+        dist = np.sqrt(((minority - minority[i]) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        neighbors[i] = np.argsort(dist, kind="stable")[:k]
     out = np.empty((total, minority.shape[1]))
     for s in range(total):
         i = s % n
@@ -77,7 +72,7 @@ def smote(minority: np.ndarray, k: int = 5, amount_pct: int = 100,
     return out
 
 
-def train(algorithm: str, data: Dataset, hyperparams: dict | None = None):
+def train(algorithm: str, data: Dataset):
     """Fit one of the three classifier variants. All three are
     deterministic, so no seed is needed."""
     try:
@@ -85,8 +80,7 @@ def train(algorithm: str, data: Dataset, hyperparams: dict | None = None):
     except KeyError:
         raise LearnError(f"unknown algorithm {algorithm!r}; "
                          f"choose from {sorted(models.ALGORITHMS)}") from None
-    model = cls(**(hyperparams or {}))
-    return model.fit(data.X, data.y)
+    return cls().fit(data.X, data.y)
 
 
 def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -122,7 +116,7 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
                    confusion=((tn, fp), (fn, tp)), per_class=per_class)
 
 
-def _balance_with_smote(X: np.ndarray, y: np.ndarray, k: int,
+def _balance_with_smote(X: np.ndarray, y: np.ndarray,
                         seed: int) -> tuple[np.ndarray, np.ndarray]:
     n_pos, n_neg = int(np.sum(y)), int(np.sum(~y))
     if n_pos == n_neg or min(n_pos, n_neg) == 0:
@@ -130,7 +124,7 @@ def _balance_with_smote(X: np.ndarray, y: np.ndarray, k: int,
     minority_is_pos = n_pos < n_neg
     minority = X[y] if minority_is_pos else X[~y]
     need = abs(n_neg - n_pos)
-    k_eff = min(k, len(minority) - 1)
+    k_eff = min(5, len(minority) - 1)
     if k_eff < 1:
         warnings.warn("minority class too small for SMOTE; skipping balancing")
         return X, y
@@ -145,8 +139,7 @@ def _balance_with_smote(X: np.ndarray, y: np.ndarray, k: int,
 
 def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
                    balance: bool = True, algorithm: str = "decision_tree",
-                   seed: int = 0, smote_k: int = 5,
-                   hyperparams: dict | None = None) -> Metrics:
+                   seed: int = 0) -> Metrics:
     """Seeded shuffle-split evaluation.
 
     SMOTE (when enabled) and the min-max scaling statistics touch only
@@ -172,9 +165,9 @@ def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
         warnings.warn("test portion contains a single class; "
                       "undefined precision reported as 0")
     if balance:
-        X_train, y_train = _balance_with_smote(X_train, y_train, smote_k, seed)
+        X_train, y_train = _balance_with_smote(X_train, y_train, seed)
 
-    model = train(algorithm, Dataset(X_train, y_train), hyperparams)
+    model = train(algorithm, Dataset(X_train, y_train))
     y_pred = model.predict_scores(X_test) >= 0.5
     return metrics_from_predictions(y_test, y_pred)
 

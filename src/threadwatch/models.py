@@ -73,12 +73,23 @@ class GaussianNaiveBayes:
         return m
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p * p))
+def _gini(neg, pos, n):
+    """Gini impurity of a node with neg negatives and pos positives out
+    of n > 0 rows; elementwise over arrays."""
+    p0, p1 = neg / n, pos / n
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _cuts(x: np.ndarray, *weights: np.ndarray):
+    """Candidate cuts of one column: the midpoints between adjacent
+    distinct values of the stable-sorted column, the row count left of
+    each cut, and per weight column its sum left of each cut and its
+    total."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    idx = np.nonzero(xs[1:] > xs[:-1])[0]
+    sums = [(cum[idx], cum[-1]) for cum in (np.cumsum(w[order]) for w in weights)]
+    return (xs[idx] + xs[idx + 1]) / 2.0, idx + 1, sums
 
 
 class DecisionTree:
@@ -103,40 +114,28 @@ class DecisionTree:
 
     def _best_split(self, X: np.ndarray, y: np.ndarray):
         n, d = X.shape
-        parent = _gini(np.array([np.sum(~y), np.sum(y)]))
-        best = None  # (impurity, dim, threshold)
         y_int = y.astype(int)
+        n_pos = int(y_int.sum())
+        # a cut must beat the parent, then each later cut the best so far,
+        # by 1e-12; ties keep the earlier (lower dim, lower threshold)
+        limit = _gini(n - n_pos, n_pos, n) - 1e-12
+        best = None  # (impurity, dim, threshold)
         for dim in range(d):
-            order = np.argsort(X[:, dim], kind="stable")
-            xs = X[order, dim]
-            ys = y_int[order]
-            pos_left = np.cumsum(ys)
-            total_pos = pos_left[-1]
-            # candidate cuts between adjacent distinct values
-            cut_idx = np.nonzero(xs[1:] > xs[:-1])[0]
-            for i in cut_idx:
-                nl = i + 1
-                nr = n - nl
-                if nl < self.min_leaf or nr < self.min_leaf:
-                    continue
-                pl = pos_left[i]
-                left = _gini(np.array([nl - pl, pl]))
-                right = _gini(np.array([nr - (total_pos - pl), total_pos - pl]))
-                w = (nl * left + nr * right) / n
-                if w < parent - 1e-12:
-                    thr = (xs[i] + xs[i + 1]) / 2.0
-                    if best is None or w < best[0] - 1e-12:
-                        best = (w, dim, thr)
-                    # ties: keep the earlier (lower dim, lower threshold)
+            thresholds, nl, [(pl, total_pos)] = _cuts(X[:, dim], y_int)
+            nr, pr = n - nl, total_pos - pl
+            w = (nl * _gini(nl - pl, pl, nl) + nr * _gini(nr - pr, pr, nr)) / n
+            allowed = (nl >= self.min_leaf) & (nr >= self.min_leaf)
+            for i in np.nonzero(allowed & (w < limit))[0]:
+                if w[i] < limit:
+                    best, limit = (w[i], dim, thresholds[i]), w[i] - 1e-12
         return best
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> dict:
         n_pos = int(np.sum(y))
-        n = len(y)
-        purity_pos = n_pos / n
-        if n_pos == 0 or n_pos == n or depth >= self.max_depth:
-            return {"leaf": True, "cls": purity_pos >= 0.5, "score": purity_pos}
-        split = self._best_split(X, y)
+        purity_pos = n_pos / len(y)
+        split = None
+        if 0 < n_pos < len(y) and depth < self.max_depth:
+            split = self._best_split(X, y)
         if split is None:
             return {"leaf": True, "cls": purity_pos >= 0.5, "score": purity_pos}
         _, dim, thr = split
@@ -186,31 +185,22 @@ class AdaBoost:
     def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray):
         """Minimum weighted error stump. polarity +1 predicts positive
         for values > threshold; -1 the reverse."""
-        n, d = X.shape
+        w_pos = w * (y_pm > 0)
         best = (np.inf, 0, 0.0, 1)  # err, dim, thr, polarity
-        for dim in range(d):
-            order = np.argsort(X[:, dim], kind="stable")
-            xs = X[order, dim]
-            wo = w[order]
-            pos = y_pm[order] > 0
-            cum_w = np.cumsum(wo)
-            cum_pos = np.cumsum(wo * pos)
-            total_w = cum_w[-1]
-            total_pos = cum_pos[-1]
-            cut_idx = np.nonzero(xs[1:] > xs[:-1])[0]
-            if cut_idx.size == 0:
+        for dim in range(X.shape[1]):
+            thresholds, _, sums = _cuts(X[:, dim], w_pos, w)
+            if thresholds.size == 0:
                 continue
+            (pos_left, total_pos), (w_left, total_w) = sums
             # polarity +1 predicts positive strictly above the threshold,
             # so it misses positives on the left and negatives on the right
-            pos_left = cum_pos[cut_idx]
-            neg_left = cum_w[cut_idx] - pos_left
+            neg_left = w_left - pos_left
             err_plus = pos_left + ((total_w - total_pos) - neg_left)
             err_minus = total_w - err_plus
             for errs, pol in ((err_plus, 1), (err_minus, -1)):
                 i = int(np.argmin(errs))  # first minimum = lowest threshold
                 if errs[i] < best[0] - 1e-15:
-                    thr = (xs[cut_idx[i]] + xs[cut_idx[i] + 1]) / 2.0
-                    best = (float(errs[i]), dim, float(thr), pol)
+                    best = (float(errs[i]), dim, float(thresholds[i]), pol)
         return best
 
     @staticmethod

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from threadwatch.corpus import (CorpusError, build_threads, ingest,
                                 rel_minutes)
@@ -135,3 +137,73 @@ def test_clock_skew_clamped_not_dropped(tmp_path):
     assert result.corpus.skew_clamped == 1
     post = result.corpus.posts["p1"]
     assert rel_minutes(post, result.corpus.comments["c1"]) == 0.0
+
+
+@pytest.mark.parametrize("line", ["[1,2]", '"s"', "3", "null",
+                                  pytest.param("[" * 100000, id="deep")])
+def test_non_object_line_is_a_line_error(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_page()) + "\n" + line + "\n")
+    result = ingest(str(path))
+    assert [lineno for lineno, _ in result.line_errors] == [2]
+    assert list(result.corpus.pages) == ["pg0"]
+
+
+@pytest.mark.parametrize("field", ["created_ts", "like_count"])
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400",
+                                     "true", "false", "12.9"])
+def test_bad_number_is_a_line_error(tmp_path, field, literal):
+    bad = json.dumps({**_post("p2"), field: "VALUE"}).replace('"VALUE"', literal)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([json.dumps(_page()), json.dumps(_post("p1")), bad]) + "\n")
+    result = ingest(str(path))
+    assert [lineno for lineno, _ in result.line_errors] == [3]
+    assert list(result.corpus.posts) == ["p1"]
+
+
+def test_integral_float_is_read_exactly(tmp_path):
+    result = ingest(_write(tmp_path, [_page(), _post("p1", ts=1000.0, likes=3.0)]))
+    post = result.corpus.posts["p1"]
+    assert (post.created_ts, post.like_count) == (1000, 3)
+
+
+_VALID = [_page(), _post("p1"), _post("p2", ts=2000, likes=4),
+          _comment("c1", "p1", 1010), _comment("c2", "p2", 1990, likes=1)]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3))
+
+_NUMBER_LITERALS = st.sampled_from(
+    ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "true", "false",
+     "null", "12.9", "-0.5", '"7"', '"x"', "[]", "{}"]) | st.floats().map(json.dumps)
+
+
+@st.composite
+def _bad_number_record(draw):
+    kind = draw(st.sampled_from(["post", "comment"]))
+    rec = _post("junk", page="nowhere") if kind == "post" else _comment("junk", "nowhere", 0)
+    field = draw(st.sampled_from(["created_ts", "like_count"]))
+    return json.dumps({**rec, field: "VALUE"}).replace('"VALUE"', draw(_NUMBER_LITERALS))
+
+
+_JUNK_LINES = (st.text()
+               | st.sampled_from(["[1,2]", '"s"', "3", "null", "{", "[" * 5000])
+               | _JSON_VALUES.map(json.dumps)
+               | _bad_number_record())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(junk=st.lists(_JUNK_LINES, max_size=12), data=st.data())
+def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, data):
+    lines = data.draw(st.permutations([json.dumps(r) for r in _VALID] + junk))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = ingest(str(path)).corpus
+    expected = ingest(_write(tmp_path, _VALID, "valid.jsonl")).corpus
+    for table in ("pages", "posts", "comments"):
+        kept = getattr(corpus, table)
+        for key, rec in getattr(expected, table).items():
+            assert kept.get(key) == rec

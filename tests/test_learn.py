@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from threadwatch import learn
+from threadwatch import features, learn
+from threadwatch.corpus import build_threads
+from threadwatch.labeler import label_threads
 from threadwatch.learn import (Dataset, LearnError, evaluate_split,
                                metrics_from_predictions, smote, train)
 from threadwatch.models import (AdaBoost, DecisionTree, GaussianNaiveBayes,
@@ -215,3 +217,151 @@ def test_smote_stays_in_convex_hull_coordinatewise():
     out = smote(minority, k=4, amount_pct=400, seed=0)
     lo, hi = minority.min(axis=0), minority.max(axis=0)
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+
+# Reference copies of the split searches and of SMOTE's neighbour lists as
+# they were before both tree learners shared one cut scan and SMOTE
+# stopped building the n x n x d difference tensor. The new code must
+# reproduce them exactly, ties included.
+
+def _ref_gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float(np.sum(p * p))
+
+
+def _ref_best_split(self, X: np.ndarray, y: np.ndarray):
+    n, d = X.shape
+    parent = _ref_gini(np.array([np.sum(~y), np.sum(y)]))
+    best = None  # (impurity, dim, threshold)
+    y_int = y.astype(int)
+    for dim in range(d):
+        order = np.argsort(X[:, dim], kind="stable")
+        xs = X[order, dim]
+        ys = y_int[order]
+        pos_left = np.cumsum(ys)
+        total_pos = pos_left[-1]
+        cut_idx = np.nonzero(xs[1:] > xs[:-1])[0]
+        for i in cut_idx:
+            nl = i + 1
+            nr = n - nl
+            if nl < self.min_leaf or nr < self.min_leaf:
+                continue
+            pl = pos_left[i]
+            left = _ref_gini(np.array([nl - pl, pl]))
+            right = _ref_gini(np.array([nr - (total_pos - pl), total_pos - pl]))
+            w = (nl * left + nr * right) / n
+            if w < parent - 1e-12:
+                thr = (xs[i] + xs[i + 1]) / 2.0
+                if best is None or w < best[0] - 1e-12:
+                    best = (w, dim, thr)
+    return best
+
+
+def _ref_best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray):
+    n, d = X.shape
+    best = (np.inf, 0, 0.0, 1)  # err, dim, thr, polarity
+    for dim in range(d):
+        order = np.argsort(X[:, dim], kind="stable")
+        xs = X[order, dim]
+        wo = w[order]
+        pos = y_pm[order] > 0
+        cum_w = np.cumsum(wo)
+        cum_pos = np.cumsum(wo * pos)
+        total_w = cum_w[-1]
+        total_pos = cum_pos[-1]
+        cut_idx = np.nonzero(xs[1:] > xs[:-1])[0]
+        if cut_idx.size == 0:
+            continue
+        pos_left = cum_pos[cut_idx]
+        neg_left = cum_w[cut_idx] - pos_left
+        err_plus = pos_left + ((total_w - total_pos) - neg_left)
+        err_minus = total_w - err_plus
+        for errs, pol in ((err_plus, 1), (err_minus, -1)):
+            i = int(np.argmin(errs))
+            if errs[i] < best[0] - 1e-15:
+                thr = (xs[cut_idx[i]] + xs[cut_idx[i] + 1]) / 2.0
+                best = (float(errs[i]), dim, float(thr), pol)
+    return best
+
+
+def _ref_smote_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
+    diff = minority[:, None, :] - minority[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+class _RefTree(DecisionTree):
+    _best_split = _ref_best_split
+
+
+class _RefBoost(AdaBoost):
+    _best_stump = staticmethod(_ref_best_stump)
+
+
+def _tie_heavy_dataset(seed: int):
+    """Small integer grids or normals rounded to 1-2 digits, so that
+    equal values and equal impurities are common; n from 8 to 300."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 301)), int(rng.integers(1, 5))
+    if seed % 3 == 0:
+        X = rng.integers(0, int(rng.integers(2, 6)), size=(n, d)).astype(float)
+    else:
+        X = np.round(rng.normal(size=(n, d)), seed % 3)
+    y = X.sum(axis=1) + rng.normal(0, 1, n) > 0
+    y[:2] = False, True
+    return X, y
+
+
+def test_shared_cut_scan_matches_reference_learners():
+    for seed in range(300):
+        X, y = _tie_heavy_dataset(seed)
+        depth, leaf = (20, 1) if seed % 4 else (3, 1 + seed % 5)
+        tree = DecisionTree(depth, leaf).fit(X, y)
+        assert tree.to_dict() == _RefTree(depth, leaf).fit(X, y).to_dict(), seed
+        boost, ref = AdaBoost(20).fit(X, y), _RefBoost(20).fit(X, y)
+        assert (boost.stumps, boost.alphas) == (ref.stumps, ref.alphas), seed
+
+
+def test_shared_cut_scan_matches_reference_tree_on_bench(
+        bench_synth, bench_labels, monkeypatch):
+    # the seed-42 training split of the 2k benchmark, after SMOTE
+    thread_labels, _ = label_threads(bench_synth.corpus, bench_labels[1])
+    vectors = features.featurize_threads(
+        build_threads(bench_synth.corpus),
+        {pid: tl.is_target for pid, tl in thread_labels.items()})
+    dataset = Dataset(np.array([v.values() for v in vectors]),
+                      np.array([v.label for v in vectors]))
+    trees = []
+    real_train = learn.train
+
+    def keep_tree(algorithm, data):
+        trees.append(real_train(algorithm, data))
+        return trees[-1]
+
+    monkeypatch.setattr(learn, "train", keep_tree)
+    new = evaluate_split(dataset, algorithm="decision_tree", seed=42)
+    monkeypatch.setattr(DecisionTree, "_best_split", _ref_best_split)
+    ref = evaluate_split(dataset, algorithm="decision_tree", seed=42)
+    assert new == ref
+    assert trees[0].to_dict() == trees[1].to_dict()
+
+
+def test_smote_matches_full_tensor_neighbors_with_duplicate_rows():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        minority = rng.integers(0, 3, size=(int(rng.integers(6, 60)), 3)).astype(float)
+        minority = np.vstack([minority, minority[: len(minority) // 3]])
+        k = min(5, len(minority) - 1)
+        neighbors = _ref_smote_neighbors(minority, k)
+        out = smote(minority, k=k, amount_pct=250, seed=seed)
+        # replay SMOTE's draws against the reference neighbour lists
+        rng = np.random.default_rng(seed)
+        for s, point in enumerate(out):
+            i = s % len(minority)
+            nn = minority[neighbors[i][rng.integers(0, k)]]
+            lam = rng.uniform(0.0, 1.0)
+            assert np.array_equal(point, minority[i] + lam * (nn - minority[i]))
