@@ -97,11 +97,13 @@ _REQUIRED = {
 
 
 def _int_field(obj: dict, name: str) -> int:
-    """An integer; booleans and non-finite or fractional floats are rejected."""
+    """A JSON integer, or a float with no fractional part; nothing else."""
     value = obj[name]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_record(obj) -> tuple[str, str, object]:
@@ -120,10 +122,7 @@ def _parse_record(obj) -> tuple[str, str, object]:
         if region is None:
             raise ValueError(f"unknown region {obj['region']!r}")
         return kind, rid, Page(rid, str(obj["name"]), region)
-    # plain ints, nearly every record, skip _int_field's per-call cost
-    like, ts = obj["like_count"], obj["created_ts"]
-    if type(like) is not int or type(ts) is not int:
-        like, ts = _int_field(obj, "like_count"), _int_field(obj, "created_ts")
+    like, ts = _int_field(obj, "like_count"), _int_field(obj, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
     cls, parent = (Post, "page_id") if kind == "post" else (Comment, "post_id")

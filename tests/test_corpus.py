@@ -151,7 +151,7 @@ def test_non_object_line_is_a_line_error(tmp_path, line):
 
 @pytest.mark.parametrize("field", ["created_ts", "like_count"])
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400",
-                                     "true", "false", "12.9"])
+                                     "true", "false", "12.9", '"7"', '"1_000"'])
 def test_bad_number_is_a_line_error(tmp_path, field, literal):
     bad = json.dumps({**_post("p2"), field: "VALUE"}).replace('"VALUE"', literal)
     path = tmp_path / "corpus.jsonl"
