@@ -9,7 +9,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .corpus import Corpus, rel_minutes
+from .corpus import Comment, Corpus, rel_minutes
 from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
 
 DEFAULT_SCATTER_THRESHOLD = 10
@@ -44,32 +44,36 @@ class AccountError(Exception):
     pass
 
 
+def _comments_by_author(corpus: Corpus, account_ids: list[str] | None
+                        ) -> dict[str, list[Comment]]:
+    """The comments of each listed account (of every commenting account
+    when account_ids is None) from one pass over the corpus, each list
+    sorted by (created_ts, comment_id); a listed account with no comments
+    gets an empty list."""
+    by_author: dict[str, list[Comment]] = {aid: [] for aid in account_ids or ()}
+    for c in corpus.comments.values():
+        if account_ids is None or c.author_id in by_author:
+            by_author.setdefault(c.author_id, []).append(c)
+    for rows in by_author.values():
+        rows.sort(key=lambda c: (c.created_ts, c.comment_id))
+    return by_author
+
+
 def footprint(corpus: Corpus, account_ids: list[str] | None = None
               ) -> list[AccountFootprint]:
     """Per-account aggregation over the whole corpus.
 
-    With account_ids=None every commenting account is reported; unknown
-    ids yield a zero footprint with a flag.
+    With account_ids=None every commenting account is reported, sorted;
+    an id with no comments yields a zero footprint with a flag.
     """
-    pages: dict[str, set[str]] = {}
-    posts: dict[str, set[str]] = {}
-    n_comments: dict[str, int] = {}
-    n_likes: dict[str, int] = {}
-    for c in corpus.comments.values():
-        post = corpus.posts[c.post_id]
-        pages.setdefault(c.author_id, set()).add(post.page_id)
-        posts.setdefault(c.author_id, set()).add(post.post_id)
-        n_comments[c.author_id] = n_comments.get(c.author_id, 0) + 1
-        n_likes[c.author_id] = n_likes.get(c.author_id, 0) + c.like_count
-    if account_ids is None:
-        account_ids = sorted(n_comments)
+    by_author = _comments_by_author(corpus, account_ids)
     out = []
-    for aid in account_ids:
-        if aid in n_comments:
-            out.append(AccountFootprint(aid, len(pages[aid]), len(posts[aid]),
-                                        n_comments[aid], n_likes[aid]))
-        else:
-            out.append(AccountFootprint(aid, 0, 0, 0, 0, flagged_unknown=True))
+    for aid in sorted(by_author) if account_ids is None else account_ids:
+        rows = by_author[aid]
+        posts = {c.post_id for c in rows}
+        out.append(AccountFootprint(
+            aid, len({corpus.posts[pid].page_id for pid in posts}), len(posts),
+            len(rows), sum(c.like_count for c in rows), flagged_unknown=not rows))
     return out
 
 
@@ -96,15 +100,18 @@ def sample_normal_accounts(corpus: Corpus, attackers: set[str],
     return sample
 
 
-def response_stats(corpus: Corpus, account_id: str) -> ResponseStats:
-    """Minutes between each of the account's comments and its post's
-    creation, in comment-timestamp order, with mean and population std."""
-    rows = [c for c in corpus.comments.values() if c.author_id == account_id]
-    if not rows:
-        raise AccountError(f"account {account_id} has no comments")
-    rows.sort(key=lambda c: (c.created_ts, c.comment_id))
-    times = tuple(rel_minutes(corpus.posts[c.post_id], c) for c in rows)
-    return stats_from_times(account_id, times)
+def response_stats(corpus: Corpus, account_ids: list[str]) -> list[ResponseStats]:
+    """Per listed account, the minutes between each of its comments and
+    its post's creation, in comment-timestamp order, with mean and
+    population std."""
+    by_author = _comments_by_author(corpus, account_ids)
+    out = []
+    for aid in account_ids:
+        if not by_author[aid]:
+            raise AccountError(f"account {aid} has no comments")
+        out.append(stats_from_times(aid, tuple(rel_minutes(corpus.posts[c.post_id], c)
+                                               for c in by_author[aid])))
+    return out
 
 
 def stats_from_times(account_id: str, times: tuple[float, ...]) -> ResponseStats:

@@ -105,8 +105,7 @@ def metrics_stage(dataset: learn_mod.Dataset, algorithms: list[str],
                   path: str | None, **split) -> list[learn_mod.Metrics]:
     """Split evaluation per algorithm; writes one CSV row each when a
     path is given."""
-    results = [learn_mod.evaluate_split(dataset, algorithm=algorithm, **split)
-               for algorithm in algorithms]
+    results = learn_mod.evaluate_split(dataset, algorithms, **split)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("algorithm,precision,recall,f1\n")
@@ -235,8 +234,7 @@ def cmd_accounts(args) -> tuple[int, int]:
         {grp: accounts_mod.footprint(corpus, ids) for grp, ids in groups.items()},
         os.path.join(args.out, "footprints.csv"))
     accounts_mod.write_response_csv(
-        {grp: [accounts_mod.response_stats(corpus, aid) for aid in ids]
-         for grp, ids in groups.items()},
+        {grp: accounts_mod.response_stats(corpus, ids) for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
     # campaign clusters read only the observations of labelled comments
     labelled = {lab.comment_id for lab in labels}

@@ -133,14 +133,14 @@ def _parse_record(obj) -> tuple[str, str, object]:
 def ingest(path: str) -> IngestResult:
     """Load and validate a corpus file.
 
-    Malformed lines (bad JSON, non-objects, bad fields or numbers) are
-    reported with their line number and skipped; an unreadable file
-    raises CorpusError. Records referencing unknown parents, and later
-    records repeating an id, are dropped.
+    Malformed lines (invalid UTF-8, bad JSON, non-objects, bad fields or
+    numbers) are reported with their line number and skipped; an
+    unreadable file raises CorpusError. Records referencing unknown
+    parents, and later records repeating an id, are dropped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
@@ -152,10 +152,11 @@ def ingest(path: str) -> IngestResult:
     dropped = 0
 
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            kind, rid, rec = _parse_record(json.loads(line))
+            text = line.decode("utf-8")  # a bad byte is a ValueError
+            if not text.strip():
+                continue
+            kind, rid, rec = _parse_record(json.loads(text))
         except (ValueError, TypeError, RecursionError) as exc:
             errors.append((lineno, str(exc)))
             continue

@@ -137,10 +137,11 @@ def _balance_with_smote(X: np.ndarray, y: np.ndarray,
     return X_out, y_out
 
 
-def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
-                   balance: bool = True, algorithm: str = "decision_tree",
-                   seed: int = 0) -> Metrics:
-    """Seeded shuffle-split evaluation.
+def evaluate_split(dataset: Dataset, algorithms: list[str],
+                   train_frac: float = 0.75, balance: bool = True,
+                   seed: int = 0) -> list[Metrics]:
+    """Seeded shuffle-split evaluation, one Metrics per algorithm, all
+    on the same split.
 
     SMOTE (when enabled) and the min-max scaling statistics touch only
     the training portion; the test portion is scaled with the training
@@ -167,9 +168,10 @@ def evaluate_split(dataset: Dataset, train_frac: float = 0.75,
     if balance:
         X_train, y_train = _balance_with_smote(X_train, y_train, seed)
 
-    model = train(algorithm, Dataset(X_train, y_train))
-    y_pred = model.predict_scores(X_test) >= 0.5
-    return metrics_from_predictions(y_test, y_pred)
+    train_set = Dataset(X_train, y_train)
+    return [metrics_from_predictions(
+                y_test, train(algorithm, train_set).predict_scores(X_test) >= 0.5)
+            for algorithm in algorithms]
 
 
 def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
@@ -193,8 +195,8 @@ def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
                                     with_macro=False, with_dav=True)
         data = Dataset(np.array([v.values() for v in vectors]),
                        np.array([v.label for v in vectors]))
-        metrics = evaluate_split(data, train_frac=train_frac, balance=balance,
-                                 algorithm=algorithm, seed=seed + horizon)
+        [metrics] = evaluate_split(data, [algorithm], train_frac=train_frac,
+                                   balance=balance, seed=seed + horizon)
         results.append((horizon, metrics))
     return results
 

@@ -116,23 +116,12 @@ def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, EcdfTable]:
     """Per-page consecutive attack gaps in minutes, grouped by page
     region and by category. A comment with several category labels
     counts once at page level, but contributes to each category group."""
-    # page level: dedupe per comment
-    page_events: dict[str, list[AttackEvent]] = {}
-    seen = set()
-    for e in events:
-        if (e.page_id, e.comment_id) in seen:
-            continue
-        seen.add((e.page_id, e.comment_id))
-        page_events.setdefault(e.page_id, []).append(e)
-
+    region = {e.page_id: e.region for e in events}
     groups: dict[str, list[float]] = {}
-    for page_id, evs in page_events.items():
-        evs.sort(key=lambda e: (e.ts, e.comment_id))
-        region = evs[0].region
-        for prev, cur in zip(evs, evs[1:]):
-            gap = (cur.ts - prev.ts) / 60.0
-            groups.setdefault(f"region:{region}", []).append(gap)
-            groups.setdefault("all", []).append(gap)
+    for page_id, gaps in page_gaps(events).items():
+        if gaps:
+            groups.setdefault(f"region:{region[page_id]}", []).extend(gaps)
+            groups.setdefault("all", []).extend(gaps)
 
     # category groups keep label multiplicity but still gap within a page
     by_page_cat: dict[tuple[str, Category], list[AttackEvent]] = {}

@@ -158,8 +158,7 @@ def _benchmark_dataset(bench_synth, bench_labels, **kwargs):
 def test_criterion_4_classifier_ordering(bench_synth, bench_labels):
     started = time.time()
     dataset = _benchmark_dataset(bench_synth, bench_labels)
-    dt = learn.evaluate_split(dataset, algorithm="decision_tree", seed=42)
-    nb = learn.evaluate_split(dataset, algorithm="naive_bayes", seed=42)
+    dt, nb = learn.evaluate_split(dataset, ["decision_tree", "naive_bayes"], seed=42)
     elapsed = time.time() - started
     report(4, "classification benchmark",
            dt.f1 >= 0.95 and dt.f1 >= nb.f1 and elapsed < 120.0,

@@ -1,13 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from threadwatch.accounts import (AccountError, campaign_scatter,
-                                  cluster_campaigns, footprint,
+from threadwatch.accounts import (AccountError, AccountFootprint,
+                                  campaign_scatter, cluster_campaigns, footprint,
                                   response_stats, sample_normal_accounts,
                                   stats_from_times)
-from threadwatch.corpus import Comment, Corpus, Page, Post, Region
+from threadwatch.corpus import Comment, Corpus, Page, Post, Region, rel_minutes
 from threadwatch.labeler import (Category, MaliciousLabel, ShortenerTable,
                                  collect_observations, label_threads)
 
@@ -62,7 +63,7 @@ class TestFootprint:
 class TestResponseStats:
     def test_single_comment(self):
         corpus = two_page_corpus()
-        s = response_stats(corpus, "other")
+        [s] = response_stats(corpus, ["other"])
         assert s.mean == pytest.approx(500 / 60)
         assert s.std == 0.0
 
@@ -81,16 +82,100 @@ class TestResponseStats:
 
     def test_no_comments_is_error(self):
         with pytest.raises(AccountError):
-            response_stats(two_page_corpus(), "nobody")
+            response_stats(two_page_corpus(), ["nobody"])
 
     def test_two_pass_agreement(self, small_synth):
         corpus = small_synth.corpus
         authors = sorted({c.author_id for c in corpus.comments.values()})[:20]
-        for aid in authors:
-            s = response_stats(corpus, aid)
+        for s in response_stats(corpus, authors):
             arr = np.array(s.times)
             assert s.mean == pytest.approx(float(arr.mean()), rel=1e-9)
             assert s.std == pytest.approx(float(arr.std()), rel=1e-9, abs=1e-12)
+
+
+def _ref_footprint(corpus, account_ids=None):
+    """The footprint of four per-author dicts, kept as an oracle."""
+    pages, posts, n_comments, n_likes = {}, {}, {}, {}
+    for c in corpus.comments.values():
+        post = corpus.posts[c.post_id]
+        pages.setdefault(c.author_id, set()).add(post.page_id)
+        posts.setdefault(c.author_id, set()).add(post.post_id)
+        n_comments[c.author_id] = n_comments.get(c.author_id, 0) + 1
+        n_likes[c.author_id] = n_likes.get(c.author_id, 0) + c.like_count
+    if account_ids is None:
+        account_ids = sorted(n_comments)
+    out = []
+    for aid in account_ids:
+        if aid in n_comments:
+            out.append(AccountFootprint(aid, len(pages[aid]), len(posts[aid]),
+                                        n_comments[aid], n_likes[aid]))
+        else:
+            out.append(AccountFootprint(aid, 0, 0, 0, 0, flagged_unknown=True))
+    return out
+
+
+def _ref_response_stats(corpus, account_id):
+    """The per-account scan of every comment, kept as an oracle."""
+    rows = [c for c in corpus.comments.values() if c.author_id == account_id]
+    if not rows:
+        raise AccountError(f"account {account_id} has no comments")
+    rows.sort(key=lambda c: (c.created_ts, c.comment_id))
+    times = tuple(rel_minutes(corpus.posts[c.post_id], c) for c in rows)
+    return stats_from_times(account_id, times)
+
+
+class _CountingComments(dict):
+    """A comment table that counts the passes over its values."""
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+class TestAuthorGroupingOracle:
+    def _authors(self, corpus):
+        return sorted({c.author_id for c in corpus.comments.values()})
+
+    def test_every_author(self, small_synth):
+        corpus = small_synth.corpus
+        authors = self._authors(corpus)
+        assert footprint(corpus) == _ref_footprint(corpus)
+        assert footprint(corpus, authors) == _ref_footprint(corpus, authors)
+        assert response_stats(corpus, authors) == [
+            _ref_response_stats(corpus, aid) for aid in authors]
+
+    def test_repeated_ids_keep_one_row_per_listing(self, small_synth):
+        corpus = small_synth.corpus
+        a = self._authors(corpus)
+        [(busiest, _)] = Counter(
+            c.author_id for c in corpus.comments.values()).most_common(1)
+        ids = [busiest, a[0], busiest, a[-1], a[0], busiest]
+        assert footprint(corpus, ids) == _ref_footprint(corpus, ids)
+        assert response_stats(corpus, ids) == [
+            _ref_response_stats(corpus, aid) for aid in ids]
+
+    def test_footprint_unknown_ids(self, small_synth):
+        corpus = small_synth.corpus
+        a = self._authors(corpus)
+        ids = ["ghost", a[1], "ghost", a[2], "nobody"]
+        assert footprint(corpus, ids) == _ref_footprint(corpus, ids)
+
+    def test_response_stats_names_the_account_without_comments(self, small_synth):
+        ids = self._authors(small_synth.corpus)[:3] + ["ghost"]
+        with pytest.raises(AccountError, match="account ghost has"):
+            response_stats(small_synth.corpus, ids)
+
+    def test_one_pass_over_the_comments_per_call(self, small_synth):
+        corpus = small_synth.corpus
+        counted = Corpus(corpus.pages, corpus.posts,
+                         _CountingComments(corpus.comments))
+        authors = self._authors(corpus)
+        for call in (lambda: footprint(counted), lambda: footprint(counted, authors),
+                     lambda: response_stats(counted, authors)):
+            before = counted.comments.passes
+            call()
+            assert counted.comments.passes == before + 1
 
 
 class TestCampaigns:

@@ -161,6 +161,38 @@ def test_bad_number_is_a_line_error(tmp_path, field, literal):
     assert list(result.corpus.posts) == ["p1"]
 
 
+_BAD_TEXT = json.dumps({**_post("p2"), "text": "TEXT"}).encode().replace(b"TEXT", b"\xc3(")
+
+
+@pytest.mark.parametrize("bad", [b"\xff\xfe junk", _BAD_TEXT], ids=["junk", "text"])
+def test_invalid_utf8_line_is_a_line_error(tmp_path, bad):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join([json.dumps(_page()).encode(), bad,
+                                 json.dumps(_post("p1")).encode()]) + b"\n")
+    result = ingest(str(path))
+    assert [lineno for lineno, _ in result.line_errors] == [2]
+    assert (list(result.corpus.pages), list(result.corpus.posts)) == (["pg0"], ["p1"])
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_unicode_line_separator_in_text_is_kept(tmp_path, sep):
+    records = [_page(), _post("p1"), _comment("c1", "p1", 1010, text=f"a{sep}b")]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n",
+                    encoding="utf-8")
+    result = ingest(str(path))
+    assert result.line_errors == []
+    assert result.corpus.comments["c1"].raw_text == f"a{sep}b"
+
+
+def test_crlf_line_ends_are_read(tmp_path):
+    records = [_page(), _post("p1"), _comment("c1", "p1", 1010)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"".join(json.dumps(r).encode() + b"\r\n" for r in records))
+    result = ingest(str(path))
+    assert result.line_errors == [] and list(result.corpus.comments) == ["c1"]
+
+
 def test_integral_float_is_read_exactly(tmp_path):
     result = ingest(_write(tmp_path, [_page(), _post("p1", ts=1000.0, likes=3.0)]))
     post = result.corpus.posts["p1"]
@@ -191,18 +223,23 @@ def _bad_number_record(draw):
 _JUNK_LINES = (st.text()
                | st.sampled_from(["[1,2]", '"s"', "3", "null", "{", "[" * 5000])
                | _JSON_VALUES.map(json.dumps)
-               | _bad_number_record())
+               | _bad_number_record()).map(str.encode) | st.binary()
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(junk=st.lists(_JUNK_LINES, max_size=12), data=st.data())
-def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, data):
-    lines = data.draw(st.permutations([json.dumps(r) for r in _VALID] + junk))
+@given(junk=st.lists(_JUNK_LINES, max_size=12),
+       text=st.text(st.sampled_from("ab \u2028\u2029\u0085"), max_size=8),
+       data=st.data())
+def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, text, data):
+    # a valid record may hold raw line separators other than \n
+    valid = _VALID + [_comment("c3", "p1", 1020, text=text)]
+    lines = data.draw(st.permutations(
+        [json.dumps(r, ensure_ascii=False).encode() for r in valid] + junk))
     path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     corpus = ingest(str(path)).corpus
-    expected = ingest(_write(tmp_path, _VALID, "valid.jsonl")).corpus
+    expected = ingest(_write(tmp_path, valid, "valid.jsonl")).corpus
     for table in ("pages", "posts", "comments"):
         kept = getattr(corpus, table)
         for key, rec in getattr(expected, table).items():

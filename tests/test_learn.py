@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from threadwatch import features, learn
+from threadwatch import cli, features, learn, models
 from threadwatch.corpus import build_threads
 from threadwatch.labeler import label_threads
 from threadwatch.learn import (Dataset, LearnError, evaluate_split,
@@ -162,18 +162,35 @@ class TestMetrics:
 
 class TestEvaluateSplit:
     def test_separable_dataset_perfect_f1(self):
-        m = evaluate_split(planted_separable(400), algorithm="decision_tree", seed=0)
+        [m] = evaluate_split(planted_separable(400), ["decision_tree"], seed=0)
         assert m.f1 == 1.0
 
     def test_determinism(self):
         data = planted_separable(200, seed=4)
-        a = evaluate_split(data, algorithm="adaboost", seed=9)
-        b = evaluate_split(data, algorithm="adaboost", seed=9)
+        [a] = evaluate_split(data, ["adaboost"], seed=9)
+        [b] = evaluate_split(data, ["adaboost"], seed=9)
         assert a == b
 
     def test_too_small_dataset(self):
         with pytest.raises(LearnError):
-            evaluate_split(planted_separable(6), seed=0)
+            evaluate_split(planted_separable(6), ["decision_tree"], seed=0)
+
+    def test_one_split_and_smote_pass_for_all_algorithms(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(0, 1, size=(200, 3))
+        data = Dataset(X, X[:, 1] > 1.0)  # about one positive in six
+        algorithms = sorted(models.ALGORITHMS)
+        separate = [evaluate_split(data, [a], seed=3)[0] for a in algorithms]
+        calls = []
+        real_smote = learn.smote
+
+        def spy(*args, **kwargs):
+            calls.append(real_smote(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(learn, "smote", spy)
+        assert cli.metrics_stage(data, algorithms, None, seed=3) == separate
+        assert len(calls) == 1 and len(calls[0]) > 0
 
 
 def test_gini_split_reduces_impurity():
@@ -343,9 +360,9 @@ def test_shared_cut_scan_matches_reference_tree_on_bench(
         return trees[-1]
 
     monkeypatch.setattr(learn, "train", keep_tree)
-    new = evaluate_split(dataset, algorithm="decision_tree", seed=42)
+    [new] = evaluate_split(dataset, ["decision_tree"], seed=42)
     monkeypatch.setattr(DecisionTree, "_best_split", _ref_best_split)
-    ref = evaluate_split(dataset, algorithm="decision_tree", seed=42)
+    [ref] = evaluate_split(dataset, ["decision_tree"], seed=42)
     assert new == ref
     assert trees[0].to_dict() == trees[1].to_dict()
 

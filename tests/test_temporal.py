@@ -110,6 +110,18 @@ class TestInterAttackIntervals:
         tables = inter_attack_intervals(attack_events(corpus, labels))
         assert "category:Ads" in tables
 
+    def test_page_without_gap_adds_no_group(self):
+        corpus, _ = build_corpus([0, 5, 30], [])
+        corpus.pages["pg1"] = Page("pg1", "Other", Region.ASIA)
+        corpus.posts["p2"] = Post("p2", "pg1", "a", T0, 0, "post")
+        corpus.comments["d0"] = Comment("d0", "p2", "v", T0 + 60, 0, "t")
+        labels = [MaliciousLabel(cid, Category.ADS, "k") for cid in ("c0", "c2", "d0")]
+        tables = inter_attack_intervals(attack_events(corpus, labels))
+        assert sorted(tables) == ["all", "category:Ads", "region:Europe"]
+        assert tables["region:Europe"].points == [(30.0, 1.0)]
+        single, labels = build_corpus([1, 2, 3], ["c1"])
+        assert inter_attack_intervals(attack_events(single, labels)) == {}
+
 
 class TestMonthlyHeatmap:
     def test_no_attacks_zero_matrix(self):
