@@ -138,12 +138,6 @@ def ingest(path: str) -> IngestResult:
     unreadable file raises CorpusError. Records referencing unknown
     parents, and later records repeating an id, are dropped.
     """
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
@@ -151,20 +145,26 @@ def ingest(path: str) -> IngestResult:
     errors: list[tuple[int, str]] = []
     dropped = 0
 
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            text = line.decode("utf-8")  # a bad byte is a ValueError
-            if not text.strip():
-                continue
-            kind, rid, rec = _parse_record(json.loads(text))
-        except (ValueError, TypeError, RecursionError) as exc:
-            errors.append((lineno, str(exc)))
-            continue
-        table = tables[kind]
-        if rid in table:
-            dropped += 1
-        else:
-            table[rid] = rec
+    try:
+        with open(path, "rb") as fh:
+            # binary iteration splits on b"\n" only, one line in memory at a time
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    # a bad byte is a ValueError
+                    text = line.removesuffix(b"\n").decode("utf-8")
+                    if not text.strip():
+                        continue
+                    kind, rid, rec = _parse_record(json.loads(text))
+                except (ValueError, TypeError, RecursionError) as exc:
+                    errors.append((lineno, str(exc)))
+                    continue
+                table = tables[kind]
+                if rid in table:
+                    dropped += 1
+                else:
+                    table[rid] = rec
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     # referential integrity, resolved after the full pass so that input
     # order never matters

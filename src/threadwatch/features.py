@@ -43,15 +43,14 @@ class DavVector:
 class FeatureVector:
     post_id: str
     macro: MacroFeatures | None
-    dav: DavVector | None
+    dav: DavVector
     label: bool
 
     def values(self) -> list[float]:
         vals: list[float] = []
         if self.macro is not None:
             vals.extend(self.macro.as_list())
-        if self.dav is not None:
-            vals.extend(self.dav.as_list())
+        vals.extend(self.dav.as_list())
         return vals
 
 
@@ -129,7 +128,7 @@ def apply_minmax(rows, stats: np.ndarray) -> np.ndarray:
 def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
                       window_minutes: int = 5, t_final_minutes: int = 60,
                       macro_mode: MacroMode = "full",
-                      with_macro: bool = True, with_dav: bool = True,
+                      with_macro: bool = True,
                       ) -> list[FeatureVector]:
     """Feature vectors for a thread list.
 
@@ -145,8 +144,8 @@ def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
         if with_macro:
             src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
             macro = macro_features(src)
-        vec = dav(thread, window_minutes, t_final_minutes) if with_dav else None
-        out.append(FeatureVector(thread.post.post_id, macro, vec,
+        out.append(FeatureVector(thread.post.post_id, macro,
+                                 dav(thread, window_minutes, t_final_minutes),
                                  bool(is_target.get(thread.post.post_id, False))))
     return out
 
@@ -154,7 +153,7 @@ def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
 def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
     if not vectors:
         raise FeatureConfigError("no feature vectors to write")
-    k = len(vectors[0].dav.bins) if vectors[0].dav is not None else 0
+    k = len(vectors[0].dav.bins)
     header = ["post_id", "is_target"]
     if vectors[0].macro is not None:
         header += ["span_days", "n_comments", "n_participants",

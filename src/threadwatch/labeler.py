@@ -1,10 +1,10 @@
 """Ground-truth labeling: URL extraction, shortener expansion, and the
-sorted merge join of URL observations against a categorized blacklist.
+keyed join of URL observations against a categorized blacklist.
 
 Blacklist keys containing "/" are full-URL keys; keys without "/" are
-domain keys. Matching is a two-pointer merge over pre-sorted sequences,
-once per key kind, so total cost is O(m log m + n log n) including the
-sorts.
+domain keys. A comment gets one label per category it matches; the
+label's matched key is the smallest matching domain key, or, when no
+domain key matches, the smallest matching full-URL key.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
 
 
 def load_blacklist(path: str) -> list[BlacklistEntry]:
-    """Read a key<TAB>category TSV and return entries sorted by key."""
+    """Read a key<TAB>category TSV and return its entries in file order."""
     entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -222,69 +222,36 @@ def load_blacklist(path: str) -> list[BlacklistEntry]:
             if category is None:
                 raise LabelError(f"blacklist line {lineno}: unknown category {cat!r}")
             entries.append(BlacklistEntry(_strip_scheme(key.strip()).lower(), category))
-    entries.sort(key=lambda e: e.key)
     return entries
-
-
-def _check_sorted(keys, what: str) -> None:
-    for i in range(1, len(keys)):
-        if keys[i] < keys[i - 1]:
-            raise LabelError(f"{what} not sorted at index {i}")
-
-
-def _merge_matches(obs_keyed: list[tuple[str, UrlObservation]],
-                   entries: list[BlacklistEntry]):
-    """Two-pointer merge over two key-sorted sequences, yielding
-    (observation, entry) for every equal-key pair."""
-    i = j = 0
-    m, n = len(obs_keyed), len(entries)
-    while i < m and j < n:
-        key = obs_keyed[i][0]
-        if key < entries[j].key:
-            i += 1
-        elif key > entries[j].key:
-            j += 1
-        else:
-            # runs of equal keys on both sides
-            i2 = i
-            while i2 < m and obs_keyed[i2][0] == key:
-                i2 += 1
-            j2 = j
-            while j2 < n and entries[j2].key == key:
-                j2 += 1
-            for k in range(i, i2):
-                for l in range(j, j2):
-                    yield obs_keyed[k][1], entries[l]
-            i, j = i2, j2
 
 
 def join_blacklist(observations: list[UrlObservation],
                    blacklist: list[BlacklistEntry]) -> list[MaliciousLabel]:
-    """Match observations against the blacklist with sorted merges.
+    """Match observations against the blacklist by keyed lookup.
 
-    An observation matches when its full URL equals a full-URL key or
-    its domain equals a domain key. Output is deduplicated per
-    (comment_id, category) and sorted.
+    An observation matches when its full URL without the scheme equals
+    a full-URL key or its domain equals a domain key. Output has one
+    label per (comment_id, category), sorted; its matched key is the
+    smallest matching domain key, else the smallest matching full-URL
+    key. Neither input needs any order.
     """
-    _check_sorted([(o.domain, o.url, o.ts) for o in observations], "observations")
-    _check_sorted([e.key for e in blacklist], "blacklist")
+    domain_index: dict[str, list[Category]] = {}
+    url_index: dict[str, list[Category]] = {}
+    for e in blacklist:
+        index = url_index if "/" in e.key else domain_index
+        index.setdefault(e.key, []).append(e.category)
 
-    domain_entries = [e for e in blacklist if "/" not in e.key]
-    url_entries = [e for e in blacklist if "/" in e.key]
-
-    found: dict[tuple[str, Category], str] = {}
-
-    by_domain = [(o.domain, o) for o in observations]  # already domain-sorted
-    for obs, entry in _merge_matches(by_domain, domain_entries):
-        found.setdefault((obs.comment_id, entry.category), entry.key)
-
-    by_url = sorted(((_strip_scheme(o.url), o) for o in observations),
-                    key=lambda kv: kv[0])
-    for obs, entry in _merge_matches(by_url, url_entries):
-        found.setdefault((obs.comment_id, entry.category), entry.key)
+    # (is_url, key) orders domain keys first, then by key
+    found: dict[tuple[str, Category], tuple[bool, str]] = {}
+    for o in observations:
+        for is_url, key, index in ((False, o.domain, domain_index),
+                                   (True, _strip_scheme(o.url), url_index)):
+            for category in index.get(key, ()):
+                k = (o.comment_id, category)
+                found[k] = min(found.get(k, (is_url, key)), (is_url, key))
 
     labels = [MaliciousLabel(cid, cat, key)
-              for (cid, cat), key in found.items()]
+              for (cid, cat), (_, key) in found.items()]
     labels.sort(key=lambda lab: (lab.comment_id, lab.category.value))
     return labels
 

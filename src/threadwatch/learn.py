@@ -192,7 +192,7 @@ def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
         vectors = featurize_threads(threads, is_target,
                                     window_minutes=window_minutes,
                                     t_final_minutes=horizon,
-                                    with_macro=False, with_dav=True)
+                                    with_macro=False)
         data = Dataset(np.array([v.values() for v in vectors]),
                        np.array([v.label for v in vectors]))
         [metrics] = evaluate_split(data, [algorithm], train_frac=train_frac,

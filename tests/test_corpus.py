@@ -193,6 +193,21 @@ def test_crlf_line_ends_are_read(tmp_path):
     assert result.line_errors == [] and list(result.corpus.comments) == ["c1"]
 
 
+def test_line_errors_keep_numbers_and_messages(tmp_path):
+    # blank lines still count, only the b"\n" is cut from a CRLF line, and
+    # a last line without b"\n" is read whole
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(json.dumps(_page()).encode() + b"\n\n\n  \n"
+                     + b'{"kind": "post"\r\n'
+                     + json.dumps(_post("p1")).encode() + b"\n"
+                     + b'{"kind": "comment", "id": "c1"')
+    result = ingest(str(path))
+    assert result.line_errors == [
+        (5, "Expecting ',' delimiter: line 1 column 17 (char 16)"),
+        (7, "Expecting ',' delimiter: line 1 column 31 (char 30)")]
+    assert list(result.corpus.posts) == ["p1"]
+
+
 def test_integral_float_is_read_exactly(tmp_path):
     result = ingest(_write(tmp_path, [_page(), _post("p1", ts=1000.0, likes=3.0)]))
     post = result.corpus.posts["p1"]

@@ -4,15 +4,15 @@ import pytest
 
 from threadwatch.corpus import Comment, Corpus, Page, Post, Region
 from threadwatch.labeler import (BlacklistEntry, Category, LabelError,
-                                 ShortenerTable, UrlObservation,
-                                 collect_observations, expand_url,
-                                 extract_urls, join_blacklist, label_threads,
-                                 load_blacklist, registrable_domain,
-                                 _strip_scheme)
+                                 MaliciousLabel, ShortenerTable,
+                                 UrlObservation, collect_observations,
+                                 expand_url, extract_urls, join_blacklist,
+                                 label_threads, load_blacklist,
+                                 registrable_domain, _strip_scheme)
 
 
 def brute_force_join(observations, blacklist):
-    """Independent all-pairs oracle for the merge join."""
+    """Independent all-pairs oracle for the join."""
     out = {}
     for o in observations:
         for e in blacklist:
@@ -33,6 +33,72 @@ def obs(url, comment_id="c1", ts=0, account="u1"):
 
 def sort_obs(items):
     return sorted(items, key=lambda o: (o.domain, o.url, o.ts))
+
+
+def _check_sorted(keys, what):
+    for i in range(1, len(keys)):
+        if keys[i] < keys[i - 1]:
+            raise LabelError(f"{what} not sorted at index {i}")
+
+
+def _merge_matches(obs_keyed, entries):
+    """Two-pointer merge over two key-sorted sequences, yielding
+    (observation, entry) for every equal-key pair."""
+    i = j = 0
+    m, n = len(obs_keyed), len(entries)
+    while i < m and j < n:
+        key = obs_keyed[i][0]
+        if key < entries[j].key:
+            i += 1
+        elif key > entries[j].key:
+            j += 1
+        else:
+            i2 = i
+            while i2 < m and obs_keyed[i2][0] == key:
+                i2 += 1
+            j2 = j
+            while j2 < n and entries[j2].key == key:
+                j2 += 1
+            for k in range(i, i2):
+                for l in range(j, j2):
+                    yield obs_keyed[k][1], entries[l]
+            i, j = i2, j2
+
+
+def reference_join(observations, blacklist):
+    """Sort-merge join, an oracle for full labels (matched key included).
+    Both inputs must be sorted: observations by (domain, url, ts), the
+    blacklist by key."""
+    _check_sorted([(o.domain, o.url, o.ts) for o in observations], "observations")
+    _check_sorted([e.key for e in blacklist], "blacklist")
+    domain_entries = [e for e in blacklist if "/" not in e.key]
+    url_entries = [e for e in blacklist if "/" in e.key]
+    found = {}
+    by_domain = [(o.domain, o) for o in observations]
+    for o, entry in _merge_matches(by_domain, domain_entries):
+        found.setdefault((o.comment_id, entry.category), entry.key)
+    by_url = sorted(((_strip_scheme(o.url), o) for o in observations),
+                    key=lambda kv: kv[0])
+    for o, entry in _merge_matches(by_url, url_entries):
+        found.setdefault((o.comment_id, entry.category), entry.key)
+    labels = [MaliciousLabel(cid, cat, key) for (cid, cat), key in found.items()]
+    labels.sort(key=lambda lab: (lab.comment_id, lab.category.value))
+    return labels
+
+
+def sort_blacklist(entries):
+    return sorted(entries, key=lambda e: e.key)
+
+
+def assert_matches_reference(observations, blacklist, rng):
+    """The keyed join on shuffled input gives the reference's labels on
+    sorted input, matched keys included."""
+    want = reference_join(sort_obs(observations), sort_blacklist(blacklist))
+    observations, blacklist = list(observations), list(blacklist)
+    rng.shuffle(observations)
+    rng.shuffle(blacklist)
+    assert join_blacklist(observations, blacklist) == want
+    return want
 
 
 class TestExtractUrls:
@@ -131,16 +197,21 @@ class TestJoinBlacklist:
         labels = join_blacklist(observations, blacklist)
         assert [(l.comment_id, l.matched_key) for l in labels] == [("c1", "a.com/x")]
 
-    def test_unsorted_observations_rejected(self):
-        observations = [obs("http://b.com/x"), obs("http://a.com/x")]
-        with pytest.raises(LabelError, match="index 1"):
-            join_blacklist(observations, [])
+    def test_unsorted_observations_give_sorted_labels(self):
+        observations = [obs("http://b.com/x", "c1"), obs("http://a.com/x", "c2")]
+        blacklist = [BlacklistEntry("a.com", Category.ADS),
+                     BlacklistEntry("b.com", Category.ADS)]
+        labels = join_blacklist(observations, blacklist)
+        assert labels == join_blacklist(sort_obs(observations), blacklist)
+        assert [l.comment_id for l in labels] == ["c1", "c2"]
 
-    def test_unsorted_blacklist_rejected(self):
+    def test_unsorted_blacklist_gives_sorted_labels(self):
+        observations = [obs("http://a.com/x", "c1"), obs("http://b.com/x", "c2")]
         blacklist = [BlacklistEntry("b.com", Category.ADS),
                      BlacklistEntry("a.com", Category.ADS)]
-        with pytest.raises(LabelError, match="blacklist"):
-            join_blacklist([], blacklist)
+        labels = join_blacklist(observations, blacklist)
+        assert labels == join_blacklist(observations, sort_blacklist(blacklist))
+        assert [l.comment_id for l in labels] == ["c1", "c2"]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(1234)
@@ -172,6 +243,68 @@ class TestJoinBlacklist:
             assert join_blacklist(sort_obs(items), blacklist) == expected
 
 
+class TestJoinMatchesReference:
+    """Full labels, matched key included, against the sort-merge join."""
+
+    def test_random_instances_with_scheme_variants(self):
+        rng = random.Random(99)
+        categories = list(Category)
+        for trial in range(200):
+            observations = [
+                obs(f"{rng.choice(['http', 'https'])}://"
+                    f"{rng.choice(['', 'www.'])}d{rng.randint(0, 6)}.com/p{rng.randint(0, 2)}",
+                    f"c{rng.randint(0, 15)}", ts=rng.randint(0, 9))
+                for _ in range(rng.randint(0, 40))]
+            blacklist = [
+                BlacklistEntry(f"{rng.choice(['', 'www.'])}d{rng.randint(0, 6)}.com"
+                               f"/p{rng.randint(0, 2)}", rng.choice(categories))
+                if rng.random() < 0.5 else
+                BlacklistEntry(f"d{rng.randint(0, 6)}.com", rng.choice(categories))
+                for _ in range(rng.randint(0, 20))]
+            assert_matches_reference(observations, blacklist, rng)
+
+    def test_several_keys_one_category(self):
+        observations = [obs("http://z.com/1", "c1"), obs("https://b.com/2", "c1"),
+                        obs("http://a.com/3", "c1"), obs("http://y.com/4", "c1")]
+        blacklist = [BlacklistEntry("z.com", Category.ADS),
+                     BlacklistEntry("b.com", Category.ADS),
+                     BlacklistEntry("a.com/3", Category.ADS),
+                     BlacklistEntry("y.com/4", Category.ADS)]
+        want = assert_matches_reference(observations, blacklist, random.Random(1))
+        assert want == [MaliciousLabel("c1", Category.ADS, "b.com")]
+
+    def test_domain_key_wins_over_full_url_key(self):
+        observations = [obs("https://b.com/x", "c1")]
+        blacklist = [BlacklistEntry("b.com/x", Category.MALWARE),
+                     BlacklistEntry("b.com", Category.MALWARE)]
+        want = assert_matches_reference(observations, blacklist, random.Random(2))
+        assert want == [MaliciousLabel("c1", Category.MALWARE, "b.com")]
+
+    def test_smallest_full_url_key_without_domain_key(self):
+        observations = [obs("http://a.com/2", "c1"), obs("https://a.com/1", "c1")]
+        blacklist = [BlacklistEntry("a.com/2", Category.PORN),
+                     BlacklistEntry("a.com/1", Category.PORN)]
+        want = assert_matches_reference(observations, blacklist, random.Random(3))
+        assert want == [MaliciousLabel("c1", Category.PORN, "a.com/1")]
+
+    def test_key_repeated_with_two_categories(self):
+        observations = [obs("http://a.com/x", "c1"), obs("http://a.com/y", "c2")]
+        blacklist = [BlacklistEntry("a.com", Category.PHISHING),
+                     BlacklistEntry("a.com", Category.ADS),
+                     BlacklistEntry("a.com/y", Category.ADS)]
+        want = assert_matches_reference(observations, blacklist, random.Random(4))
+        assert want == [MaliciousLabel("c1", Category.ADS, "a.com"),
+                        MaliciousLabel("c1", Category.PHISHING, "a.com"),
+                        MaliciousLabel("c2", Category.ADS, "a.com"),
+                        MaliciousLabel("c2", Category.PHISHING, "a.com")]
+
+    def test_bench_labels(self, bench_synth, bench_labels):
+        observations, labels = bench_labels
+        want = assert_matches_reference(observations, bench_synth.blacklist,
+                                        random.Random(5))
+        assert want and labels == want
+
+
 class TestLabelThreads:
     def test_no_labels(self):
         corpus = _tiny_corpus(["a", "b"])
@@ -189,7 +322,6 @@ class TestLabelThreads:
 
     def test_counts(self):
         corpus = _tiny_corpus(["x", "y", "z"], n_posts=2)
-        from threadwatch.labeler import MaliciousLabel
         labels = [MaliciousLabel("c0", Category.ADS, "k"),
                   MaliciousLabel("c1", Category.ADS, "k"),
                   MaliciousLabel("c2", Category.PORN, "k")]
@@ -199,7 +331,6 @@ class TestLabelThreads:
 
     def test_unknown_comment_is_error(self):
         corpus = _tiny_corpus(["a"])
-        from threadwatch.labeler import MaliciousLabel
         with pytest.raises(LabelError, match="ghost"):
             label_threads(corpus, [MaliciousLabel("ghost", Category.ADS, "k")])
 
@@ -220,8 +351,8 @@ def test_load_blacklist_case_insensitive_categories(tmp_path):
     path = tmp_path / "bl.tsv"
     path.write_text("Evil.COM\tPHISHING\nads.net\tads\n")
     entries = load_blacklist(str(path))
-    assert entries == [BlacklistEntry("ads.net", Category.ADS),
-                       BlacklistEntry("evil.com", Category.PHISHING)]
+    assert entries == [BlacklistEntry("evil.com", Category.PHISHING),
+                       BlacklistEntry("ads.net", Category.ADS)]
 
 
 def _tiny_corpus(texts, n_posts=1):
