@@ -2,7 +2,8 @@
 
 Subcommands: synth, ingest, label, featurize, train, eval, sweep,
 temporal, accounts, report. Exit codes: 0 success, 1 validation error,
-2 I/O error. All randomness is seeded through flags/config, so reruns
+2 I/O error; any other exception propagates with its traceback (the
+interpreter also exits 1). All randomness is seeded through flags/config, so reruns
 with identical inputs produce byte-identical output files.
 """
 
@@ -328,6 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# validation and config errors exit 1; any other exception is a bug and
+# raises with its traceback
+_VALIDATION_ERRORS = (ValueError, accounts_mod.AccountError, synthgen_mod.ConfigError,
+                      features_mod.FeatureConfigError, labeler_mod.LabelError,
+                      learn_mod.LearnError, models_mod.ModelError,
+                      temporal_mod.TemporalError)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
@@ -345,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # validation and config errors
+    except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 
 class Region(str, Enum):
@@ -94,11 +95,11 @@ _REQUIRED = {
     "post": ("id", "page_id", "author_id", "created_ts", "like_count", "text"),
     "comment": ("id", "post_id", "author_id", "created_ts", "like_count", "text"),
 }
+_FIELDS = {kind: itemgetter(*names) for kind, names in _REQUIRED.items()}
 
 
-def _int_field(obj: dict, name: str) -> int:
+def _int_field(value: object, name: str) -> int:
     """A JSON integer, or a float with no fractional part; nothing else."""
-    value = obj[name]
     if type(value) is int:
         return value
     if isinstance(value, float) and value.is_integer():
@@ -113,21 +114,24 @@ def _parse_record(obj) -> tuple[str, str, object]:
     kind = obj.get("kind")
     if kind not in _REQUIRED:
         raise ValueError(f"unknown kind {kind!r}")
-    missing = [f for f in _REQUIRED[kind] if f not in obj]
-    if missing:
-        raise ValueError(f"{kind} record missing fields {missing}")
-    rid = str(obj["id"])
+    try:
+        values = _FIELDS[kind](obj)
+    except KeyError:
+        missing = [f for f in _REQUIRED[kind] if f not in obj]
+        raise ValueError(f"{kind} record missing fields {missing}") from None
+    rid = str(values[0])
     if kind == "page":
-        region = _REGION_LOOKUP.get(str(obj["region"]).lower())
+        _, name, region_name = values
+        region = _REGION_LOOKUP.get(str(region_name).lower())
         if region is None:
-            raise ValueError(f"unknown region {obj['region']!r}")
-        return kind, rid, Page(rid, str(obj["name"]), region)
-    like, ts = _int_field(obj, "like_count"), _int_field(obj, "created_ts")
+            raise ValueError(f"unknown region {region_name!r}")
+        return kind, rid, Page(rid, str(name), region)
+    _, parent, author, ts, like, text = values
+    like, ts = _int_field(like, "like_count"), _int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
-    cls, parent = (Post, "page_id") if kind == "post" else (Comment, "post_id")
-    return kind, rid, cls(rid, str(obj[parent]), str(obj["author_id"]),
-                          ts, like, str(obj["text"]))
+    cls = Post if kind == "post" else Comment
+    return kind, rid, cls(rid, str(parent), str(author), ts, like, str(text))
 
 
 def ingest(path: str) -> IngestResult:

@@ -24,6 +24,8 @@ _PUBLIC_SUFFIXES = {"co.uk", "com.au", "com.tw", "co.jp"}
 
 _TRAILING_JUNK = ".,;:!?)\"'’”]}>"
 
+_SCHEME_RE = re.compile(r"(?i)https?://")
+
 _URL_RE = re.compile(
     r"""(?i)\b(
         https?://[^\s<>"']+
@@ -88,7 +90,7 @@ def normalize_url(token: str) -> str | None:
     token = token.rstrip(_TRAILING_JUNK)
     if not token:
         return None
-    if not re.match(r"(?i)https?://", token):
+    if not _SCHEME_RE.match(token):
         token = "http://" + token
     parts = urlsplit(token)
     host = parts.netloc.lower()
@@ -97,11 +99,20 @@ def normalize_url(token: str) -> str | None:
     return urlunsplit((parts.scheme.lower(), host, parts.path, parts.query, ""))
 
 
+def _url_tokens(raw_text: str) -> list[str]:
+    """Raw URL-like tokens of a comment's text, before normalization."""
+    # both alternatives of _URL_RE contain a literal "/", so text without
+    # one cannot match
+    if "/" not in raw_text:
+        return []
+    return _URL_RE.findall(raw_text)
+
+
 def extract_urls(raw_text: str) -> list[str]:
     """All normalized absolute http/https URLs found in a comment's text."""
     out = []
-    for match in _URL_RE.finditer(raw_text):
-        url = normalize_url(match.group(0))
+    for token in _url_tokens(raw_text):
+        url = normalize_url(token)
         if url is not None:
             out.append(url)
     return out
@@ -120,7 +131,8 @@ def registrable_domain(url_or_host: str) -> str:
 
 
 def _strip_scheme(url: str) -> str:
-    return re.sub(r"(?i)^https?://", "", url)
+    match = _SCHEME_RE.match(url)
+    return url[match.end():] if match else url
 
 
 class ShortenerTable:
@@ -183,18 +195,38 @@ def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:
     return current, table.lookup(current) is not None
 
 
+def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
+    """(resolved URL, domain, flagged) of one raw token, or None if unusable."""
+    url = normalize_url(token)
+    if url is None:
+        return None
+    resolved, flagged = expand_url(url, table)
+    return resolved, registrable_domain(resolved), flagged
+
+
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
     """One observation per (comment, extracted URL) pair after expansion,
-    sorted by (domain, url, ts)."""
+    sorted by (domain, url, ts).
+
+    Campaigns repeat their links, so each distinct raw token is resolved
+    once per call; the memo ends with the call, as it holds for one table.
+    """
+    memo: dict[str, tuple[str, str, bool] | None] = {}
     out = []
     for thread in build_threads(corpus):
         post = thread.post
         for comment in thread.comments:
-            for url in extract_urls(comment.raw_text):
-                resolved, flagged = expand_url(url, table)
+            for token in _url_tokens(comment.raw_text):
+                try:
+                    hit = memo[token]
+                except KeyError:
+                    hit = memo[token] = _resolve(token, table)
+                if hit is None:
+                    continue
+                resolved, domain, flagged = hit
                 out.append(UrlObservation(
                     url=resolved,
-                    domain=registrable_domain(resolved),
+                    domain=domain,
                     page_id=post.page_id,
                     post_id=post.post_id,
                     comment_id=comment.comment_id,
@@ -243,9 +275,14 @@ def join_blacklist(observations: list[UrlObservation],
 
     # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
+    # observations repeat their URLs; strip each distinct one once
+    url_keys: dict[str, str] = {}
     for o in observations:
+        url_key = url_keys.get(o.url)
+        if url_key is None:
+            url_key = url_keys[o.url] = _strip_scheme(o.url)
         for is_url, key, index in ((False, o.domain, domain_index),
-                                   (True, _strip_scheme(o.url), url_index)):
+                                   (True, url_key, url_index)):
             for category in index.get(key, ()):
                 k = (o.comment_id, category)
                 found[k] = min(found.get(k, (is_url, key)), (is_url, key))

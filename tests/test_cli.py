@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from threadwatch import labeler
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
@@ -60,6 +61,26 @@ class TestBasics:
     def test_bad_config_value_exit_one(self, pipeline, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--target-fraction", "2.0"]) == 1
+
+    def _label_with_broken_join(self, pipeline, tmp_path, monkeypatch, error):
+        def broken_join(observations, blacklist):
+            raise error
+        monkeypatch.setattr(labeler, "join_blacklist", broken_join)
+        return main(["label", "--corpus", pipeline["corpus"],
+                     "--blacklist", pipeline["blacklist"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--out", str(tmp_path / "labels.tsv")])
+
+    def test_package_error_exit_one(self, pipeline, tmp_path, monkeypatch, capsys):
+        error = labeler.LabelError("bad blacklist")
+        assert self._label_with_broken_join(pipeline, tmp_path, monkeypatch, error) == 1
+        assert "error: bad blacklist" in capsys.readouterr().err
+
+    def test_internal_error_raises(self, pipeline, tmp_path, monkeypatch):
+        with pytest.raises(KeyError, match="internal"):
+            self._label_with_broken_join(pipeline, tmp_path, monkeypatch,
+                                         KeyError("internal"))
 
     def test_summary_line(self, pipeline, capsys):
         assert main(["ingest", "--corpus", pipeline["corpus"]]) == 0

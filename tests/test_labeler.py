@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threadwatch.corpus import Comment, Corpus, Page, Post, Region
-from threadwatch.labeler import (BlacklistEntry, Category, LabelError,
-                                 MaliciousLabel, ShortenerTable,
+from threadwatch import labeler
+from threadwatch.corpus import Comment, Corpus, Page, Post, Region, build_threads
+from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
+                                 LabelError, MaliciousLabel, ShortenerTable,
                                  UrlObservation, collect_observations,
                                  expand_url, extract_urls, join_blacklist,
                                  label_threads, load_blacklist,
@@ -86,6 +89,29 @@ def reference_join(observations, blacklist):
     return labels
 
 
+def reference_collect_observations(corpus, table):
+    """The per-occurrence loop: every extracted URL expanded and its
+    domain computed again, an oracle for the memoized collection."""
+    out = []
+    for thread in build_threads(corpus):
+        post = thread.post
+        for comment in thread.comments:
+            for url in extract_urls(comment.raw_text):
+                resolved, flagged = expand_url(url, table)
+                out.append(UrlObservation(
+                    url=resolved,
+                    domain=registrable_domain(resolved),
+                    page_id=post.page_id,
+                    post_id=post.post_id,
+                    comment_id=comment.comment_id,
+                    account_id=comment.author_id,
+                    ts=comment.created_ts,
+                    flagged=flagged,
+                ))
+    out.sort(key=lambda o: (o.domain, o.url, o.ts))
+    return out
+
+
 def sort_blacklist(entries):
     return sorted(entries, key=lambda e: e.key)
 
@@ -120,6 +146,16 @@ class TestExtractUrls:
 
     def test_quotes_and_brackets_stripped(self):
         assert extract_urls('link (http://x.io/p?q=1)') == ["http://x.io/p?q=1"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.from_regex(r"(?i)[a-z0-9:@-]{1,8}([.\u3002][a-z0-9-]{1,8}){0,3}\W?",
+                                  fullmatch=True) | st.text(max_size=5),
+                    max_size=8).map(" ".join).filter(lambda t: "/" not in t))
+    def test_text_without_slash_holds_no_url(self, text):
+        # the "/" prefilter in front of _URL_RE relies on this; extracting
+        # bare domains would break it, and must drop the prefilter too
+        assert labeler._URL_RE.search(text) is None
+        assert extract_urls(text) == []
 
 
 class TestRegistrableDomain:
@@ -178,6 +214,115 @@ class TestCollectObservations:
         assert [o.domain for o in result] == ["a.com", "a.com", "b.com"]
 
 
+_JUNK = ".,;:!?)\"'’”]}>"
+
+
+def _random_token(rng):
+    """A raw URL token: repeats of a few links in case, scheme and
+    trailing-junk variants, shortener links, and tokens normalize_url
+    rejects."""
+    kind = rng.random()
+    if kind < 0.15:
+        return rng.choice(["http://localhost/x", "https://nodot/p", "http:///x",
+                           "http://)", "HTTPS://.", "a.b/"])
+    if kind < 0.45:
+        host = rng.choice(["s.io", "S.IO", "t.ly"])
+    else:
+        host = rng.choice(["a.com", "A.Com", "www.a.com", "b.org", "news.c.co.uk"])
+    url = f"{rng.choice(['http://', 'https://', 'HTTP://', 'hTtPs://', ''])}{host}" \
+          f"/{rng.choice(['p', 'P'])}{rng.randint(0, 9)}"
+    if rng.random() < 0.2:
+        url += rng.choice(["?q=1", "#frag", "?q=1#f"])
+    return url + "".join(rng.choice(_JUNK) for _ in range(rng.choice([0, 0, 1, 2])))
+
+
+def _random_table(rng):
+    """Shortener hosts s.io and t.ly: random links between s.io paths
+    (chains, cycles, self-loops), one t.ly chain past the hop bound, and
+    a few targets that normalize_url rejects."""
+    mapping = {}
+    for i in range(10):
+        r = rng.random()
+        if r < 0.5:
+            mapping[f"s.io/p{i}"] = f"http://s.io/p{rng.randint(0, 9)}"
+        elif r < 0.8:
+            mapping[f"S.io/p{i}"] = rng.choice(["http://a.com/p1", "https://b.org/P2",
+                                                 "b.org/p3", "not a url"])
+    chain = rng.randint(0, MAX_EXPANSION_HOPS + 3)
+    for i in range(chain):
+        mapping[f"http://t.ly/p{i}"] = f"http://t.ly/p{i + 1}"
+    mapping[f"t.ly/p{chain}"] = "http://news.c.co.uk/end"
+    return ShortenerTable({"s.io", "T.LY"}, mapping)
+
+
+def _random_corpus(rng):
+    pages = {"pg0": Page("pg0", "P", Region.ASIA), "pg1": Page("pg1", "Q", Region.OTHER)}
+    n_posts = rng.randint(1, 4)
+    posts = {f"p{j}": Post(f"p{j}", f"pg{j % 2}", "author", rng.randint(0, 50), 0, "post")
+             for j in range(n_posts)}
+    # campaigns repeat their links: most tokens come from a small pool
+    pool = [_random_token(rng) for _ in range(rng.randint(1, 8))]
+    comments = {}
+    for i in range(rng.randint(0, 40)):
+        words = [(rng.choice(pool) if rng.random() < 0.8 else _random_token(rng))
+                 if rng.random() < 0.6 else "word"
+                 for _ in range(rng.randint(0, 4))]
+        text = rng.choice([" ", "\n", ", ", " see "]).join(words)
+        cid = f"c{i}"
+        comments[cid] = Comment(cid, f"p{rng.randrange(n_posts)}", f"u{rng.randint(0, 5)}",
+                                rng.randint(0, 60), 0, text)
+    return Corpus(pages=pages, posts=posts, comments=comments)
+
+
+class TestCollectMatchesReference:
+    """Full observation lists, in order and flagged included, against the
+    per-occurrence loop."""
+
+    def test_small_synth(self, small_synth, small_labels):
+        table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
+        observations, _ = small_labels
+        assert observations == reference_collect_observations(small_synth.corpus, table)
+
+    def test_bench(self, bench_synth, bench_labels):
+        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        observations, _ = bench_labels
+        assert observations == reference_collect_observations(bench_synth.corpus, table)
+
+    def test_random_corpora(self):
+        rng = random.Random(2024)
+        flagged = 0
+        for trial in range(200):
+            corpus, table = _random_corpus(rng), _random_table(rng)
+            want = reference_collect_observations(corpus, table)
+            assert collect_observations(corpus, table) == want, f"trial {trial}"
+            flagged += sum(o.flagged for o in want)
+        assert flagged  # the mix reaches cycles and over-bound chains
+
+    def test_memo_lasts_one_call(self):
+        corpus = _tiny_corpus(["go s.io/a now", "http://s.io/a again",
+                               "plain http://b.com/1"])
+        for table in (ShortenerTable({"s.io"}, {"s.io/a": "http://good.com/1"}),
+                      ShortenerTable({"s.io"}, {"s.io/a": "http://evil.com/1"}),
+                      ShortenerTable()):
+            want = reference_collect_observations(corpus, table)
+            assert collect_observations(corpus, table) == want
+
+    def test_each_distinct_token_normalized_once(self, monkeypatch):
+        calls = []
+        normalize = labeler.normalize_url
+        monkeypatch.setattr(labeler, "normalize_url",
+                            lambda token: calls.append(token) or normalize(token))
+        corpus = _tiny_corpus(["http://a.com/x and http://localhost/y",
+                               "http://a.com/x again, http://localhost/y",
+                               "HTTP://A.com/x",
+                               "http://localhost/y, http://a.com/x"])
+        observations = collect_observations(corpus, ShortenerTable())
+        # the memo is keyed by the raw token, trailing junk included
+        assert sorted(calls) == ["HTTP://A.com/x", "http://a.com/x",
+                                 "http://localhost/y", "http://localhost/y,"]
+        assert [o.comment_id for o in observations] == ["c0", "c1", "c2", "c3"]
+
+
 class TestJoinBlacklist:
     def test_empty_blacklist(self):
         assert join_blacklist(sort_obs([obs("http://a.com/x")]), []) == []
@@ -234,13 +379,15 @@ class TestJoinBlacklist:
     def test_shuffling_input_never_changes_labels(self):
         rng = random.Random(5)
         items = [obs(f"http://d{i % 7}.com/x", f"c{i}") for i in range(30)]
-        blacklist = sorted([BlacklistEntry("d1.com", Category.ADS),
-                            BlacklistEntry("d3.com", Category.PORN)],
-                           key=lambda e: e.key)
-        expected = join_blacklist(sort_obs(items), blacklist)
+        blacklist = [BlacklistEntry("d1.com", Category.ADS),
+                     BlacklistEntry("d3.com", Category.PORN),
+                     BlacklistEntry("d3.com/x", Category.PORN),
+                     BlacklistEntry("d5.com/x", Category.ADS)]
+        expected = join_blacklist(sort_obs(items), sort_blacklist(blacklist))
         for _ in range(5):
             rng.shuffle(items)
-            assert join_blacklist(sort_obs(items), blacklist) == expected
+            rng.shuffle(blacklist)
+            assert join_blacklist(items, blacklist) == expected
 
 
 class TestJoinMatchesReference:
