@@ -14,8 +14,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import accounts as accounts_mod
 from . import features as features_mod
 from . import labeler as labeler_mod
@@ -77,11 +75,6 @@ def _load_labeling_inputs(args):
     return corpus, table
 
 
-def _thread_targets(corpus: Corpus, labels) -> dict[str, bool]:
-    thread_labels, _ = labeler_mod.label_threads(corpus, labels)
-    return {pid: tl.is_target for pid, tl in thread_labels.items()}
-
-
 # Stages: each output file is computed and written by one function below.
 # Single-stage subcommands load their inputs from files and call one;
 # report calls them all on the same in-memory values.
@@ -97,7 +90,8 @@ def label_stage(corpus: Corpus, table, blacklist, path: str):
 def featurize_stage(corpus: Corpus, labels, path: str, **options):
     """One feature vector per thread; writes the feature CSV."""
     vectors = features_mod.featurize_threads(
-        build_threads(corpus), _thread_targets(corpus, labels), **options)
+        build_threads(corpus), labeler_mod.label_threads(corpus, labels)[0],
+        **options)
     features_mod.write_feature_csv(vectors, path)
     return vectors
 
@@ -186,7 +180,7 @@ def cmd_featurize(args) -> tuple[int, int]:
 
 def _load_dataset(path: str) -> learn_mod.Dataset:
     _, rows, labels = features_mod.read_feature_csv(path)
-    return learn_mod.Dataset(np.array(rows), np.array(labels))
+    return learn_mod.Dataset(rows, labels)
 
 
 def cmd_train(args) -> tuple[int, int]:
@@ -210,7 +204,8 @@ def cmd_eval(args) -> tuple[int, int]:
 
 def cmd_sweep(args) -> tuple[int, int]:
     corpus = _ingest(args.corpus).corpus
-    is_target = _thread_targets(corpus, labeler_mod.read_labels(args.labels))
+    is_target = labeler_mod.label_threads(
+        corpus, labeler_mod.read_labels(args.labels))[0]
     results = learn_mod.sweep_horizon(corpus, is_target, algorithm=args.algorithm,
                                       seed=args.seed)
     learn_mod.write_sweep_csv(results, args.out)
@@ -253,9 +248,8 @@ def cmd_report(args) -> tuple[int, int]:
         corpus, table, labeler_mod.load_blacklist(args.blacklist),
         os.path.join(args.out, "labels.tsv"))
     vectors = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
-    dataset = learn_mod.Dataset(np.array([v.values() for v in vectors]),
-                                np.array([v.label for v in vectors]))
-    metrics_stage(dataset, sorted(models_mod.ALGORITHMS),
+    metrics_stage(learn_mod.Dataset.from_vectors(vectors),
+                  sorted(models_mod.ALGORITHMS),
                   os.path.join(args.out, "metrics.csv"), seed=args.seed)
     temporal_stage(corpus, labels, args.out)
     campaign_stage(labels, observations, args.out)

@@ -1,6 +1,10 @@
 """Thread feature extraction: five macro popularity statistics and the
 fixed-length vector of per-window comment counts (the discussion
-atmosphere vector), plus time-censoring and min-max scaling.
+atmosphere vector, DAV), plus time-censoring and min-max scaling.
+
+A feature row is a list of floats: the macro statistics in
+MACRO_COLUMNS order, when present, then the DAV bins dav_1..dav_k. The
+feature CSV holds post id, label, MACRO_COLUMNS, dav_1..dav_k.
 """
 
 from __future__ import annotations
@@ -14,68 +18,38 @@ from .corpus import PostThread, rel_seconds
 
 MacroMode = str  # "full" | "censored"
 
-
-@dataclass(frozen=True)
-class MacroFeatures:
-    spanning_time_days: float
-    n_comments: int
-    n_participants: int
-    n_post_likes: int
-    n_comment_likes: int
-
-    def as_list(self) -> list[float]:
-        return [self.spanning_time_days, float(self.n_comments),
-                float(self.n_participants), float(self.n_post_likes),
-                float(self.n_comment_likes)]
-
-
-@dataclass(frozen=True)
-class DavVector:
-    window_minutes: int
-    t_final_minutes: int
-    bins: tuple[int, ...]
-
-    def as_list(self) -> list[float]:
-        return [float(b) for b in self.bins]
+MACRO_COLUMNS = ("span_days", "n_comments", "n_participants", "post_likes",
+                 "comment_likes")
 
 
 @dataclass(frozen=True)
 class FeatureVector:
     post_id: str
-    macro: MacroFeatures | None
-    dav: DavVector
     label: bool
-
-    def values(self) -> list[float]:
-        vals: list[float] = []
-        if self.macro is not None:
-            vals.extend(self.macro.as_list())
-        vals.extend(self.dav.as_list())
-        return vals
+    values: list[float]  # macro statistics, when present, then DAV bins
 
 
 class FeatureConfigError(Exception):
     pass
 
 
-def macro_features(thread: PostThread) -> MacroFeatures:
+def macro_features(thread: PostThread) -> list[float]:
+    """The thread's macro statistics, in MACRO_COLUMNS order."""
     post = thread.post
     if thread.comments:
         span_days = max(c.created_ts - post.created_ts for c in thread.comments)
         span_days = max(0, span_days) / 86400.0
     else:
         span_days = 0.0
-    return MacroFeatures(
-        spanning_time_days=span_days,
-        n_comments=len(thread.comments),
-        n_participants=len({c.author_id for c in thread.comments}),
-        n_post_likes=post.like_count,
-        n_comment_likes=sum(c.like_count for c in thread.comments),
-    )
+    return [span_days,
+            float(len(thread.comments)),
+            float(len({c.author_id for c in thread.comments})),
+            float(post.like_count),
+            float(sum(c.like_count for c in thread.comments))]
 
 
 def dav(thread: PostThread, window_minutes: int = 5,
-        t_final_minutes: int = 60) -> DavVector:
+        t_final_minutes: int = 60) -> list[float]:
     """Per-window comment counts over the thread's first t_final minutes.
 
     Bin i (1-based) counts comments whose clamped offset in minutes
@@ -95,7 +69,7 @@ def dav(thread: PostThread, window_minutes: int = 5,
         offset = rel_seconds(thread.post, c)
         if offset < final_s:
             counts[offset // window_s] += 1
-    return DavVector(window_minutes, t_final_minutes, tuple(counts))
+    return [float(n) for n in counts]
 
 
 def censor_thread(thread: PostThread, horizon_minutes: float) -> PostThread:
@@ -140,32 +114,28 @@ def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
         raise FeatureConfigError(f"unknown macro mode {macro_mode!r}")
     out = []
     for thread in threads:
-        macro = None
+        values = []
         if with_macro:
             src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
-            macro = macro_features(src)
-        out.append(FeatureVector(thread.post.post_id, macro,
-                                 dav(thread, window_minutes, t_final_minutes),
-                                 bool(is_target.get(thread.post.post_id, False))))
+            values = macro_features(src)
+        values += dav(thread, window_minutes, t_final_minutes)
+        pid = thread.post.post_id
+        out.append(FeatureVector(pid, bool(is_target.get(pid, False)), values))
     return out
 
 
 def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
+    """Write vectors that carry the macro statistics (with_macro=True)."""
     if not vectors:
         raise FeatureConfigError("no feature vectors to write")
-    k = len(vectors[0].dav.bins)
-    header = ["post_id", "is_target"]
-    if vectors[0].macro is not None:
-        header += ["span_days", "n_comments", "n_participants",
-                   "post_likes", "comment_likes"]
+    k = len(vectors[0].values) - len(MACRO_COLUMNS)
+    header = ["post_id", "is_target", *MACRO_COLUMNS]
     header += [f"dav_{i}" for i in range(1, k + 1)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for v in vectors:
-            row = [v.post_id, int(v.label)]
-            row += [repr(x) for x in v.values()]
-            writer.writerow(row)
+            writer.writerow([v.post_id, int(v.label), *map(repr, v.values)])
 
 
 def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool]]:

@@ -10,8 +10,9 @@ domain key matches, the smallest matching full-URL key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .corpus import Corpus, build_threads
@@ -46,8 +47,7 @@ class Category(str, Enum):
 _CATEGORY_LOOKUP = {c.value.lower(): c for c in Category}
 
 
-@dataclass(frozen=True)
-class UrlObservation:
+class UrlObservation(NamedTuple):
     url: str
     domain: str
     page_id: str
@@ -69,12 +69,6 @@ class MaliciousLabel:
     comment_id: str
     category: Category
     matched_key: str
-
-
-@dataclass(frozen=True)
-class ThreadLabel:
-    post_id: str
-    is_target: bool
 
 
 class LabelError(Exception):
@@ -294,8 +288,9 @@ def join_blacklist(observations: list[UrlObservation],
 
 
 def label_threads(corpus: Corpus, labels: list[MaliciousLabel]
-                  ) -> tuple[dict[str, ThreadLabel], set[str]]:
-    """Thread-level target labels plus the derived attacker account set."""
+                  ) -> tuple[dict[str, bool], set[str]]:
+    """(is_target, attackers): whether each post of the corpus, by post
+    id, has a labelled comment, and the authors of labelled comments."""
     unknown = sorted({lab.comment_id for lab in labels
                       if lab.comment_id not in corpus.comments})
     if unknown:
@@ -306,9 +301,7 @@ def label_threads(corpus: Corpus, labels: list[MaliciousLabel]
         comment = corpus.comments[lab.comment_id]
         target_posts.add(comment.post_id)
         attackers.add(comment.author_id)
-    thread_labels = {pid: ThreadLabel(pid, pid in target_posts)
-                     for pid in corpus.posts}
-    return thread_labels, attackers
+    return {pid: pid in target_posts for pid in corpus.posts}, attackers
 
 
 def write_labels(labels: list[MaliciousLabel], path: str) -> None:

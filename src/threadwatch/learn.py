@@ -12,7 +12,8 @@ import numpy as np
 
 from . import models
 from .corpus import Corpus, build_threads
-from .features import apply_minmax, dav, featurize_threads, fit_minmax
+from .features import (FeatureVector, apply_minmax, featurize_threads,
+                       fit_minmax)
 
 
 class LearnError(Exception):
@@ -29,6 +30,12 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=bool)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise LearnError("X and y shapes are inconsistent")
+
+    @classmethod
+    def from_vectors(cls, vectors: list[FeatureVector]) -> Dataset:
+        """One row and one label per feature vector, in order."""
+        return cls(np.array([v.values for v in vectors]),
+                   np.array([v.label for v in vectors]))
 
 
 @dataclass
@@ -193,10 +200,9 @@ def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
                                     window_minutes=window_minutes,
                                     t_final_minutes=horizon,
                                     with_macro=False)
-        data = Dataset(np.array([v.values() for v in vectors]),
-                       np.array([v.label for v in vectors]))
-        [metrics] = evaluate_split(data, [algorithm], train_frac=train_frac,
-                                   balance=balance, seed=seed + horizon)
+        [metrics] = evaluate_split(Dataset.from_vectors(vectors), [algorithm],
+                                   train_frac=train_frac, balance=balance,
+                                   seed=seed + horizon)
         results.append((horizon, metrics))
     return results
 

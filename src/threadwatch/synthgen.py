@@ -11,7 +11,6 @@ verified end to end.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np

@@ -6,6 +6,7 @@ inter-attack gaps, plus a month-by-page heatmap.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -55,12 +56,7 @@ def ecdf(values: list[float]) -> EcdfTable:
 def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEvent]:
     """One event per (labeled comment, category), with thread-relative
     coordinates computed from the sorted comment order."""
-    threads = {t.post.post_id: t for t in build_threads(corpus)}
-    positions: dict[str, float] = {}
-    for t in threads.values():
-        n = len(t.comments)
-        for rank, c in enumerate(t.comments):
-            positions[c.comment_id] = rank / (n - 1) if n > 1 else 0.0
+    comments_of = {t.post.post_id: t.comments for t in build_threads(corpus)}
     events = []
     for lab in labels:
         comment = corpus.comments.get(lab.comment_id)
@@ -68,6 +64,11 @@ def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEv
             raise TemporalError(f"label references unknown comment {lab.comment_id}")
         post = corpus.posts[comment.post_id]
         page = corpus.pages[post.page_id]
+        # (created_ts, comment_id) is unique, so this is the comment's rank
+        thread = comments_of[post.post_id]
+        rank = bisect_left(thread, (comment.created_ts, comment.comment_id),
+                           key=lambda c: (c.created_ts, c.comment_id))
+        n = len(thread)
         events.append(AttackEvent(
             comment_id=comment.comment_id,
             post_id=post.post_id,
@@ -76,7 +77,7 @@ def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEv
             category=lab.category,
             ts=comment.created_ts,
             minutes_since_post=rel_minutes(post, comment),
-            relative_position=positions[comment.comment_id],
+            relative_position=rank / (n - 1) if n > 1 else 0.0,
             region=page.region.value,
         ))
     events.sort(key=lambda e: (e.ts, e.comment_id, e.category.value))

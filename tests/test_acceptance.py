@@ -147,12 +147,10 @@ def test_criterion_3_planted_truth_recovery(bench_synth, bench_labels):
 
 def _benchmark_dataset(bench_synth, bench_labels, **kwargs):
     _, labels = bench_labels
-    thread_labels, _ = label_threads(bench_synth.corpus, labels)
-    is_target = {pid: tl.is_target for pid, tl in thread_labels.items()}
+    is_target, _ = label_threads(bench_synth.corpus, labels)
     vectors = features.featurize_threads(build_threads(bench_synth.corpus),
                                          is_target, **kwargs)
-    return learn.Dataset(np.array([v.values() for v in vectors]),
-                         np.array([v.label for v in vectors]))
+    return learn.Dataset.from_vectors(vectors)
 
 
 def test_criterion_4_classifier_ordering(bench_synth, bench_labels):
@@ -167,8 +165,7 @@ def test_criterion_4_classifier_ordering(bench_synth, bench_labels):
 
 def test_criterion_5_horizon_sweep(bench_synth, bench_labels):
     _, labels = bench_labels
-    thread_labels, _ = label_threads(bench_synth.corpus, labels)
-    is_target = {pid: tl.is_target for pid, tl in thread_labels.items()}
+    is_target, _ = label_threads(bench_synth.corpus, labels)
     results = dict(
         (h, m.f1) for h, m in learn.sweep_horizon(
             bench_synth.corpus, is_target, algorithm="decision_tree", seed=42))
@@ -314,7 +311,7 @@ def test_criterion_8_unit_exactness(bench_synth, bench_labels):
     rng = random.Random(0)
     for thread in rng.sample(threads, 1000):
         horizon = rng.choice(range(5, 65, 5))
-        total = sum(features.dav(thread, 5, horizon).bins)
+        total = sum(features.dav(thread, 5, horizon))
         censored = len(features.censor_thread(thread, horizon).comments)
         if total != censored:
             problems.append(f"dav sum {total} != censored {censored}")

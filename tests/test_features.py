@@ -1,10 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from threadwatch.corpus import Comment, Post, PostThread
-from threadwatch.features import (FeatureConfigError, apply_minmax,
-                                  censor_thread, dav, fit_minmax,
+from threadwatch.corpus import Comment, Post, PostThread, rel_seconds
+from threadwatch.features import (MACRO_COLUMNS, FeatureConfigError,
+                                  apply_minmax, censor_thread, dav,
+                                  featurize_threads, fit_minmax,
                                   macro_features)
 
 T0 = 1_400_000_000
@@ -20,25 +22,143 @@ def make_thread(offsets_s, likes=None, authors=None, post_likes=7):
     return PostThread(post, comments)
 
 
+# The record-based row builders that the plain float rows replaced, kept
+# as the reference the rows are checked against.
+
+@dataclass(frozen=True)
+class RefMacroFeatures:
+    spanning_time_days: float
+    n_comments: int
+    n_participants: int
+    n_post_likes: int
+    n_comment_likes: int
+
+    def as_list(self):
+        return [self.spanning_time_days, float(self.n_comments),
+                float(self.n_participants), float(self.n_post_likes),
+                float(self.n_comment_likes)]
+
+
+@dataclass(frozen=True)
+class RefDavVector:
+    window_minutes: int
+    t_final_minutes: int
+    bins: tuple
+
+    def as_list(self):
+        return [float(b) for b in self.bins]
+
+
+@dataclass(frozen=True)
+class RefFeatureVector:
+    post_id: str
+    macro: RefMacroFeatures | None
+    dav: RefDavVector
+    label: bool
+
+    def values(self):
+        vals = []
+        if self.macro is not None:
+            vals.extend(self.macro.as_list())
+        vals.extend(self.dav.as_list())
+        return vals
+
+
+def ref_macro_features(thread):
+    post = thread.post
+    if thread.comments:
+        span_days = max(c.created_ts - post.created_ts for c in thread.comments)
+        span_days = max(0, span_days) / 86400.0
+    else:
+        span_days = 0.0
+    return RefMacroFeatures(
+        spanning_time_days=span_days,
+        n_comments=len(thread.comments),
+        n_participants=len({c.author_id for c in thread.comments}),
+        n_post_likes=post.like_count,
+        n_comment_likes=sum(c.like_count for c in thread.comments),
+    )
+
+
+def ref_dav(thread, window_minutes, t_final_minutes):
+    counts = [0] * (t_final_minutes // window_minutes)
+    for c in thread.comments:
+        offset = rel_seconds(thread.post, c)
+        if offset < t_final_minutes * 60:
+            counts[offset // (window_minutes * 60)] += 1
+    return RefDavVector(window_minutes, t_final_minutes, tuple(counts))
+
+
+def ref_featurize_threads(threads, is_target, window_minutes, t_final_minutes,
+                          macro_mode, with_macro):
+    out = []
+    for thread in threads:
+        macro = None
+        if with_macro:
+            src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
+            macro = ref_macro_features(src)
+        out.append(RefFeatureVector(thread.post.post_id, macro,
+                                    ref_dav(thread, window_minutes, t_final_minutes),
+                                    bool(is_target.get(thread.post.post_id, False))))
+    return out
+
+
+def random_thread(rng, post_id):
+    """A thread with a few repeated authors, some comments before the post
+    (clock skew) and some exactly on a window edge or the horizon."""
+    post = Post(post_id, "pg0", "author", T0, rng.randint(0, 50), "post")
+    authors = [f"u{i}" for i in range(rng.randint(1, 6))]
+    comments = []
+    for i in range(rng.choice([0, 0, 1, 5, 40])):
+        offset = rng.choice([rng.randint(-600, 7200), rng.randint(-600, 7200),
+                             -rng.randint(1, 300), 300 * rng.randint(0, 24),
+                             3600, 86400 * rng.randint(1, 3)])
+        comments.append(Comment(f"{post_id}c{i}", post_id, rng.choice(authors),
+                                T0 + offset, rng.randint(0, 9), "t"))
+    comments.sort(key=lambda c: (c.created_ts, c.comment_id))
+    return PostThread(post, comments)
+
+
+class TestRowsMatchReference:
+    @pytest.mark.parametrize("window,t_final", [(5, 60), (1, 60), (5, 10),
+                                                (10, 30), (60, 60)])
+    @pytest.mark.parametrize("macro_mode,with_macro", [("full", True),
+                                                       ("censored", True),
+                                                       ("full", False)])
+    def test_rows_equal_reference(self, window, t_final, macro_mode, with_macro):
+        rng = random.Random(window * 1000 + t_final)
+        threads = [random_thread(rng, f"p{i}") for i in range(60)]
+        is_target = {t.post.post_id: rng.random() < 0.3 for t in threads}
+        got = featurize_threads(threads, is_target, window, t_final,
+                                macro_mode=macro_mode, with_macro=with_macro)
+        want = ref_featurize_threads(threads, is_target, window, t_final,
+                                     macro_mode, with_macro)
+        assert [(v.post_id, v.label, v.values) for v in got] == \
+               [(r.post_id, r.label, r.values()) for r in want]
+        # floats, not ints: the CSV writes each value with repr
+        assert all(type(x) is float for v in got for x in v.values)
+        width = len(MACRO_COLUMNS) * with_macro + t_final // window
+        assert all(len(v.values) == width for v in got)
+
+
 class TestMacroFeatures:
     def test_commentless_thread(self):
         m = macro_features(make_thread([], post_likes=7))
-        assert (m.spanning_time_days, m.n_comments, m.n_participants,
-                m.n_post_likes, m.n_comment_likes) == (0.0, 0, 0, 7, 0)
+        assert tuple(m) == (0.0, 0, 0, 7, 0)
 
     def test_hand_computed(self):
-        m = macro_features(make_thread([60, 120, 86400], likes=[1, 0, 2],
-                                       authors=["A", "A", "B"]))
-        assert m.spanning_time_days == 1.0
-        assert m.n_comments == 3
-        assert m.n_participants == 2
-        assert m.n_post_likes == 7
-        assert m.n_comment_likes == 3
+        m = dict(zip(MACRO_COLUMNS, macro_features(
+            make_thread([60, 120, 86400], likes=[1, 0, 2], authors=["A", "A", "B"]))))
+        assert m["span_days"] == 1.0
+        assert m["n_comments"] == 3
+        assert m["n_participants"] == 2
+        assert m["post_likes"] == 7
+        assert m["comment_likes"] == 3
 
     def test_comment_at_post_time(self):
-        m = macro_features(make_thread([0]))
-        assert m.spanning_time_days == 0.0
-        assert m.n_comments == 1
+        m = dict(zip(MACRO_COLUMNS, macro_features(make_thread([0]))))
+        assert m["span_days"] == 0.0
+        assert m["n_comments"] == 1
 
     def test_order_invariance(self):
         offsets = [300, 60, 1200, 60, 900]
@@ -50,21 +170,21 @@ class TestMacroFeatures:
 
 class TestDav:
     def test_empty_thread(self):
-        assert dav(make_thread([]), 5, 60).bins == (0,) * 12
+        assert tuple(dav(make_thread([]), 5, 60)) == (0,) * 12
 
     def test_hand_binning(self):
         thread = make_thread([60, 120, 420, 3660])  # minutes 1, 2, 7, 61
-        assert dav(thread, 5, 60).bins == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert tuple(dav(thread, 5, 60)) == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     def test_default_length_twelve(self):
-        assert len(dav(make_thread([]), 5, 60).bins) == 12
+        assert len(dav(make_thread([]), 5, 60)) == 12
 
     def test_window_must_divide(self):
         with pytest.raises(FeatureConfigError):
             dav(make_thread([]), 7, 60)
 
     def test_comment_at_t_final_excluded(self):
-        assert sum(dav(make_thread([3600]), 5, 60).bins) == 0
+        assert sum(dav(make_thread([3600]), 5, 60)) == 0
 
     def test_bin_sum_equals_direct_count(self):
         rng = random.Random(99)
@@ -72,14 +192,14 @@ class TestDav:
             offsets = [rng.randint(0, 7200) for _ in range(rng.randint(0, 40))]
             thread = make_thread(offsets)
             v = dav(thread, 5, 60)
-            assert sum(v.bins) == sum(1 for o in offsets if o < 3600)
+            assert sum(v) == sum(1 for o in offsets if o < 3600)
 
     def test_fine_bins_regroup_to_coarse(self):
         rng = random.Random(7)
         offsets = [rng.randint(0, 4000) for _ in range(60)]
         thread = make_thread(offsets)
-        coarse = dav(thread, 5, 60).bins
-        fine = dav(thread, 1, 60).bins
+        coarse = tuple(dav(thread, 5, 60))
+        fine = dav(thread, 1, 60)
         regrouped = tuple(sum(fine[i:i + 5]) for i in range(0, 60, 5))
         assert regrouped == coarse
 
@@ -97,7 +217,7 @@ class TestCensor:
     def test_censor_then_dav_consistent(self):
         thread = make_thread([60, 540, 600, 3000])
         censored = censor_thread(thread, 10)
-        assert sum(dav(censored, 5, 10).bins) == 2
+        assert sum(dav(censored, 5, 10)) == 2
 
     def test_composition_is_min(self):
         rng = random.Random(11)

@@ -455,16 +455,16 @@ class TestJoinMatchesReference:
 class TestLabelThreads:
     def test_no_labels(self):
         corpus = _tiny_corpus(["a", "b"])
-        thread_labels, attackers = label_threads(corpus, [])
-        assert all(not tl.is_target for tl in thread_labels.values())
+        is_target, attackers = label_threads(corpus, [])
+        assert all(not t for t in is_target.values())
         assert attackers == set()
 
     def test_single_label(self, small_synth, small_labels):
         _, labels = small_labels
-        thread_labels, attackers = label_threads(small_synth.corpus, labels)
+        is_target, attackers = label_threads(small_synth.corpus, labels)
         lab = labels[0]
         comment = small_synth.corpus.comments[lab.comment_id]
-        assert thread_labels[comment.post_id].is_target
+        assert is_target[comment.post_id]
         assert comment.author_id in attackers
 
     def test_counts(self):
@@ -472,8 +472,8 @@ class TestLabelThreads:
         labels = [MaliciousLabel("c0", Category.ADS, "k"),
                   MaliciousLabel("c1", Category.ADS, "k"),
                   MaliciousLabel("c2", Category.PORN, "k")]
-        thread_labels, attackers = label_threads(corpus, labels)
-        assert sum(tl.is_target for tl in thread_labels.values()) == 2
+        is_target, attackers = label_threads(corpus, labels)
+        assert sum(is_target.values()) == 2
         assert len(attackers) == len({corpus.comments[f"c{i}"].author_id for i in range(3)})
 
     def test_unknown_comment_is_error(self):

@@ -346,12 +346,9 @@ def test_shared_cut_scan_matches_reference_learners():
 def test_shared_cut_scan_matches_reference_tree_on_bench(
         bench_synth, bench_labels, monkeypatch):
     # the seed-42 training split of the 2k benchmark, after SMOTE
-    thread_labels, _ = label_threads(bench_synth.corpus, bench_labels[1])
-    vectors = features.featurize_threads(
-        build_threads(bench_synth.corpus),
-        {pid: tl.is_target for pid, tl in thread_labels.items()})
-    dataset = Dataset(np.array([v.values() for v in vectors]),
-                      np.array([v.label for v in vectors]))
+    is_target, _ = label_threads(bench_synth.corpus, bench_labels[1])
+    dataset = Dataset.from_vectors(features.featurize_threads(
+        build_threads(bench_synth.corpus), is_target))
     trees = []
     real_train = learn.train
 

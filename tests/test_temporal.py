@@ -1,6 +1,7 @@
 import pytest
 
-from threadwatch.corpus import Comment, Corpus, Page, Post, Region
+from threadwatch.corpus import (Comment, Corpus, Page, Post, Region,
+                                build_threads)
 from threadwatch.labeler import Category, MaliciousLabel
 from threadwatch.temporal import (attack_events, ecdf, inter_attack_intervals,
                                   monthly_heatmap, page_gaps,
@@ -43,7 +44,30 @@ def build_corpus(comment_offsets, attack_ids, n_comments_likes=0):
     return corpus, labels
 
 
+def reference_positions(corpus):
+    """rank / (n - 1) of every comment in its thread's (created_ts,
+    comment_id) order, ranking all comments as attack_events once did."""
+    positions = {}
+    for t in build_threads(corpus):
+        n = len(t.comments)
+        for rank, c in enumerate(t.comments):
+            positions[c.comment_id] = rank / (n - 1) if n > 1 else 0.0
+    return positions
+
+
 class TestRelativePositions:
+    def test_positions_match_full_rank_table(self, small_synth, small_labels):
+        # twelve comments on three timestamps: ties break by comment id,
+        # where "c10" sorts before "c2"
+        tied = build_corpus([i % 3 for i in range(12)],
+                            [f"c{i}" for i in range(12)])
+        for corpus, labels in (tied, (small_synth.corpus, small_labels[1])):
+            want = reference_positions(corpus)
+            events = attack_events(corpus, labels)
+            assert len(events) == len(labels)
+            for e in events:
+                assert e.relative_position == want[e.comment_id]
+
     def test_first_of_eleven(self):
         corpus, labels = build_corpus(range(11), ["c0"])
         events = attack_events(corpus, labels)
