@@ -44,12 +44,13 @@ class AccountError(Exception):
     pass
 
 
-def _comments_by_author(corpus: Corpus, account_ids: list[str] | None
-                        ) -> dict[str, list[Comment]]:
+def comments_by_author(corpus: Corpus, account_ids: list[str] | None = None
+                       ) -> dict[str, list[Comment]]:
     """The comments of each listed account (of every commenting account
     when account_ids is None) from one pass over the corpus, each list
     sorted by (created_ts, comment_id); a listed account with no comments
-    gets an empty list."""
+    gets an empty list. ``footprint`` and ``response_stats`` read this
+    grouping, so one pass can serve several of their calls."""
     by_author: dict[str, list[Comment]] = {aid: [] for aid in account_ids or ()}
     for c in corpus.comments.values():
         if account_ids is None or c.author_id in by_author:
@@ -59,14 +60,14 @@ def _comments_by_author(corpus: Corpus, account_ids: list[str] | None
     return by_author
 
 
-def footprint(corpus: Corpus, account_ids: list[str] | None = None
-              ) -> list[AccountFootprint]:
-    """Per-account aggregation over the whole corpus.
+def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
+              account_ids: list[str] | None = None) -> list[AccountFootprint]:
+    """Per-account aggregation of a ``comments_by_author`` grouping that
+    covers every listed id.
 
-    With account_ids=None every commenting account is reported, sorted;
-    an id with no comments yields a zero footprint with a flag.
+    With account_ids=None every grouped account is reported, sorted; an
+    id with no comments yields a zero footprint with a flag.
     """
-    by_author = _comments_by_author(corpus, account_ids)
     out = []
     for aid in sorted(by_author) if account_ids is None else account_ids:
         rows = by_author[aid]
@@ -100,11 +101,12 @@ def sample_normal_accounts(corpus: Corpus, attackers: set[str],
     return sample
 
 
-def response_stats(corpus: Corpus, account_ids: list[str]) -> list[ResponseStats]:
+def response_stats(corpus: Corpus, by_author: dict[str, list[Comment]],
+                   account_ids: list[str]) -> list[ResponseStats]:
     """Per listed account, the minutes between each of its comments and
     its post's creation, in comment-timestamp order, with mean and
-    population std."""
-    by_author = _comments_by_author(corpus, account_ids)
+    population std; ``by_author`` is a ``comments_by_author`` grouping
+    that covers every listed id."""
     out = []
     for aid in account_ids:
         if not by_author[aid]:

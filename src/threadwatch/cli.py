@@ -225,12 +225,15 @@ def cmd_accounts(args) -> tuple[int, int]:
     normals = accounts_mod.sample_normal_accounts(
         corpus, attackers, per_page=args.sample_per_page, seed=args.seed)
     groups = {"attacker": sorted(attackers), "normal": normals}
+    by_author = accounts_mod.comments_by_author(
+        corpus, [aid for ids in groups.values() for aid in ids])
     os.makedirs(args.out, exist_ok=True)
     accounts_mod.write_footprint_csv(
-        {grp: accounts_mod.footprint(corpus, ids) for grp, ids in groups.items()},
+        {grp: accounts_mod.footprint(corpus, by_author, ids) for grp, ids in groups.items()},
         os.path.join(args.out, "footprints.csv"))
     accounts_mod.write_response_csv(
-        {grp: accounts_mod.response_stats(corpus, ids) for grp, ids in groups.items()},
+        {grp: accounts_mod.response_stats(corpus, by_author, ids)
+         for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
     # campaign clusters read only the observations of labelled comments
     labelled = {lab.comment_id for lab in labels}

@@ -4,7 +4,13 @@ A corpus file holds one JSON object per line, each tagged with
 ``kind`` in {page, post, comment}. Ingest buffers all records first
 and then resolves references, so the result is independent of line
 order. Records with unknown parents or duplicate ids are dropped and
-counted.
+counted; orphans are deleted from the tables in place, and survivors
+keep their input order.
+
+Records are immutable tuples (``NamedTuple``). Within one ingest, page,
+post and author ids share one string per distinct value, so a comment's
+``post_id`` is the very object its post holds. The sharing table is
+local to the call and freed with it; nothing is interned process-wide.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 
 class Region(str, Enum):
@@ -27,15 +34,13 @@ class Region(str, Enum):
 _REGION_LOOKUP = {r.value.lower(): r for r in Region}
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(NamedTuple):
     page_id: str
     name: str
     region: Region
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     post_id: str
     page_id: str
     author_id: str
@@ -44,8 +49,7 @@ class Post:
     raw_text: str
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(NamedTuple):
     comment_id: str
     post_id: str
     author_id: str
@@ -107,8 +111,9 @@ def _int_field(value: object, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_record(obj) -> tuple[str, str, object]:
-    """The kind, id and record of one parsed JSON line."""
+def _parse_record(obj, ids: dict[str, str]) -> tuple[str, str, tuple]:
+    """The kind, id and record of one parsed JSON line; page, post and
+    author ids are replaced by their first-seen string in ``ids``."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -120,18 +125,24 @@ def _parse_record(obj) -> tuple[str, str, object]:
         missing = [f for f in _REQUIRED[kind] if f not in obj]
         raise ValueError(f"{kind} record missing fields {missing}") from None
     rid = str(values[0])
+    share = ids.setdefault
     if kind == "page":
         _, name, region_name = values
         region = _REGION_LOOKUP.get(str(region_name).lower())
         if region is None:
             raise ValueError(f"unknown region {region_name!r}")
-        return kind, rid, Page(rid, str(name), region)
+        rid = share(rid, rid)
+        return kind, rid, Page._make((rid, str(name), region))
     _, parent, author, ts, like, text = values
     like, ts = _int_field(like, "like_count"), _int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
-    cls = Post if kind == "post" else Comment
-    return kind, rid, cls(rid, str(parent), str(author), ts, like, str(text))
+    parent, author = str(parent), str(author)
+    parent, author = share(parent, parent), share(author, author)
+    if kind == "post":
+        rid = share(rid, rid)
+        return kind, rid, Post._make((rid, parent, author, ts, like, str(text)))
+    return kind, rid, Comment._make((rid, parent, author, ts, like, str(text)))
 
 
 def ingest(path: str) -> IngestResult:
@@ -142,6 +153,9 @@ def ingest(path: str) -> IngestResult:
     unreadable file raises CorpusError. Records referencing unknown
     parents, and later records repeating an id, are dropped.
     """
+    # one string per distinct page, post and author id; ids are attacker
+    # written, so the table lives and dies with this call (no sys.intern)
+    ids: dict[str, str] = {}
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
@@ -158,7 +172,7 @@ def ingest(path: str) -> IngestResult:
                     text = line.removesuffix(b"\n").decode("utf-8")
                     if not text.strip():
                         continue
-                    kind, rid, rec = _parse_record(json.loads(text))
+                    kind, rid, rec = _parse_record(json.loads(text), ids)
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue
@@ -171,27 +185,25 @@ def ingest(path: str) -> IngestResult:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     # referential integrity, resolved after the full pass so that input
-    # order never matters
-    kept_posts = {}
-    for pid, p in posts.items():
-        if p.page_id in pages:
-            kept_posts[pid] = p
-        else:
-            dropped += 1
-    kept_comments = {}
+    # order never matters; orphans are deleted in place, not copied around
+    orphans = [pid for pid, p in posts.items() if p.page_id not in pages]
+    for pid in orphans:
+        del posts[pid]
+    dropped += len(orphans)
+    orphans = []
     skew = 0
     for cid, c in comments.items():
-        parent = kept_posts.get(c.post_id)
+        parent = posts.get(c.post_id)
         if parent is None:
-            dropped += 1
-            continue
-        if c.created_ts < parent.created_ts:
+            orphans.append(cid)
+        elif c.created_ts < parent.created_ts:
             skew += 1
-        kept_comments[cid] = c
+    for cid in orphans:
+        del comments[cid]
+    dropped += len(orphans)
 
-    corpus = Corpus(pages=pages, posts=kept_posts, comments=kept_comments,
-                    skew_clamped=skew)
-    kept = len(pages) + len(kept_posts) + len(kept_comments)
+    corpus = Corpus(pages=pages, posts=posts, comments=comments, skew_clamped=skew)
+    kept = len(pages) + len(posts) + len(comments)
     return IngestResult(corpus=corpus, kept=kept, dropped=dropped,
                         line_errors=errors)
 

@@ -10,7 +10,6 @@ domain key matches, the smallest matching full-URL key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
@@ -58,14 +57,12 @@ class UrlObservation(NamedTuple):
     flagged: bool = False  # expansion chain exceeded the hop bound or cycled
 
 
-@dataclass(frozen=True)
-class BlacklistEntry:
+class BlacklistEntry(NamedTuple):
     key: str  # lowercase domain, or full URL when it contains "/"
     category: Category
 
 
-@dataclass(frozen=True)
-class MaliciousLabel:
+class MaliciousLabel(NamedTuple):
     comment_id: str
     category: Category
     matched_key: str

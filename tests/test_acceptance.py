@@ -11,7 +11,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from threadwatch import features, learn, synthgen, temporal
 from threadwatch.cli import main

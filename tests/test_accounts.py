@@ -1,16 +1,14 @@
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from threadwatch.accounts import (AccountError, AccountFootprint,
-                                  campaign_scatter, cluster_campaigns, footprint,
-                                  response_stats, sample_normal_accounts,
-                                  stats_from_times)
+                                  campaign_scatter, cluster_campaigns,
+                                  comments_by_author, footprint, response_stats,
+                                  sample_normal_accounts, stats_from_times)
 from threadwatch.corpus import Comment, Corpus, Page, Post, Region, rel_minutes
-from threadwatch.labeler import (Category, MaliciousLabel, ShortenerTable,
-                                 collect_observations, label_threads)
+from threadwatch.labeler import Category, MaliciousLabel, label_threads
 
 T0 = 1_400_000_000
 
@@ -32,30 +30,38 @@ def two_page_corpus():
     return Corpus(pages=pages, posts=posts, comments=comments)
 
 
+def footprints_of(corpus, account_ids=None):
+    return footprint(corpus, comments_by_author(corpus, account_ids), account_ids)
+
+
+def response_stats_of(corpus, account_ids):
+    return response_stats(corpus, comments_by_author(corpus, account_ids), account_ids)
+
+
 class TestFootprint:
     def test_unknown_account_zero_with_flag(self):
-        fp = footprint(two_page_corpus(), ["ghost"])[0]
+        fp = footprints_of(two_page_corpus(), ["ghost"])[0]
         assert (fp.n_pages, fp.n_posts, fp.n_comments, fp.n_likes) == (0, 0, 0, 0)
         assert fp.flagged_unknown
 
     def test_hand_counted(self):
-        fp = footprint(two_page_corpus(), ["acct"])[0]
+        fp = footprints_of(two_page_corpus(), ["acct"])[0]
         assert (fp.n_pages, fp.n_posts, fp.n_comments, fp.n_likes) == (2, 2, 3, 3)
 
     def test_totals_sum_to_corpus(self, small_synth):
-        fps = footprint(small_synth.corpus)
+        fps = footprints_of(small_synth.corpus)
         assert sum(f.n_comments for f in fps) == len(small_synth.corpus.comments)
         assert sum(f.n_likes for f in fps) == sum(
             c.like_count for c in small_synth.corpus.comments.values())
 
     def test_invariant_pages_le_posts_le_comments(self, small_synth):
-        for f in footprint(small_synth.corpus):
+        for f in footprints_of(small_synth.corpus):
             assert f.n_pages <= f.n_posts <= f.n_comments
 
     def test_attacker_accounts_mostly_zero_likes(self, small_synth, small_labels):
         _, labels = small_labels
         _, attackers = label_threads(small_synth.corpus, labels)
-        fps = footprint(small_synth.corpus, sorted(attackers))
+        fps = footprints_of(small_synth.corpus, sorted(attackers))
         zero = sum(1 for f in fps if f.n_likes == 0)
         assert zero / len(fps) >= 0.70
 
@@ -63,7 +69,7 @@ class TestFootprint:
 class TestResponseStats:
     def test_single_comment(self):
         corpus = two_page_corpus()
-        [s] = response_stats(corpus, ["other"])
+        [s] = response_stats_of(corpus, ["other"])
         assert s.mean == pytest.approx(500 / 60)
         assert s.std == 0.0
 
@@ -82,12 +88,12 @@ class TestResponseStats:
 
     def test_no_comments_is_error(self):
         with pytest.raises(AccountError):
-            response_stats(two_page_corpus(), ["nobody"])
+            response_stats_of(two_page_corpus(), ["nobody"])
 
     def test_two_pass_agreement(self, small_synth):
         corpus = small_synth.corpus
         authors = sorted({c.author_id for c in corpus.comments.values()})[:20]
-        for s in response_stats(corpus, authors):
+        for s in response_stats_of(corpus, authors):
             arr = np.array(s.times)
             assert s.mean == pytest.approx(float(arr.mean()), rel=1e-9)
             assert s.std == pytest.approx(float(arr.std()), rel=1e-9, abs=1e-12)
@@ -140,9 +146,9 @@ class TestAuthorGroupingOracle:
     def test_every_author(self, small_synth):
         corpus = small_synth.corpus
         authors = self._authors(corpus)
-        assert footprint(corpus) == _ref_footprint(corpus)
-        assert footprint(corpus, authors) == _ref_footprint(corpus, authors)
-        assert response_stats(corpus, authors) == [
+        assert footprints_of(corpus) == _ref_footprint(corpus)
+        assert footprints_of(corpus, authors) == _ref_footprint(corpus, authors)
+        assert response_stats_of(corpus, authors) == [
             _ref_response_stats(corpus, aid) for aid in authors]
 
     def test_repeated_ids_keep_one_row_per_listing(self, small_synth):
@@ -151,31 +157,44 @@ class TestAuthorGroupingOracle:
         [(busiest, _)] = Counter(
             c.author_id for c in corpus.comments.values()).most_common(1)
         ids = [busiest, a[0], busiest, a[-1], a[0], busiest]
-        assert footprint(corpus, ids) == _ref_footprint(corpus, ids)
-        assert response_stats(corpus, ids) == [
+        assert footprints_of(corpus, ids) == _ref_footprint(corpus, ids)
+        assert response_stats_of(corpus, ids) == [
             _ref_response_stats(corpus, aid) for aid in ids]
 
     def test_footprint_unknown_ids(self, small_synth):
         corpus = small_synth.corpus
         a = self._authors(corpus)
         ids = ["ghost", a[1], "ghost", a[2], "nobody"]
-        assert footprint(corpus, ids) == _ref_footprint(corpus, ids)
+        assert footprints_of(corpus, ids) == _ref_footprint(corpus, ids)
 
     def test_response_stats_names_the_account_without_comments(self, small_synth):
         ids = self._authors(small_synth.corpus)[:3] + ["ghost"]
         with pytest.raises(AccountError, match="account ghost has"):
-            response_stats(small_synth.corpus, ids)
+            response_stats_of(small_synth.corpus, ids)
 
     def test_one_pass_over_the_comments_per_call(self, small_synth):
         corpus = small_synth.corpus
         counted = Corpus(corpus.pages, corpus.posts,
                          _CountingComments(corpus.comments))
         authors = self._authors(corpus)
-        for call in (lambda: footprint(counted), lambda: footprint(counted, authors),
-                     lambda: response_stats(counted, authors)):
+        for ids in (None, authors):
             before = counted.comments.passes
-            call()
+            comments_by_author(counted, ids)
             assert counted.comments.passes == before + 1
+
+    def test_one_grouping_serves_every_call(self, small_synth):
+        corpus = small_synth.corpus
+        counted = Corpus(corpus.pages, corpus.posts,
+                         _CountingComments(corpus.comments))
+        authors = self._authors(corpus)
+        by_author = comments_by_author(counted, authors)
+        before = counted.comments.passes
+        # each group's rows match a grouping over that group alone
+        for ids in (authors[::2], authors[1::2], authors):
+            assert footprint(counted, by_author, ids) == _ref_footprint(corpus, ids)
+            assert response_stats(counted, by_author, ids) == [
+                _ref_response_stats(corpus, aid) for aid in ids]
+        assert counted.comments.passes == before
 
 
 class TestCampaigns:

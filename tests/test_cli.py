@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from threadwatch import labeler
+from threadwatch import accounts, labeler
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
@@ -159,6 +159,25 @@ class TestAnalyses:
         for name in ("footprints.csv", "response_stats.csv",
                      "campaign_scatter.csv"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_accounts_groups_authors_once(self, pipeline, tmp_path, monkeypatch):
+        calls, group = [], accounts.comments_by_author
+
+        def counted(corpus, account_ids=None):
+            calls.append(account_ids)
+            return group(corpus, account_ids)
+        monkeypatch.setattr(accounts, "comments_by_author", counted)
+        out = str(tmp_path / "accounts")
+        assert main(["accounts", "--corpus", pipeline["corpus"],
+                     "--labels", pipeline["labels"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--seed", "0", "--sample-per-page", "30",
+                     "--out", out]) == 0
+        [grouped] = calls
+        with open(os.path.join(out, "footprints.csv"), encoding="utf-8") as fh:
+            listed = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+        assert sorted(grouped) == sorted(listed)
 
 
 class TestConfigFile:

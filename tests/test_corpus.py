@@ -1,12 +1,17 @@
+import gc
 import json
 import random
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwatch.corpus import (CorpusError, build_threads, ingest,
-                                rel_minutes)
+from threadwatch.corpus import (_FIELDS, _REGION_LOOKUP, _REQUIRED, Corpus,
+                                CorpusError, IngestResult, Region, _int_field,
+                                build_threads, ingest, rel_minutes)
+from threadwatch.synthgen import write_corpus_jsonl
 
 
 def _write(tmp_path, records, name="corpus.jsonl"):
@@ -259,3 +264,218 @@ def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, text, 
         kept = getattr(corpus, table)
         for key, rec in getattr(expected, table).items():
             assert kept.get(key) == rec
+
+
+# The ingest with frozen-dataclass records, unshared id strings and a copy
+# of the surviving posts and comments into new tables, kept as an oracle.
+
+@dataclass(frozen=True)
+class RefPage:
+    page_id: str
+    name: str
+    region: Region
+
+
+@dataclass(frozen=True)
+class RefPost:
+    post_id: str
+    page_id: str
+    author_id: str
+    created_ts: int
+    like_count: int
+    raw_text: str
+
+
+@dataclass(frozen=True)
+class RefComment:
+    comment_id: str
+    post_id: str
+    author_id: str
+    created_ts: int
+    like_count: int
+    raw_text: str
+
+
+def _ref_parse_record(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    kind = obj.get("kind")
+    if kind not in _REQUIRED:
+        raise ValueError(f"unknown kind {kind!r}")
+    try:
+        values = _FIELDS[kind](obj)
+    except KeyError:
+        missing = [f for f in _REQUIRED[kind] if f not in obj]
+        raise ValueError(f"{kind} record missing fields {missing}") from None
+    rid = str(values[0])
+    if kind == "page":
+        _, name, region_name = values
+        region = _REGION_LOOKUP.get(str(region_name).lower())
+        if region is None:
+            raise ValueError(f"unknown region {region_name!r}")
+        return kind, rid, RefPage(rid, str(name), region)
+    _, parent, author, ts, like, text = values
+    like, ts = _int_field(like, "like_count"), _int_field(ts, "created_ts")
+    if like < 0:
+        raise ValueError("like_count must be >= 0")
+    cls = RefPost if kind == "post" else RefComment
+    return kind, rid, cls(rid, str(parent), str(author), ts, like, str(text))
+
+
+def reference_ingest(path):
+    pages, posts, comments = {}, {}, {}
+    tables = {"page": pages, "post": posts, "comment": comments}
+    errors = []
+    dropped = 0
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    text = line.removesuffix(b"\n").decode("utf-8")
+                    if not text.strip():
+                        continue
+                    kind, rid, rec = _ref_parse_record(json.loads(text))
+                except (ValueError, TypeError, RecursionError) as exc:
+                    errors.append((lineno, str(exc)))
+                    continue
+                table = tables[kind]
+                if rid in table:
+                    dropped += 1
+                else:
+                    table[rid] = rec
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
+    kept_posts = {}
+    for pid, p in posts.items():
+        if p.page_id in pages:
+            kept_posts[pid] = p
+        else:
+            dropped += 1
+    kept_comments = {}
+    skew = 0
+    for cid, c in comments.items():
+        parent = kept_posts.get(c.post_id)
+        if parent is None:
+            dropped += 1
+            continue
+        if c.created_ts < parent.created_ts:
+            skew += 1
+        kept_comments[cid] = c
+    corpus = Corpus(pages=pages, posts=kept_posts, comments=kept_comments,
+                    skew_clamped=skew)
+    kept = len(pages) + len(kept_posts) + len(kept_comments)
+    return IngestResult(corpus=corpus, kept=kept, dropped=dropped, line_errors=errors)
+
+
+def _fields(rec):
+    """A record's class name without the oracle's prefix, and its fields
+    in order with each value's type."""
+    items = rec._asdict().items() if hasattr(rec, "_asdict") else vars(rec).items()
+    return (type(rec).__name__.removeprefix("Ref"),
+            [(name, type(value), value) for name, value in items])
+
+
+def assert_same_as_reference(path):
+    got, want = ingest(path), reference_ingest(path)
+    assert (got.kept, got.dropped, got.line_errors, got.corpus.skew_clamped) == (
+        want.kept, want.dropped, want.line_errors, want.corpus.skew_clamped)
+    for table in ("pages", "posts", "comments"):
+        mine, theirs = getattr(got.corpus, table), getattr(want.corpus, table)
+        assert list(mine) == list(theirs)
+        assert [_fields(r) for r in mine.values()] == [_fields(r) for r in theirs.values()]
+    return got
+
+
+@pytest.fixture(scope="module")
+def small_synth_jsonl(small_synth, tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "small.jsonl"
+    write_corpus_jsonl(small_synth, str(path))
+    return str(path)
+
+
+class TestIngestMatchesReference:
+    def test_small_synth(self, small_synth_jsonl):
+        got = assert_same_as_reference(small_synth_jsonl)
+        assert got.kept > 10_000
+
+    def test_shuffled_with_orphans_duplicates_and_skew(self, small_synth_jsonl, tmp_path):
+        with open(small_synth_jsonl, "rb") as fh:
+            lines = fh.read().splitlines()
+        corpus = ingest(small_synth_jsonl).corpus
+        post_ids, comment_ids = sorted(corpus.posts), sorted(corpus.comments)
+        rng = random.Random(3)
+        extra = []
+        for i in range(300):
+            extra += [_post(f"op{i}", page="nowhere"),
+                      _comment(f"oc{i}", f"op{i}", 5_000, author=f"u{i % 7}"),
+                      _comment(f"mc{i}", "missing", 5_000),
+                      _comment(f"sk{i}", rng.choice(post_ids), 0, author=f"u{i % 5}"),
+                      _comment(rng.choice(comment_ids), rng.choice(post_ids), 1)]
+            if i % 15 == 0:
+                # whichever line comes first wins, so a thread may be orphaned
+                extra.append(_post(rng.choice(post_ids), page="nowhere"))
+        lines += [json.dumps(r).encode() for r in extra] + [b"not json", b"[1]", b""]
+        rng.shuffle(lines)
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got = assert_same_as_reference(str(path))
+        assert got.dropped >= 900 and got.corpus.skew_clamped > 250
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(junk=st.lists(_JUNK_LINES, max_size=12), data=st.data())
+    def test_any_line_mix(self, tmp_path, junk, data):
+        lines = data.draw(st.permutations(
+            [json.dumps(r).encode() for r in _VALID + _VALID[1:3]] + junk))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_same_as_reference(str(path))
+
+
+class TestIdSharing:
+    def test_references_share_the_parent_id_object(self, small_synth_jsonl):
+        corpus = ingest(small_synth_jsonl).corpus
+        for p in corpus.posts.values():
+            assert p.page_id is corpus.pages[p.page_id].page_id
+        for c in corpus.comments.values():
+            assert c.post_id is corpus.posts[c.post_id].post_id
+
+    def test_one_author_string_per_account(self, small_synth_jsonl):
+        corpus = ingest(small_synth_jsonl).corpus
+        first: dict[str, str] = {}
+        records = [*corpus.posts.values(), *corpus.comments.values()]
+        for rec in records:
+            assert first.setdefault(rec.author_id, rec.author_id) is rec.author_id
+        assert len(first) < len(records)  # some account has several records
+
+    def test_table_keys_are_the_record_ids(self, small_synth_jsonl):
+        corpus = ingest(small_synth_jsonl).corpus
+        for table, name in ((corpus.pages, "page_id"), (corpus.posts, "post_id"),
+                            (corpus.comments, "comment_id")):
+            assert all(key is getattr(rec, name) for key, rec in table.items())
+
+    def test_nothing_shared_across_ingests(self, small_synth_jsonl):
+        one, two = ingest(small_synth_jsonl).corpus, ingest(small_synth_jsonl).corpus
+        pid = next(iter(one.posts))
+        assert one.posts[pid].post_id == two.posts[pid].post_id
+        assert one.posts[pid].post_id is not two.posts[pid].post_id
+
+
+def _peak_bytes(load, path):
+    """Peak traced allocation while ``load(path)`` runs."""
+    load(path)  # first-call caches stay out of the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_ingest_peak_memory_well_below_reference(small_synth_jsonl):
+    ratio = _peak_bytes(ingest, small_synth_jsonl) / _peak_bytes(reference_ingest,
+                                                                 small_synth_jsonl)
+    assert ratio <= 0.85

@@ -1,4 +1,5 @@
-"""Every name a threadwatch module imports is referenced in that module."""
+"""Every name a threadwatch module or test module imports is referenced
+in that module."""
 
 import ast
 import pathlib
@@ -7,7 +8,11 @@ import pytest
 
 import threadwatch
 
-MODULES = sorted(pathlib.Path(threadwatch.__file__).parent.glob("*.py"))
+# source modules by file name, test modules as tests/<file name>
+MODULES = ([pytest.param(p, id=p.name) for p in
+            sorted(pathlib.Path(threadwatch.__file__).parent.glob("*.py"))]
+           + [pytest.param(p, id=f"tests/{p.name}") for p in
+              sorted(pathlib.Path(__file__).parent.glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +37,6 @@ def test_scan_finds_unused_names():
     assert unused_imports(source) == ["field", "math"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -6,8 +6,8 @@ from threadwatch.corpus import build_threads
 from threadwatch.labeler import label_threads
 from threadwatch.learn import (Dataset, LearnError, evaluate_split,
                                metrics_from_predictions, smote, train)
-from threadwatch.models import (AdaBoost, DecisionTree, GaussianNaiveBayes,
-                                ModelError, load_model, predict, save_model)
+from threadwatch.models import (AdaBoost, DecisionTree, ModelError, load_model,
+                                predict, save_model)
 
 
 def planted_separable(n=120, seed=0):
