@@ -9,6 +9,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Comment, Corpus, rel_minutes
 from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
 
@@ -44,32 +46,28 @@ class AccountError(Exception):
     pass
 
 
-def comments_by_author(corpus: Corpus, account_ids: list[str] | None = None
+def comments_by_author(corpus: Corpus, account_ids: list[str]
                        ) -> dict[str, list[Comment]]:
-    """The comments of each listed account (of every commenting account
-    when account_ids is None) from one pass over the corpus, each list
-    sorted by (created_ts, comment_id); a listed account with no comments
-    gets an empty list. ``footprint`` and ``response_stats`` read this
-    grouping, so one pass can serve several of their calls."""
-    by_author: dict[str, list[Comment]] = {aid: [] for aid in account_ids or ()}
+    """The comments of each listed account from one pass over the corpus,
+    each list sorted by (created_ts, comment_id); a listed account with no
+    comments gets an empty list. ``footprint`` and ``response_stats`` read
+    this grouping, so one pass can serve several of their calls."""
+    by_author: dict[str, list[Comment]] = {aid: [] for aid in account_ids}
     for c in corpus.comments.values():
-        if account_ids is None or c.author_id in by_author:
-            by_author.setdefault(c.author_id, []).append(c)
+        if c.author_id in by_author:
+            by_author[c.author_id].append(c)
     for rows in by_author.values():
         rows.sort(key=lambda c: (c.created_ts, c.comment_id))
     return by_author
 
 
 def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
-              account_ids: list[str] | None = None) -> list[AccountFootprint]:
-    """Per-account aggregation of a ``comments_by_author`` grouping that
-    covers every listed id.
-
-    With account_ids=None every grouped account is reported, sorted; an
-    id with no comments yields a zero footprint with a flag.
-    """
+              account_ids: list[str]) -> list[AccountFootprint]:
+    """Per listed account, in list order, the aggregation of a
+    ``comments_by_author`` grouping that covers every listed id; an id
+    with no comments yields a zero footprint with a flag."""
     out = []
-    for aid in sorted(by_author) if account_ids is None else account_ids:
+    for aid in account_ids:
         rows = by_author[aid]
         posts = {c.post_id for c in rows}
         out.append(AccountFootprint(
@@ -80,9 +78,10 @@ def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
 
 def sample_normal_accounts(corpus: Corpus, attackers: set[str],
                            per_page: int = 1000, seed: int = 0) -> list[str]:
-    """Seeded per-page sample of commenters never seen in the attacker set."""
-    import numpy as np
-
+    """Seeded per-page sample of at most per_page commenters never seen
+    in the attacker set; per_page 0 gives an empty sample."""
+    if per_page < 0:
+        raise AccountError(f"per_page must be >= 0, got {per_page}")
     by_page: dict[str, set[str]] = {}
     for c in corpus.comments.values():
         if c.author_id in attackers:

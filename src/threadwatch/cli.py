@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", "train a classifier and save it as JSON", cmd_train,
                 "features", "out")
     p.add_argument("--algorithm", required=True, choices=algorithms)
-    p.add_argument("--seed", type=int, default=0, help="unused: fits are deterministic")
 
     p = command("eval", "75/25 split evaluation", cmd_eval, "features", seed=0)
     p.add_argument("--algorithm", required=True, choices=algorithms)

@@ -150,11 +150,15 @@ class ShortenerTable:
                     hosts.add(line.lower())
         mapping = {}
         with open(map_path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                short, target = line.split("\t", 1)
+                try:
+                    short, target = line.split("\t", 1)
+                except ValueError as exc:
+                    raise LabelError(
+                        f"shortener map line {lineno}: not short<TAB>target") from exc
                 mapping[short] = target
         return cls(hosts, mapping)
 

@@ -1,6 +1,8 @@
-"""Three from-scratch classifiers sharing a predict contract:
-Gaussian naive Bayes, a CART-style decision tree, and AdaBoost over
-depth-1 stumps. Models serialize to self-describing JSON.
+"""Three from-scratch classifiers sharing one contract: Gaussian naive
+Bayes, a CART-style decision tree, and AdaBoost over depth-1 stumps.
+Each has ``fit``, ``predict_scores``, which rejects rows of any width
+but the training width, and ``to_dict``, the JSON that ``save_model``
+writes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ class ModelError(Exception):
 def _check_two_classes(y: np.ndarray) -> None:
     if len(np.unique(y)) < 2:
         raise ModelError("training data must contain both classes")
+
+
+def _rows(X, width: int) -> np.ndarray:
+    """X as a 2-D float array of width-wide rows; a single vector is one row."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != width:
+        raise ModelError(f"dimension mismatch: model expects {width}, got {X.shape[1]}")
+    return X
 
 
 class GaussianNaiveBayes:
@@ -43,7 +53,6 @@ class GaussianNaiveBayes:
         return self
 
     def _log_joint(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.empty((X.shape[0], 2))
         for cls in (0, 1):
             mu, var = self.means[cls], self.variances[cls]
@@ -53,7 +62,7 @@ class GaussianNaiveBayes:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Posterior probability of the positive class."""
-        lj = self._log_joint(X)
+        lj = self._log_joint(_rows(X, self.means.shape[1]))
         lj -= lj.max(axis=1, keepdims=True)
         p = np.exp(lj)
         return p[:, 1] / p.sum(axis=1)
@@ -63,14 +72,6 @@ class GaussianNaiveBayes:
                 "means": self.means.tolist(),
                 "variances": self.variances.tolist(),
                 "priors": self.priors.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianNaiveBayes":
-        m = cls()
-        m.means = np.array(d["means"])
-        m.variances = np.array(d["variances"])
-        m.priors = np.array(d["priors"])
-        return m
 
 
 def _gini(neg, pos, n):
@@ -104,11 +105,13 @@ class DecisionTree:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.root = None
+        self.n_features = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         _check_two_classes(y)
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=bool)
+        self.n_features = X.shape[1]
         self.root = self._grow(X, y, depth=0)
         return self
 
@@ -154,18 +157,11 @@ class DecisionTree:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Positive-class fraction of the reached leaf."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self._leaf(x)["score"] for x in X])
+        return np.array([self._leaf(x)["score"] for x in _rows(X, self.n_features)])
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "max_depth": self.max_depth,
                 "min_leaf": self.min_leaf, "root": self.root}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        m = cls(d["max_depth"], d["min_leaf"])
-        m.root = d["root"]
-        return m
 
 
 class AdaBoost:
@@ -180,6 +176,7 @@ class AdaBoost:
         self.n_rounds = n_rounds
         self.stumps: list[tuple[int, float, int]] = []  # (dim, threshold, polarity)
         self.alphas: list[float] = []
+        self.n_features = None
 
     @staticmethod
     def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray):
@@ -212,6 +209,7 @@ class AdaBoost:
         _check_two_classes(y)
         X = np.asarray(X, dtype=float)
         y_pm = np.where(np.asarray(y, dtype=bool), 1, -1)
+        self.n_features = X.shape[1]
         n = len(y_pm)
         w = np.full(n, 1.0 / n)
         self.stumps, self.alphas = [], []
@@ -234,7 +232,7 @@ class AdaBoost:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Normalized margin mapped into [0,1]: (sum(a*h) + sum(a)) / (2*sum(a))."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _rows(X, self.n_features)
         margin = np.zeros(X.shape[0])
         for (dim, thr, pol), alpha in zip(self.stumps, self.alphas):
             margin += alpha * self._stump_predict(X, dim, thr, pol)
@@ -246,15 +244,6 @@ class AdaBoost:
                 "stumps": [list(s) for s in self.stumps],
                 "alphas": self.alphas}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdaBoost":
-        m = cls(d["n_rounds"])
-        m.stumps = [(int(s[0]), float(s[1]), int(s[2])) for s in d["stumps"]]
-        m.alphas = [float(a) for a in d["alphas"]]
-        return m
-
-
-_VARIANTS = {c.variant: c for c in (GaussianNaiveBayes, DecisionTree, AdaBoost)}
 
 ALGORITHMS = {
     "naive_bayes": GaussianNaiveBayes,
@@ -263,33 +252,9 @@ ALGORITHMS = {
 }
 
 
-def predict(model, x) -> tuple[bool, float]:
-    """Predicted class and positive-class score in [0,1] for one vector."""
-    x = np.asarray(x, dtype=float)
-    expected = _model_dim(model)
-    if expected is not None and x.shape[-1] != expected:
-        raise ModelError(f"dimension mismatch: model expects {expected}, got {x.shape[-1]}")
-    score = float(model.predict_scores(x.reshape(1, -1))[0])
-    return score >= 0.5, score
-
-
-def _model_dim(model) -> int | None:
-    if isinstance(model, GaussianNaiveBayes) and model.means is not None:
-        return model.means.shape[1]
-    return None
-
-
-def save_model(model, path: str, **extra) -> None:
-    """Write the model's JSON, with any extra top-level entries."""
+def save_model(model, path: str, scaling: list) -> None:
+    """Write the model's JSON with the min-max scaling of its training
+    features under ``scaling``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**model.to_dict(), **extra}, fh, indent=2, sort_keys=True)
+        json.dump({**model.to_dict(), "scaling": scaling}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_model(path: str):
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    try:
-        return _VARIANTS[d["variant"]].from_dict(d)
-    except KeyError as exc:
-        raise ModelError(f"unknown model variant in {path}") from exc

@@ -31,6 +31,10 @@ def two_page_corpus():
 
 
 def footprints_of(corpus, account_ids=None):
+    """Footprints of the listed ids; of every commenting account, sorted,
+    when none are listed."""
+    if account_ids is None:
+        account_ids = sorted({c.author_id for c in corpus.comments.values()})
     return footprint(corpus, comments_by_author(corpus, account_ids), account_ids)
 
 
@@ -177,7 +181,7 @@ class TestAuthorGroupingOracle:
         counted = Corpus(corpus.pages, corpus.posts,
                          _CountingComments(corpus.comments))
         authors = self._authors(corpus)
-        for ids in (None, authors):
+        for ids in (authors[:3], authors):
             before = counted.comments.passes
             comments_by_author(counted, ids)
             assert counted.comments.passes == before + 1
@@ -257,3 +261,9 @@ def test_sample_normal_excludes_attackers(small_synth, small_labels):
     again = sample_normal_accounts(small_synth.corpus, attackers,
                                    per_page=50, seed=0)
     assert sample == again
+
+
+def test_sample_normal_per_page_must_not_be_negative(small_synth):
+    with pytest.raises(AccountError, match="per_page.*-3"):
+        sample_normal_accounts(small_synth.corpus, set(), per_page=-3)
+    assert sample_normal_accounts(small_synth.corpus, set(), per_page=0) == []

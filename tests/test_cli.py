@@ -109,8 +109,7 @@ class TestTrainEval:
     def test_train_writes_model_with_scaling(self, pipeline, tmp_path):
         out = str(tmp_path / "model.json")
         assert main(["train", "--features", pipeline["features"],
-                     "--algorithm", "decision_tree", "--seed", "0",
-                     "--out", out]) == 0
+                     "--algorithm", "decision_tree", "--out", out]) == 0
         doc = json.loads(read(out))
         assert "scaling" in doc
 

@@ -1,16 +1,26 @@
 """Every name a threadwatch module or test module imports is referenced
-in that module."""
+in that module, and every public name a threadwatch module defines is
+used by the program or its benchmark, not only by tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 import threadwatch
 
+SOURCES = sorted(pathlib.Path(threadwatch.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+
+# public names that only tests call, each kept as a reference the tests
+# compare a faster path against
+TEST_ORACLES = {
+    "extract_urls",  # the per-occurrence URL scan behind TestCollectMatchesReference
+}
+
 # source modules by file name, test modules as tests/<file name>
-MODULES = ([pytest.param(p, id=p.name) for p in
-            sorted(pathlib.Path(threadwatch.__file__).parent.glob("*.py"))]
+MODULES = ([pytest.param(p, id=p.name) for p in SOURCES]
            + [pytest.param(p, id=f"tests/{p.name}") for p in
               sorted(pathlib.Path(__file__).parent.glob("*.py"))])
 
@@ -40,3 +50,47 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is referred to under node, as a bare name or
+    as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: list[str], others: list[str]) -> list[str]:
+    """Public top-level functions and classes, and public methods of
+    top-level classes, defined in sources that no code outside their own
+    definition refers to by name, in sources or in others."""
+    trees = [ast.parse(text) for text in [*sources, *others]]
+    used = sum((_names(tree) for tree in trees), Counter())
+    definitions = []
+    for tree in trees[:len(sources)]:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                definitions += [node, *(n for n in node.body if isinstance(n, ast.FunctionDef))]
+            elif isinstance(node, ast.FunctionDef):
+                definitions.append(node)
+    return sorted({d.name for d in definitions if not d.name.startswith("_")
+                   and used[d.name] == _names(d)[d.name]})
+
+
+def test_scan_finds_test_only_definitions():
+    source = ("def main():\n    return Model().fit() + helper()\n"
+              "def helper():\n    return 1\n"
+              "def recurse(n):\n    return recurse(n - 1)\n"
+              "def _private():\n    pass\n"
+              "class Model:\n"
+              "    def fit(self):\n        return self.score()\n"
+              "    def score(self):\n        return 0\n"
+              "    def save(self):\n        pass\n"
+              "    def _grow(self):\n        pass\n")
+    assert unreferenced_definitions([source], []) == ["main", "recurse", "save"]
+    assert unreferenced_definitions([source], ["main(); Model.save"]) == ["recurse"]
+
+
+def test_no_test_only_definitions():
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unreferenced_definitions(texts, others) == sorted(TEST_ORACLES)

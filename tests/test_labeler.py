@@ -502,6 +502,14 @@ def test_load_blacklist_case_insensitive_categories(tmp_path):
                        BlacklistEntry("ads.net", Category.ADS)]
 
 
+def test_shortener_map_line_without_tab_names_the_line(tmp_path):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    smap.write_text("sh-url.io/a\thttp://evil.com/1\n\nsh-url.io/zz\n")
+    hosts.write_text("sh-url.io\n")
+    with pytest.raises(LabelError, match="shortener map line 3: not short<TAB>target"):
+        ShortenerTable.load(str(smap), str(hosts))
+
+
 def _tiny_corpus(texts, n_posts=1):
     pages = {"pg0": Page("pg0", "P", Region.ASIA)}
     posts = {f"p{j}": Post(f"p{j}", "pg0", "author", 1000, 0, "post")

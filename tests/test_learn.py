@@ -6,8 +6,7 @@ from threadwatch.corpus import build_threads
 from threadwatch.labeler import label_threads
 from threadwatch.learn import (Dataset, LearnError, evaluate_split,
                                metrics_from_predictions, smote, train)
-from threadwatch.models import (AdaBoost, DecisionTree, ModelError, load_model,
-                                predict, save_model)
+from threadwatch.models import AdaBoost, DecisionTree, ModelError
 
 
 def planted_separable(n=120, seed=0):
@@ -88,8 +87,8 @@ class TestTrain:
         scores = model.predict_scores(grid)
         crossing = grid[np.argmax(scores >= 0.5)][0]
         assert 2 < crossing < 8
-        assert predict(model, [-1.0])[0] is False
-        assert predict(model, [11.0])[0] is True
+        assert not (model.predict_scores(np.array([[-1.0]]))[0] >= 0.5)
+        assert model.predict_scores(np.array([[11.0]]))[0] >= 0.5
 
     def test_adaboost_perfect_on_separable_first_round(self):
         X = np.linspace(0, 1, 40).reshape(-1, 1)
@@ -115,29 +114,32 @@ class TestPredict:
         data = planted_separable()
         model = train("decision_tree", data)
         for i in (0, 5, 17):
-            assert predict(model, data.X[i])[0] == bool(data.y[i])
+            assert (model.predict_scores(data.X[i:i + 1])[0] >= 0.5) == bool(data.y[i])
 
     def test_nb_class_mean_scores_above_half(self):
         rng = np.random.default_rng(1)
         X = np.vstack([rng.normal(0, 1, (50, 2)), rng.normal(6, 1, (50, 2))])
         y = np.array([False] * 50 + [True] * 50)
         model = train("naive_bayes", Dataset(X, y))
-        assert predict(model, model.means[1])[1] > 0.5
-        assert predict(model, model.means[0])[1] < 0.5
+        assert model.predict_scores(model.means[1:2])[0] > 0.5
+        assert model.predict_scores(model.means[0:1])[0] < 0.5
 
     def test_adaboost_zero_margin_scores_half(self):
         model = AdaBoost()
         model.stumps = [(0, 0.5, 1), (0, 0.5, -1)]
         model.alphas = [1.0, 1.0]
+        model.n_features = 1
         assert model.predict_scores(np.array([[0.9]]))[0] == pytest.approx(0.5)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("algorithm", sorted(models.ALGORITHMS))
+    def test_dimension_mismatch(self, algorithm):
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal(0, 1, (20, 3)), rng.normal(5, 1, (20, 3))])
         y = np.array([False] * 20 + [True] * 20)
-        model = train("naive_bayes", Dataset(X, y))
-        with pytest.raises(ModelError, match="dimension"):
-            predict(model, [1.0, 2.0])
+        model = train(algorithm, Dataset(X, y))
+        for width in (2, 4):
+            with pytest.raises(ModelError, match="dimension"):
+                model.predict_scores(np.ones((1, width)))
 
 
 class TestMetrics:
@@ -215,17 +217,6 @@ def test_adaboost_round_errors_below_half():
         assert err < 0.5
         w *= np.exp(-alpha * y_pm * pred)
         w /= w.sum()
-
-
-def test_model_serialization_round_trip(tmp_path):
-    data = planted_separable(150, seed=2)
-    for algorithm in ("naive_bayes", "decision_tree", "adaboost"):
-        model = train(algorithm, data)
-        path = tmp_path / f"{algorithm}.json"
-        save_model(model, str(path))
-        restored = load_model(str(path))
-        assert np.allclose(model.predict_scores(data.X),
-                           restored.predict_scores(data.X))
 
 
 def test_smote_stays_in_convex_hull_coordinatewise():
