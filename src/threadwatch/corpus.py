@@ -7,6 +7,10 @@ order. Records with unknown parents or duplicate ids are dropped and
 counted; orphans are deleted from the tables in place, and survivors
 keep their input order.
 
+orjson reads each line, and ``json.loads`` decides every line that
+orjson rejects or may read differently, so the values accepted and the
+line-error messages are those of ``json.loads``.
+
 Records are immutable tuples (``NamedTuple``). Within one ingest, page,
 post and author ids share one string per distinct value, so a comment's
 ``post_id`` is the very object its post holds. The sharing table is
@@ -20,6 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
+
+import orjson
 
 
 class Region(str, Enum):
@@ -103,27 +109,54 @@ _FIELDS = {kind: itemgetter(*names) for kind, names in _REQUIRED.items()}
 
 
 def _int_field(value: object, name: str) -> int:
-    """A JSON integer, or a float with no fractional part; nothing else."""
-    if type(value) is int:
-        return value
+    """A number field that is not an int: a float with no fractional part
+    as an int; anything else is an error."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_record(obj, ids: dict[str, str]) -> tuple[str, str, tuple]:
-    """The kind, id and record of one parsed JSON line; page, post and
-    author ids are replaced by their first-seen string in ``ids``."""
+# orjson gives a str or an int only where json.loads gives the same value
+_EXACT = frozenset((str, int))
+
+
+def _line_fields(line: bytes) -> tuple[str, tuple] | None:
+    """The kind of one corpus line and the field values its record is
+    built from, or None for a blank line.
+
+    orjson reads the line when every value taken from it is a str or an
+    int. Any other line goes to json.loads, which decides it: orjson
+    rejects NaN, ``1e400``, lone surrogates and nesting past 1024 levels,
+    and reads an integer beyond 64 bits as a float.
+    """
+    try:
+        obj = orjson.loads(line)
+        kind = obj["kind"]
+        values = _FIELDS[kind](obj)
+        if _EXACT.issuperset(map(type, values)):
+            return kind, values
+    except (orjson.JSONDecodeError, KeyError, TypeError):
+        pass
+    # a bad byte is a ValueError
+    text = line.removesuffix(b"\n").decode("utf-8")
+    if not text.strip():
+        return None
+    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in _REQUIRED:
         raise ValueError(f"unknown kind {kind!r}")
     try:
-        values = _FIELDS[kind](obj)
+        return kind, _FIELDS[kind](obj)
     except KeyError:
         missing = [f for f in _REQUIRED[kind] if f not in obj]
         raise ValueError(f"{kind} record missing fields {missing}") from None
+
+
+def _make_record(kind: str, values: tuple, ids: dict[str, str]) -> tuple[str, tuple]:
+    """The id and record of one line's field values; page, post and
+    author ids are replaced by their first-seen string in ``ids``."""
     rid = str(values[0])
     share = ids.setdefault
     if kind == "page":
@@ -132,17 +165,20 @@ def _parse_record(obj, ids: dict[str, str]) -> tuple[str, str, tuple]:
         if region is None:
             raise ValueError(f"unknown region {region_name!r}")
         rid = share(rid, rid)
-        return kind, rid, Page._make((rid, str(name), region))
+        return rid, tuple.__new__(Page, (rid, str(name), region))
     _, parent, author, ts, like, text = values
-    like, ts = _int_field(like, "like_count"), _int_field(ts, "created_ts")
+    if type(like) is not int:
+        like = _int_field(like, "like_count")
+    if type(ts) is not int:
+        ts = _int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
     parent, author = str(parent), str(author)
     parent, author = share(parent, parent), share(author, author)
     if kind == "post":
         rid = share(rid, rid)
-        return kind, rid, Post._make((rid, parent, author, ts, like, str(text)))
-    return kind, rid, Comment._make((rid, parent, author, ts, like, str(text)))
+        return rid, tuple.__new__(Post, (rid, parent, author, ts, like, str(text)))
+    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like, str(text)))
 
 
 def ingest(path: str) -> IngestResult:
@@ -168,11 +204,11 @@ def ingest(path: str) -> IngestResult:
             # binary iteration splits on b"\n" only, one line in memory at a time
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    # a bad byte is a ValueError
-                    text = line.removesuffix(b"\n").decode("utf-8")
-                    if not text.strip():
+                    fields = _line_fields(line)
+                    if fields is None:
                         continue
-                    kind, rid, rec = _parse_record(json.loads(text), ids)
+                    kind, values = fields
+                    rid, rec = _make_record(kind, values, ids)
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue

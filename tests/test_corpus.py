@@ -3,14 +3,15 @@ import json
 import random
 import tracemalloc
 from dataclasses import dataclass
+from operator import itemgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwatch.corpus import (_FIELDS, _REGION_LOOKUP, _REQUIRED, Corpus,
-                                CorpusError, IngestResult, Region, _int_field,
-                                build_threads, ingest, rel_minutes)
+from threadwatch import corpus as corpus_mod
+from threadwatch.corpus import (Corpus, CorpusError, IngestResult, Region, build_threads,
+                                ingest, rel_minutes)
 from threadwatch.synthgen import write_corpus_jsonl
 
 
@@ -227,9 +228,12 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3))
 
+# integer literals just past 64 bits, which orjson reads as floats
+_BIG_INTS = ["18446744073709551616", "-9223372036854775809", str(10**30)]
+
 _NUMBER_LITERALS = st.sampled_from(
     ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "true", "false",
-     "null", "12.9", "-0.5", '"7"', '"x"', "[]", "{}"]) | st.floats().map(json.dumps)
+     "null", "12.9", "-0.5", '"7"', '"x"', "[]", "{}", *_BIG_INTS]) | st.floats().map(json.dumps)
 
 
 @st.composite
@@ -240,10 +244,22 @@ def _bad_number_record(draw):
     return json.dumps({**rec, field: "VALUE"}).replace('"VALUE"', draw(_NUMBER_LITERALS))
 
 
+@st.composite
+def _any_text_record(draw):
+    """A comment under p1 whose author or text is any string, escaped or
+    raw, or holds lone surrogates."""
+    value = draw(st.builds(json.dumps, st.text(), ensure_ascii=st.booleans())
+                 | st.sampled_from(['"\\ud800"', '"a\\udfff"', '"\\ud83d\\ude00"']))
+    rec = _comment(f"t{draw(st.integers(0, 3))}", "p1", 1030)
+    field = draw(st.sampled_from(["author_id", "text"]))
+    return json.dumps({**rec, field: "VALUE"}).replace('"VALUE"', value)
+
+
 _JUNK_LINES = (st.text()
                | st.sampled_from(["[1,2]", '"s"', "3", "null", "{", "[" * 5000])
                | _JSON_VALUES.map(json.dumps)
-               | _bad_number_record()).map(str.encode) | st.binary()
+               | _bad_number_record()
+               | _any_text_record()).map(str.encode) | st.binary()
 
 
 @settings(max_examples=200, deadline=None,
@@ -266,8 +282,29 @@ def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, text, 
             assert kept.get(key) == rec
 
 
-# The ingest with frozen-dataclass records, unshared id strings and a copy
-# of the surviving posts and comments into new tables, kept as an oracle.
+# The ingest with frozen-dataclass records, unshared id strings, json.loads
+# on every line and a copy of the surviving posts and comments into new
+# tables, kept as an oracle. Its field table, region lookup and number
+# check are its own, so a change to the module's cannot pass on both sides.
+
+_REF_REQUIRED = {
+    "page": ("id", "name", "region"),
+    "post": ("id", "page_id", "author_id", "created_ts", "like_count", "text"),
+    "comment": ("id", "post_id", "author_id", "created_ts", "like_count", "text"),
+}
+_REF_FIELDS = {kind: itemgetter(*names) for kind, names in _REF_REQUIRED.items()}
+_REF_REGIONS = {"middleeast": Region.MIDDLE_EAST, "asia": Region.ASIA,
+                "europe": Region.EUROPE, "usnews": Region.US_NEWS,
+                "uspolitics": Region.US_POLITICS, "other": Region.OTHER}
+
+
+def _ref_int_field(value, name):
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RefPage:
@@ -300,22 +337,22 @@ def _ref_parse_record(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _REQUIRED:
+    if kind not in _REF_REQUIRED:
         raise ValueError(f"unknown kind {kind!r}")
     try:
-        values = _FIELDS[kind](obj)
+        values = _REF_FIELDS[kind](obj)
     except KeyError:
-        missing = [f for f in _REQUIRED[kind] if f not in obj]
+        missing = [f for f in _REF_REQUIRED[kind] if f not in obj]
         raise ValueError(f"{kind} record missing fields {missing}") from None
     rid = str(values[0])
     if kind == "page":
         _, name, region_name = values
-        region = _REGION_LOOKUP.get(str(region_name).lower())
+        region = _REF_REGIONS.get(str(region_name).lower())
         if region is None:
             raise ValueError(f"unknown region {region_name!r}")
         return kind, rid, RefPage(rid, str(name), region)
     _, parent, author, ts, like, text = values
-    like, ts = _int_field(like, "like_count"), _int_field(ts, "created_ts")
+    like, ts = _ref_int_field(like, "like_count"), _ref_int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
     cls = RefPost if kind == "post" else RefComment
@@ -393,33 +430,58 @@ def small_synth_jsonl(small_synth, tmp_path_factory):
     return str(path)
 
 
+# the lines that are not records, mixed into the shuffled file below
+_NON_RECORD_LINES = [b"not json", b"[1]", b""]
+
+
+@pytest.fixture(scope="module")
+def mixed_jsonl(small_synth_jsonl, tmp_path_factory):
+    """The small corpus shuffled with orphans, duplicates, clock skew and
+    a few lines that are not records."""
+    with open(small_synth_jsonl, "rb") as fh:
+        lines = fh.read().splitlines()
+    corpus = ingest(small_synth_jsonl).corpus
+    post_ids, comment_ids = sorted(corpus.posts), sorted(corpus.comments)
+    rng = random.Random(3)
+    extra = []
+    for i in range(300):
+        extra += [_post(f"op{i}", page="nowhere"),
+                  _comment(f"oc{i}", f"op{i}", 5_000, author=f"u{i % 7}"),
+                  _comment(f"mc{i}", "missing", 5_000),
+                  _comment(f"sk{i}", rng.choice(post_ids), 0, author=f"u{i % 5}"),
+                  _comment(rng.choice(comment_ids), rng.choice(post_ids), 1)]
+        if i % 15 == 0:
+            # whichever line comes first wins, so a thread may be orphaned
+            extra.append(_post(rng.choice(post_ids), page="nowhere"))
+    lines += [json.dumps(r).encode() for r in extra] + _NON_RECORD_LINES
+    rng.shuffle(lines)
+    path = tmp_path_factory.mktemp("corpus") / "mixed.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path)
+
+
 class TestIngestMatchesReference:
     def test_small_synth(self, small_synth_jsonl):
         got = assert_same_as_reference(small_synth_jsonl)
         assert got.kept > 10_000
 
-    def test_shuffled_with_orphans_duplicates_and_skew(self, small_synth_jsonl, tmp_path):
-        with open(small_synth_jsonl, "rb") as fh:
-            lines = fh.read().splitlines()
-        corpus = ingest(small_synth_jsonl).corpus
-        post_ids, comment_ids = sorted(corpus.posts), sorted(corpus.comments)
-        rng = random.Random(3)
-        extra = []
-        for i in range(300):
-            extra += [_post(f"op{i}", page="nowhere"),
-                      _comment(f"oc{i}", f"op{i}", 5_000, author=f"u{i % 7}"),
-                      _comment(f"mc{i}", "missing", 5_000),
-                      _comment(f"sk{i}", rng.choice(post_ids), 0, author=f"u{i % 5}"),
-                      _comment(rng.choice(comment_ids), rng.choice(post_ids), 1)]
-            if i % 15 == 0:
-                # whichever line comes first wins, so a thread may be orphaned
-                extra.append(_post(rng.choice(post_ids), page="nowhere"))
-        lines += [json.dumps(r).encode() for r in extra] + [b"not json", b"[1]", b""]
-        rng.shuffle(lines)
-        path = tmp_path / "mixed.jsonl"
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        got = assert_same_as_reference(str(path))
+    def test_shuffled_with_orphans_duplicates_and_skew(self, mixed_jsonl):
+        got = assert_same_as_reference(mixed_jsonl)
         assert got.dropped >= 900 and got.corpus.skew_clamped > 250
+
+    @pytest.mark.parametrize("literal", _BIG_INTS)
+    @pytest.mark.parametrize("field", ["kind", "id", "post_id", "author_id", "created_ts",
+                                       "like_count", "name", "region", "line"])
+    def test_integer_beyond_64_bits(self, tmp_path, field, literal):
+        # a post whose id is the literal's digits, so that a comment whose
+        # post_id is the literal itself has a parent
+        records = [_page(), _post("p1"), _post(literal)]
+        rec = _page("pg1") if field in ("name", "region") else _comment("c1", "p1", 1010)
+        line = literal if field == "line" else json.dumps(
+            {**rec, field: "VALUE"}).replace('"VALUE"', literal)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([*map(json.dumps, records), line]) + "\n")
+        assert_same_as_reference(str(path))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -430,6 +492,32 @@ class TestIngestMatchesReference:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_same_as_reference(str(path))
+
+
+def _json_loads_calls(monkeypatch):
+    """The texts that json.loads is called with, from now on."""
+    texts = []
+    loads = corpus_mod.json.loads
+
+    def counted(text, *args, **kwargs):
+        texts.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod.json, "loads", counted)
+    return texts
+
+
+class TestOrjsonCarriesTheLoad:
+    def test_no_line_of_a_clean_corpus_reaches_json(self, small_synth_jsonl, monkeypatch):
+        texts = _json_loads_calls(monkeypatch)
+        assert ingest(small_synth_jsonl).kept > 10_000
+        assert texts == []
+
+    def test_only_non_record_lines_reach_json(self, mixed_jsonl, monkeypatch):
+        texts = _json_loads_calls(monkeypatch)
+        ingest(mixed_jsonl)
+        # a blank line is skipped before json.loads
+        assert sorted(texts) == sorted(line.decode() for line in _NON_RECORD_LINES if line)
 
 
 class TestIdSharing:

@@ -1,9 +1,12 @@
 """Every name a threadwatch module or test module imports is referenced
-in that module, and every public name a threadwatch module defines is
-used by the program or its benchmark, not only by tests."""
+in that module, every public name a threadwatch module defines is used
+by the program or its benchmark, not only by tests, and every
+third-party module the program imports is a declared dependency."""
 
 import ast
 import pathlib
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ import threadwatch
 
 SOURCES = sorted(pathlib.Path(threadwatch.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
 # public names that only tests call, each kept as a reference the tests
 # compare a faster path against
@@ -94,3 +98,35 @@ def test_no_test_only_definitions():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unreferenced_definitions(texts, others) == sorted(TEST_ORACLES)
+
+
+def undeclared_imports(sources: list[str], pyproject: str) -> list[str]:
+    """Top-level modules imported in sources that are neither in the
+    standard library, nor threadwatch, nor named (``-`` read as ``_``) in
+    pyproject's ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib")
+    declared = {re.match(r"[A-Za-z0-9._-]+", d).group().lower().replace("-", "_")
+                for d in tomllib.loads(pyproject)["project"]["dependencies"]}
+    imported = set()
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    return sorted(imported - set(sys.stdlib_module_names) - {"threadwatch"} - declared)
+
+
+def test_scan_finds_undeclared_imports():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom orjson import loads\nimport yaml.loader\n"
+              "from . import corpus\nfrom threadwatch.corpus import ingest\n"
+              "import typing_extensions\n")
+    pyproject = ('[project]\nname = "x"\n'
+                 'dependencies = ["NumPy>=1.24", "typing-extensions ; python_version < \'3.12\'"]\n')
+    assert undeclared_imports([source], pyproject) == ["orjson", "yaml"]
+
+
+def test_program_imports_only_declared_dependencies():
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    assert undeclared_imports(texts, PYPROJECT.read_text(encoding="utf-8")) == []
