@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import Comment, Corpus, rel_minutes
 from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
 
-DEFAULT_SCATTER_THRESHOLD = 10
+SCATTER_THRESHOLD = 10
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class AccountFootprint:
     n_posts: int
     n_comments: int
     n_likes: int
-    flagged_unknown: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,14 @@ def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
               account_ids: list[str]) -> list[AccountFootprint]:
     """Per listed account, in list order, the aggregation of a
     ``comments_by_author`` grouping that covers every listed id; an id
-    with no comments yields a zero footprint with a flag."""
+    with no comments yields a zero footprint."""
     out = []
     for aid in account_ids:
         rows = by_author[aid]
         posts = {c.post_id for c in rows}
         out.append(AccountFootprint(
             aid, len({corpus.posts[pid].page_id for pid in posts}), len(posts),
-            len(rows), sum(c.like_count for c in rows), flagged_unknown=not rows))
+            len(rows), sum(c.like_count for c in rows)))
     return out
 
 
@@ -148,8 +147,7 @@ def cluster_campaigns(labels: list[MaliciousLabel],
     return clusters
 
 
-def campaign_scatter(clusters: list[CampaignCluster],
-                     threshold_hi: int = DEFAULT_SCATTER_THRESHOLD
+def campaign_scatter(clusters: list[CampaignCluster]
                      ) -> list[tuple[str, int, int, str]]:
     """One (url, n_accounts, occurrences, flag) point per cluster.
 
@@ -159,9 +157,9 @@ def campaign_scatter(clusters: list[CampaignCluster],
     points = []
     for c in clusters:
         flag = ""
-        if len(c.accounts) >= threshold_hi:
+        if len(c.accounts) >= SCATTER_THRESHOLD:
             flag = "synchronized multi-account"
-        elif len(c.accounts) == 1 and c.occurrences >= threshold_hi:
+        elif len(c.accounts) == 1 and c.occurrences >= SCATTER_THRESHOLD:
             flag = "single-account repetition"
         points.append((c.url, len(c.accounts), c.occurrences, flag))
     return points

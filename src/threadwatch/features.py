@@ -142,12 +142,14 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
     """Returns (post_ids, feature rows, labels)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        if next(reader, [])[:2] != ["post_id", "is_target"]:
+            raise FeatureConfigError(f"unexpected feature CSV header in {path}")
         ids, rows, labels = [], [], []
         for rec in reader:
+            if len(rec) < 2:
+                raise FeatureConfigError(
+                    f"{path} line {reader.line_num}: expected post_id,is_target,...")
             ids.append(rec[0])
             labels.append(bool(int(rec[1])))
             rows.append([float(x) for x in rec[2:]])
-    if header[:2] != ["post_id", "is_target"]:
-        raise FeatureConfigError(f"unexpected feature CSV header in {path}")
     return ids, rows, labels

@@ -49,8 +49,6 @@ _CATEGORY_LOOKUP = {c.value.lower(): c for c in Category}
 class UrlObservation(NamedTuple):
     url: str
     domain: str
-    page_id: str
-    post_id: str
     comment_id: str
     account_id: str
     ts: int
@@ -83,7 +81,10 @@ def normalize_url(token: str) -> str | None:
         return None
     if not _SCHEME_RE.match(token):
         token = "http://" + token
-    parts = urlsplit(token)
+    try:
+        parts = urlsplit(token)
+    except ValueError:  # an unclosed "[", or a host character NFKC maps to "/?#@:"
+        return None  # comment text is attacker input; one token must not abort
     host = parts.netloc.lower()
     if "." not in host:
         return None
@@ -209,7 +210,6 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
     memo: dict[str, tuple[str, str, bool] | None] = {}
     out = []
     for thread in build_threads(corpus):
-        post = thread.post
         for comment in thread.comments:
             for token in _url_tokens(comment.raw_text):
                 try:
@@ -222,8 +222,6 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
                 out.append(UrlObservation(
                     url=resolved,
                     domain=domain,
-                    page_id=post.page_id,
-                    post_id=post.post_id,
                     comment_id=comment.comment_id,
                     account_id=comment.author_id,
                     ts=comment.created_ts,

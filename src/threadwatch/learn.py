@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    confusion: tuple[tuple[int, int], tuple[int, int]]  # [actual][predicted]
-    per_class: dict = field(default_factory=dict)
+    per_class: dict  # class -> precision, recall, f1 and support
 
 
 def smote(minority: np.ndarray, k: int = 5, amount_pct: int = 100,
@@ -119,8 +118,7 @@ def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
                        for c in (False, True))
                 for m in ("precision", "recall", "f1")}
     return Metrics(precision=weighted["precision"], recall=weighted["recall"],
-                   f1=weighted["f1"],
-                   confusion=((tn, fp), (fn, tp)), per_class=per_class)
+                   f1=weighted["f1"], per_class=per_class)
 
 
 def _balance_with_smote(X: np.ndarray, y: np.ndarray,
@@ -159,9 +157,12 @@ def evaluate_split(dataset: Dataset, algorithms: list[str],
         raise LearnError("dataset too small to split (need >= 8 rows)")
     if not 0.0 < train_frac < 1.0:
         raise LearnError("train_frac must be in (0,1)")
+    n_train = int(round(n * train_frac))
+    if not 0 < n_train < n:
+        raise LearnError(f"train_frac {train_frac} leaves the train or test "
+                         f"portion of {n} rows empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_train = int(round(n * train_frac))
     train_idx, test_idx = order[:n_train], order[n_train:]
 
     stats = fit_minmax(dataset.X[train_idx])
@@ -182,26 +183,21 @@ def evaluate_split(dataset: Dataset, algorithms: list[str],
 
 
 def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
-                  horizons: list[int] | None = None,
-                  algorithm: str = "decision_tree", seed: int = 0,
-                  window_minutes: int = 5, train_frac: float = 0.75,
-                  balance: bool = True) -> list[tuple[int, Metrics]]:
-    """Rebuild per-window count vectors at each horizon and evaluate.
+                  algorithm: str = "decision_tree",
+                  seed: int = 0) -> list[tuple[int, Metrics]]:
+    """Rebuild per-window count vectors at each horizon from 5 to 60
+    minutes in steps of 5, and evaluate each with the default windows,
+    split and balancing.
 
     Each horizon uses an independently derived seed (seed + horizon) so
     results do not depend on evaluation order.
     """
-    if horizons is None:
-        horizons = list(range(5, 65, 5))
     threads = build_threads(corpus)
     results = []
-    for horizon in horizons:
-        vectors = featurize_threads(threads, is_target,
-                                    window_minutes=window_minutes,
-                                    t_final_minutes=horizon,
+    for horizon in range(5, 65, 5):
+        vectors = featurize_threads(threads, is_target, t_final_minutes=horizon,
                                     with_macro=False)
         [metrics] = evaluate_split(Dataset.from_vectors(vectors), [algorithm],
-                                   train_frac=train_frac, balance=balance,
                                    seed=seed + horizon)
         results.append((horizon, metrics))
     return results

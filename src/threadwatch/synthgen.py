@@ -331,10 +331,6 @@ def profile_config(profile: str, **overrides) -> GeneratorConfig:
 class VerifyReport:
     precision: float
     recall: float
-    n_labels: int
-    n_planted: int
-    false_positives: list[tuple[str, str]]
-    false_negatives: list[tuple[str, str]]
 
 
 def verify_planted(labels: list[MaliciousLabel],
@@ -343,11 +339,9 @@ def verify_planted(labels: list[MaliciousLabel],
     (comment_id, category) pairs."""
     got = {(lab.comment_id, lab.category.value) for lab in labels}
     want = {(p.comment_id, p.category) for p in planted}
-    fp = sorted(got - want)
-    fn = sorted(want - got)
     precision = (len(got & want) / len(got)) if got else 1.0
     recall = (len(got & want) / len(want)) if want else 1.0
-    return VerifyReport(precision, recall, len(got), len(want), fp, fn)
+    return VerifyReport(precision, recall)
 
 
 # ---------------------------------------------------------------------------

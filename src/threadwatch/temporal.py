@@ -15,13 +15,13 @@ from .labeler import Category, MaliciousLabel
 
 DAY_MINUTES = 1440.0
 
+Ecdf = list[tuple[float, float]]  # (x, F) points, sorted by x
+
 
 @dataclass(frozen=True)
 class AttackEvent:
     comment_id: str
-    post_id: str
     page_id: str
-    account_id: str
     category: Category
     ts: int
     minutes_since_post: float
@@ -29,19 +29,12 @@ class AttackEvent:
     region: str
 
 
-@dataclass
-class EcdfTable:
-    points: list[tuple[float, float]]  # (x, F), sorted by x
-
-
 class TemporalError(Exception):
     pass
 
 
-def ecdf(values: list[float]) -> EcdfTable:
+def ecdf(values: list[float]) -> Ecdf:
     """Standard empirical CDF with one point per distinct value."""
-    if not values:
-        return EcdfTable(points=[])
     xs = sorted(values)
     n = len(xs)
     points = []
@@ -50,7 +43,7 @@ def ecdf(values: list[float]) -> EcdfTable:
         count += 1
         if i + 1 == n or xs[i + 1] != x:
             points.append((x, count / n))
-    return EcdfTable(points=points)
+    return points
 
 
 def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEvent]:
@@ -71,9 +64,7 @@ def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEv
         n = len(thread)
         events.append(AttackEvent(
             comment_id=comment.comment_id,
-            post_id=post.post_id,
             page_id=page.page_id,
-            account_id=comment.author_id,
             category=lab.category,
             ts=comment.created_ts,
             minutes_since_post=rel_minutes(post, comment),
@@ -94,16 +85,16 @@ def _grouped(events: list[AttackEvent], value) -> dict[str, list[float]]:
     return groups
 
 
-def _ecdfs(groups: dict[str, list[float]]) -> dict[str, EcdfTable]:
+def _ecdfs(groups: dict[str, list[float]]) -> dict[str, Ecdf]:
     return {name: ecdf(vals) for name, vals in sorted(groups.items())}
 
 
-def relative_positions(events: list[AttackEvent]) -> dict[str, EcdfTable]:
+def relative_positions(events: list[AttackEvent]) -> dict[str, Ecdf]:
     return _ecdfs(_grouped(events, lambda e: e.relative_position))
 
 
 def time_since_post(events: list[AttackEvent]
-                    ) -> tuple[dict[str, EcdfTable], dict[str, float]]:
+                    ) -> tuple[dict[str, Ecdf], dict[str, float]]:
     """ECDFs of minutes since post creation, plus the fraction of each
     group's attacks landing within one day."""
     groups = _grouped(events, lambda e: e.minutes_since_post)
@@ -113,7 +104,7 @@ def time_since_post(events: list[AttackEvent]
     return _ecdfs(groups), within_day
 
 
-def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, EcdfTable]:
+def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, Ecdf]:
     """Per-page consecutive attack gaps in minutes, grouped by page
     region and by category. A comment with several category labels
     counts once at page level, but contributes to each category group."""
@@ -197,12 +188,12 @@ def monthly_heatmap(events: list[AttackEvent], corpus: Corpus
     return [p.name for p in pages], labels, matrix
 
 
-def write_ecdf_csv(tables: dict[str, EcdfTable], path: str) -> None:
+def write_ecdf_csv(tables: dict[str, Ecdf], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "x", "F"])
         for name in sorted(tables):
-            for x, f in tables[name].points:
+            for x, f in tables[name]:
                 writer.writerow([name, repr(float(x)), f"{f:.6f}"])
 
 

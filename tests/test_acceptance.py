@@ -64,9 +64,8 @@ def random_instance(rng, m, n, domain_pool):
     for i in range(m):
         d = f"d{rng.randint(0, domain_pool)}.com"
         observations.append(UrlObservation(
-            url=f"http://{d}/p{rng.randint(0, 3)}", domain=d, page_id="pg0",
-            post_id="p1", comment_id=f"c{i}", account_id="u",
-            ts=rng.randint(0, 10 ** 6)))
+            url=f"http://{d}/p{rng.randint(0, 3)}", domain=d,
+            comment_id=f"c{i}", account_id="u", ts=rng.randint(0, 10 ** 6)))
     observations.sort(key=lambda o: (o.domain, o.url, o.ts))
     blacklist = sorted(
         (BlacklistEntry(
@@ -116,8 +115,8 @@ def test_criterion_2_labeling_at_scale():
     ts = rng.integers(0, 10 ** 7, size=n_obs)
     observations = [
         UrlObservation(url="http://" + domains[d] + paths[p],
-                       domain=domains[d], page_id="pg0", post_id="p1",
-                       comment_id=f"c{i}", account_id="u", ts=int(t))
+                       domain=domains[d], comment_id=f"c{i}", account_id="u",
+                       ts=int(t))
         for i, (d, p, t) in enumerate(zip(d_idx, p_idx, ts))]
     observations.sort(key=lambda o: (o.domain, o.url, o.ts))
 
@@ -141,7 +140,7 @@ def test_criterion_3_planted_truth_recovery(bench_synth, bench_labels):
     report(3, "pipeline soundness on planted truth",
            verdict.precision == 1.0 and verdict.recall == 1.0,
            f"precision={verdict.precision:.4f} recall={verdict.recall:.4f} "
-           f"over {verdict.n_planted} planted attacks")
+           f"over {len(bench_synth.planted)} planted attacks")
 
 
 def _benchmark_dataset(bench_synth, bench_labels, **kwargs):
@@ -323,7 +322,7 @@ def test_criterion_8_unit_exactness(bench_synth, bench_labels):
                    temporal.time_since_post(events)[0],
                    temporal.inter_attack_intervals(events)):
         for group, table in tables.items():
-            fs = [f for _, f in table.points]
+            fs = [f for _, f in table]
             if fs != sorted(fs) or (fs and abs(fs[-1] - 1.0) > 1e-12):
                 problems.append(f"bad ECDF for {group}")
 

@@ -43,10 +43,9 @@ def response_stats_of(corpus, account_ids):
 
 
 class TestFootprint:
-    def test_unknown_account_zero_with_flag(self):
+    def test_unknown_account_zero(self):
         fp = footprints_of(two_page_corpus(), ["ghost"])[0]
         assert (fp.n_pages, fp.n_posts, fp.n_comments, fp.n_likes) == (0, 0, 0, 0)
-        assert fp.flagged_unknown
 
     def test_hand_counted(self):
         fp = footprints_of(two_page_corpus(), ["acct"])[0]
@@ -120,7 +119,7 @@ def _ref_footprint(corpus, account_ids=None):
             out.append(AccountFootprint(aid, len(pages[aid]), len(posts[aid]),
                                         n_comments[aid], n_likes[aid]))
         else:
-            out.append(AccountFootprint(aid, 0, 0, 0, 0, flagged_unknown=True))
+            out.append(AccountFootprint(aid, 0, 0, 0, 0))
     return out
 
 
@@ -225,8 +224,7 @@ class TestCampaigns:
         from threadwatch.labeler import UrlObservation, registrable_domain
         obs = []
         for i, url in enumerate(["http://bad.com/a", "http://bad.com/b"]):
-            obs.append(UrlObservation(url, registrable_domain(url), "pg0", "p1",
-                                      f"c{i}", "acct", i))
+            obs.append(UrlObservation(url, registrable_domain(url), f"c{i}", "acct", i))
         labels = [MaliciousLabel("c0", Category.ADS, "bad.com"),
                   MaliciousLabel("c1", Category.ADS, "bad.com")]
         assert len(cluster_campaigns(labels, obs)) == 2

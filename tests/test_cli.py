@@ -95,6 +95,26 @@ class TestLabel:
             rows = [l for l in fh if l.strip()]
         assert len(rows) == len(planted)
 
+    def test_url_tokens_urlsplit_rejects_are_skipped(self, pipeline, tmp_path):
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            text = fh.read()
+        post = next(r for r in map(json.loads, text.splitlines()) if r["kind"] == "post")
+        hostile = ["see http://[evil/x", "http://a\uff0fb.com/x"]
+        with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(text)
+            for i, comment in enumerate(hostile):
+                fh.write(json.dumps({
+                    "kind": "comment", "id": f"hostile{i}", "post_id": post["id"],
+                    "author_id": "attacker", "created_ts": post["created_ts"] + 60,
+                    "like_count": 0, "text": comment}) + "\n")
+        out = tmp_path / "labels.tsv"
+        assert main(["label", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--blacklist", pipeline["blacklist"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--out", str(out)]) == 0
+        assert read(out) == read(pipeline["labels"])
+
 
 class TestFeaturize:
     def test_row_per_thread(self, pipeline):
@@ -123,6 +143,22 @@ class TestTrainEval:
         lines = read(out).decode().splitlines()
         assert lines[0] == "algorithm,precision,recall,f1"
         assert lines[1].startswith("decision_tree,")
+
+    def test_eval_empty_test_portion_exit_one(self, pipeline, capsys):
+        assert main(["eval", "--features", pipeline["features"],
+                     "--algorithm", "decision_tree", "--train-frac", "0.999"]) == 1
+        assert "error: train_frac 0.999 leaves" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected feature CSV header"),
+        ("post_id,is_target,span_days\np1,1,2.0\np2\n", "line 3: expected"),
+    ])
+    def test_eval_bad_feature_csv_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "features.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--features", str(path),
+                     "--algorithm", "decision_tree"]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:

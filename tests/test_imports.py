@@ -1,7 +1,8 @@
 """Every name a threadwatch module or test module imports is referenced
-in that module, every public name a threadwatch module defines is used
-by the program or its benchmark, not only by tests, and every
-third-party module the program imports is a declared dependency."""
+in that module, every public name a threadwatch module defines and every
+record field is used by the program or its benchmark, not only by tests,
+and every third-party module the program imports is a declared
+dependency."""
 
 import ast
 import pathlib
@@ -21,6 +22,11 @@ PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 # compare a faster path against
 TEST_ORACLES = {
     "extract_urls",  # the per-occurrence URL scan behind TestCollectMatchesReference
+}
+
+# record fields that only tests read
+UNREAD_FIELDS = {
+    "per_class",  # Metrics: the per-class breakdown behind the weighted F1
 }
 
 # source modules by file name, test modules as tests/<file name>
@@ -98,6 +104,48 @@ def test_no_test_only_definitions():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unreferenced_definitions(texts, others) == sorted(TEST_ORACLES)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``NamedTuple`` subclass or a ``@dataclass`` class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+            or any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators))
+
+
+def unread_fields(sources: list[str], others: list[str]) -> list[str]:
+    """Field names of the records defined in sources that no code in
+    sources or others reads as an attribute.
+
+    The check goes by name, not by record: a field passes when any
+    record's field of the same name is read, so a write-only field named
+    like a read one (a ``page_id``) has to be found by hand."""
+    trees = [ast.parse(text) for text in [*sources, *others]]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = {stmt.target.id
+              for tree in trees[:len(sources)] for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    return sorted(fields - read)
+
+
+def test_scan_finds_unread_fields():
+    source = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+              "class Obs(NamedTuple):\n    url: str\n    post_id: str\n"
+              "@dataclass(frozen=True)\nclass Report:\n    recall: float\n"
+              "    n_planted: int = 0\n"
+              "class Plain:\n    hidden: int\n"
+              "def f(o, r):\n    r.n_planted = 1\n    return o.url, r.recall\n")
+    assert unread_fields([source], []) == ["n_planted", "post_id"]
+    assert unread_fields([source], ["print(x.post_id)"]) == ["n_planted"]
+
+
+def test_no_unread_fields():
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_fields(texts, others) == sorted(UNREAD_FIELDS)
 
 
 def undeclared_imports(sources: list[str], pyproject: str) -> list[str]:

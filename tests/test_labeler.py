@@ -30,8 +30,7 @@ def brute_force_join(observations, blacklist):
 
 def obs(url, comment_id="c1", ts=0, account="u1"):
     return UrlObservation(url=url, domain=registrable_domain(url),
-                          page_id="pg0", post_id="p1", comment_id=comment_id,
-                          account_id=account, ts=ts)
+                          comment_id=comment_id, account_id=account, ts=ts)
 
 
 def sort_obs(items):
@@ -94,15 +93,12 @@ def reference_collect_observations(corpus, table):
     domain computed again, an oracle for the memoized collection."""
     out = []
     for thread in build_threads(corpus):
-        post = thread.post
         for comment in thread.comments:
             for url in extract_urls(comment.raw_text):
                 resolved, flagged = expand_url(url, table)
                 out.append(UrlObservation(
                     url=resolved,
                     domain=registrable_domain(resolved),
-                    page_id=post.page_id,
-                    post_id=post.post_id,
                     comment_id=comment.comment_id,
                     account_id=comment.author_id,
                     ts=comment.created_ts,
@@ -156,6 +152,23 @@ class TestExtractUrls:
         # bare domains would break it, and must drop the prefilter too
         assert labeler._URL_RE.search(text) is None
         assert extract_urls(text) == []
+
+    @pytest.mark.parametrize("token", ["http://[evil/x", "http://a]b.com/x",
+                                       "http://a／b.com/x", "http://a＃b.com/x"])
+    def test_token_urlsplit_rejects_is_skipped(self, token):
+        # an unclosed IPv6 bracket, or a host character NFKC maps to a
+        # delimiter, makes urlsplit raise
+        assert extract_urls(f"see {token} http://ok.com/y") == ["http://ok.com/y"]
+
+    # text over the characters of those tokens, with a scheme as one
+    # piece so that most examples hold a URL; the scheme-less alternative
+    # of _URL_RE is quadratic, so the text stays short (at most 200)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([*"htps:/.a[]@／＃？ ", "http://"]),
+                    max_size=28).map("".join))
+    def test_extraction_never_raises(self, text):
+        observations = collect_observations(_tiny_corpus([text]), ShortenerTable())
+        assert len(observations) == len(extract_urls(text))
 
 
 class TestRegistrableDomain:

@@ -152,12 +152,12 @@ class TestMetrics:
         assert m.per_class[True]["f1"] == 0.0
         assert m.per_class[False]["f1"] == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_confusion_sums_to_test_size(self):
+    def test_supports_sum_to_test_size(self):
         rng = np.random.default_rng(0)
         y_true = rng.uniform(size=200) > 0.5
         y_pred = rng.uniform(size=200) > 0.5
         m = metrics_from_predictions(y_true, y_pred)
-        assert sum(sum(row) for row in m.confusion) == 200
+        assert sum(c["support"] for c in m.per_class.values()) == 200
         for v in (m.precision, m.recall, m.f1):
             assert 0.0 <= v <= 1.0
 
@@ -176,6 +176,12 @@ class TestEvaluateSplit:
     def test_too_small_dataset(self):
         with pytest.raises(LearnError):
             evaluate_split(planted_separable(6), ["decision_tree"], seed=0)
+
+    @pytest.mark.parametrize("train_frac", [0.001, 0.999])
+    def test_empty_split_side(self, train_frac):
+        with pytest.raises(LearnError, match="portion of 100 rows empty"):
+            evaluate_split(planted_separable(100), ["decision_tree"],
+                           train_frac=train_frac, seed=0)
 
     def test_one_split_and_smote_pass_for_all_algorithms(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -12,20 +12,20 @@ T0 = 1_391_212_800  # 2014-02-01T00:00:00Z
 
 class TestEcdf:
     def test_hand_counted(self):
-        assert ecdf([1, 2, 2, 4]).points == [(1, 0.25), (2, 0.75), (4, 1.0)]
+        assert ecdf([1, 2, 2, 4]) == [(1, 0.25), (2, 0.75), (4, 1.0)]
 
     def test_single_value(self):
-        assert ecdf([3.5]).points == [(3.5, 1.0)]
+        assert ecdf([3.5]) == [(3.5, 1.0)]
 
     def test_empty(self):
-        assert ecdf([]).points == []
+        assert ecdf([]) == []
 
     def test_terminal_one_and_monotone(self):
         import random
         rng = random.Random(0)
         values = [rng.uniform(0, 100) for _ in range(500)]
         table = ecdf(values)
-        fs = [f for _, f in table.points]
+        fs = [f for _, f in table]
         assert fs == sorted(fs)
         assert fs[-1] == 1.0
 
@@ -88,14 +88,14 @@ class TestRelativePositions:
         tables = relative_positions(attack_events(corpus, labels))
         assert "region:Europe" in tables
         assert "category:Ads" in tables
-        assert tables["all"].points[-1][1] == 1.0
+        assert tables["all"][-1][1] == 1.0
 
 
 class TestTimeSincePost:
     def test_all_at_zero(self):
         corpus, labels = build_corpus([0, 0], ["c0", "c1"])
         tables, _ = time_since_post(attack_events(corpus, labels))
-        assert tables["all"].points == [(0.0, 1.0)]
+        assert tables["all"] == [(0.0, 1.0)]
 
     def test_fraction_within_day(self):
         corpus, labels = build_corpus([10, 50, 200, 2000],
@@ -142,7 +142,7 @@ class TestInterAttackIntervals:
         labels = [MaliciousLabel(cid, Category.ADS, "k") for cid in ("c0", "c2", "d0")]
         tables = inter_attack_intervals(attack_events(corpus, labels))
         assert sorted(tables) == ["all", "category:Ads", "region:Europe"]
-        assert tables["region:Europe"].points == [(30.0, 1.0)]
+        assert tables["region:Europe"] == [(30.0, 1.0)]
         single, labels = build_corpus([1, 2, 3], ["c1"])
         assert inter_attack_intervals(attack_events(single, labels)) == {}
 
@@ -183,10 +183,10 @@ def test_all_emitted_ecdfs_valid(small_synth, small_labels):
     for tables in (relative_positions(events), time_since_post(events)[0],
                    inter_attack_intervals(events)):
         for name, table in tables.items():
-            if not table.points:
+            if not table:
                 continue
-            fs = [f for _, f in table.points]
-            xs = [x for x, _ in table.points]
+            fs = [f for _, f in table]
+            xs = [x for x, _ in table]
             assert xs == sorted(xs)
             assert fs == sorted(fs)
             assert fs[-1] == pytest.approx(1.0)
