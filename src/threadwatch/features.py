@@ -3,8 +3,8 @@ fixed-length vector of per-window comment counts (the discussion
 atmosphere vector, DAV), plus time-censoring and min-max scaling.
 
 A feature row is a list of floats: the macro statistics in
-MACRO_COLUMNS order, when present, then the DAV bins dav_1..dav_k. The
-feature CSV holds post id, label, MACRO_COLUMNS, dav_1..dav_k.
+MACRO_COLUMNS order, then the DAV bins dav_1..dav_k. The feature CSV
+holds post id, label, MACRO_COLUMNS, dav_1..dav_k.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ MACRO_COLUMNS = ("span_days", "n_comments", "n_participants", "post_likes",
 class FeatureVector:
     post_id: str
     label: bool
-    values: list[float]  # macro statistics, when present, then DAV bins
+    values: list[float]  # macro statistics, then DAV bins
 
 
 class FeatureConfigError(Exception):
@@ -101,9 +101,7 @@ def apply_minmax(rows, stats: np.ndarray) -> np.ndarray:
 
 def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
                       window_minutes: int = 5, t_final_minutes: int = 60,
-                      macro_mode: MacroMode = "full",
-                      with_macro: bool = True,
-                      ) -> list[FeatureVector]:
+                      macro_mode: MacroMode = "full") -> list[FeatureVector]:
     """Feature vectors for a thread list.
 
     macro_mode "censored" computes the macro statistics on the thread
@@ -114,18 +112,16 @@ def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
         raise FeatureConfigError(f"unknown macro mode {macro_mode!r}")
     out = []
     for thread in threads:
-        values = []
-        if with_macro:
-            src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
-            values = macro_features(src)
-        values += dav(thread, window_minutes, t_final_minutes)
+        src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
+        values = macro_features(src) + dav(thread, window_minutes, t_final_minutes)
         pid = thread.post.post_id
         out.append(FeatureVector(pid, bool(is_target.get(pid, False)), values))
     return out
 
 
 def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
-    """Write vectors that carry the macro statistics (with_macro=True)."""
+    """Write the vectors under the header post_id, is_target,
+    MACRO_COLUMNS, dav_1..dav_k."""
     if not vectors:
         raise FeatureConfigError("no feature vectors to write")
     k = len(vectors[0].values) - len(MACRO_COLUMNS)
@@ -142,13 +138,15 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
     """Returns (post_ids, feature rows, labels)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, [])[:2] != ["post_id", "is_target"]:
+        header = next(reader, [])
+        if header[:2] != ["post_id", "is_target"]:
             raise FeatureConfigError(f"unexpected feature CSV header in {path}")
         ids, rows, labels = [], [], []
         for rec in reader:
-            if len(rec) < 2:
+            if len(rec) != len(header):
                 raise FeatureConfigError(
-                    f"{path} line {reader.line_num}: expected post_id,is_target,...")
+                    f"{path} line {reader.line_num}: expected {len(header)} "
+                    f"columns as in the header, got {len(rec)}")
             ids.append(rec[0])
             labels.append(bool(int(rec[1])))
             rows.append([float(x) for x in rec[2:]])

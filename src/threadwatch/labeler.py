@@ -131,7 +131,9 @@ class ShortenerTable:
     """Offline stand-in for live shortener resolution.
 
     Holds the set of shortener hosts and a map from short URL
-    (host/path form) to target URL.
+    (host/path form) to target URL, normalized once. A target that
+    normalize_url rejects is left out, so its short link resolves to
+    itself: whoever makes a short link chooses its target.
     """
 
     def __init__(self, hosts: set[str] | None = None,
@@ -139,7 +141,9 @@ class ShortenerTable:
         self.hosts = {h.lower() for h in (hosts or set())}
         self.mapping = {}
         for short, target in (mapping or {}).items():
-            self.mapping[_strip_scheme(short).lower()] = target
+            target = normalize_url(target)
+            if target is not None:
+                self.mapping[_strip_scheme(short).lower()] = target
 
     @classmethod
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
@@ -183,7 +187,6 @@ def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:
         target = table.lookup(current)
         if target is None:
             return current, False
-        target = normalize_url(target) or target
         if target == current or target in seen:
             return current, True
         seen.add(target)

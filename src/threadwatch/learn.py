@@ -12,8 +12,8 @@ import numpy as np
 
 from . import models
 from .corpus import Corpus, build_threads
-from .features import (FeatureVector, apply_minmax, featurize_threads,
-                       fit_minmax)
+from .features import (MACRO_COLUMNS, FeatureVector, apply_minmax,
+                       featurize_threads, fit_minmax)
 
 
 class LearnError(Exception):
@@ -185,20 +185,20 @@ def evaluate_split(dataset: Dataset, algorithms: list[str],
 def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
                   algorithm: str = "decision_tree",
                   seed: int = 0) -> list[tuple[int, Metrics]]:
-    """Rebuild per-window count vectors at each horizon from 5 to 60
-    minutes in steps of 5, and evaluate each with the default windows,
-    split and balancing.
+    """Evaluate the per-window counts alone at each horizon from 5 to 60
+    minutes in steps of 5, with the default split and balancing.
 
+    The threads are featurized once, with 5-minute windows up to 60
+    minutes; the counts up to a horizon h are the first h // 5 of them.
     Each horizon uses an independently derived seed (seed + horizon) so
     results do not depend on evaluation order.
     """
-    threads = build_threads(corpus)
+    data = Dataset.from_vectors(featurize_threads(build_threads(corpus), is_target))
+    counts = data.X[:, len(MACRO_COLUMNS):]
     results = []
     for horizon in range(5, 65, 5):
-        vectors = featurize_threads(threads, is_target, t_final_minutes=horizon,
-                                    with_macro=False)
-        [metrics] = evaluate_split(Dataset.from_vectors(vectors), [algorithm],
-                                   seed=seed + horizon)
+        [metrics] = evaluate_split(Dataset(counts[:, :horizon // 5], data.y),
+                                   [algorithm], seed=seed + horizon)
         results.append((horizon, metrics))
     return results
 

@@ -100,10 +100,10 @@ class DecisionTree:
     lowest dimension, then the lowest threshold."""
 
     variant = "decision_tree"
+    max_depth = 20
+    min_leaf = 1  # written to the model JSON; every cut leaves a row on each side
 
-    def __init__(self, max_depth: int = 20, min_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+    def __init__(self):
         self.root = None
         self.n_features = None
 
@@ -127,8 +127,7 @@ class DecisionTree:
             thresholds, nl, [(pl, total_pos)] = _cuts(X[:, dim], y_int)
             nr, pr = n - nl, total_pos - pl
             w = (nl * _gini(nl - pl, pl, nl) + nr * _gini(nr - pr, pr, nr)) / n
-            allowed = (nl >= self.min_leaf) & (nr >= self.min_leaf)
-            for i in np.nonzero(allowed & (w < limit))[0]:
+            for i in np.nonzero(w < limit)[0]:
                 if w[i] < limit:
                     best, limit = (w[i], dim, thresholds[i]), w[i] - 1e-12
         return best
@@ -171,9 +170,9 @@ class AdaBoost:
     hits 0 (the perfect stump is kept)."""
 
     variant = "adaboost"
+    n_rounds = 50
 
-    def __init__(self, n_rounds: int = 50):
-        self.n_rounds = n_rounds
+    def __init__(self):
         self.stumps: list[tuple[int, float, int]] = []  # (dim, threshold, polarity)
         self.alphas: list[float] = []
         self.n_features = None

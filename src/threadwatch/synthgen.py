@@ -2,10 +2,14 @@
 
 Stands in for the private dataset: benign comment arrivals follow a
 rise-peak-decay Poisson intensity, target threads get a popularity
-multiplier, and malicious comments are injected per a configurable
-strategy mix with URLs drawn from a generated blacklist. Every injected
-attack is recorded as planted truth so the labeling pipeline can be
-verified end to end.
+lift, and malicious comments are injected per a strategy mix with URLs
+drawn from a generated blacklist. Every injected attack is recorded as
+planted truth so the labeling pipeline can be verified end to end.
+
+GeneratorConfig holds what callers set: the seed, the page and thread
+counts and the attacked share (``synth`` flags), the strategy mix
+(``synth --profile``) and the share of benign comments that carry a
+URL. Every other setting is a module constant below.
 """
 
 from __future__ import annotations
@@ -31,6 +35,30 @@ SHORTENER_HOST = "sh-url.io"
 _START_TS = 1293840000
 _END_TS = 1417305600
 
+# popularity scale factor for the comments and likes of target threads
+TARGET_LIFT = 3.0
+# arrival intensity shape: rises, peaks at PEAK_MINUTE, long-tail decay
+PEAK_MINUTE = 12.0
+MEAN_FIRST_HOUR_COMMENTS = 40.0
+# per-thread popularity spread (lognormal sigma); heavy tails make
+# popular non-targets overlap with targets
+POPULARITY_SIGMA = 0.3
+# fraction of targets whose activity is a sharp early burst (peaking at
+# BURST_PEAK_MINUTE) instead of a sustained lift; the two target modes
+# together make single-feature marginals bimodal
+BURST_TARGET_FRACTION = 0.45
+BURST_PEAK_MINUTE = 2.0
+SYNC_BURST_ACCOUNTS = 4
+SYNC_BURST_SPAN_MINUTES = 8.0
+SINGLE_REPEAT_COPIES = 12
+REGIONS = ("MiddleEast", "Asia", "Europe", "USNews", "USPolitics")
+ACCOUNTS_PER_PAGE = 400
+N_ATTACKER_ACCOUNTS = 60
+ATTACKER_ZERO_LIKE_PROB = 0.75
+SHORTENER_FRACTION = 0.3
+CAMPAIGN_URLS_PER_CATEGORY = 25
+SIM_MINUTES = 600
+
 
 class ConfigError(Exception):
     pass
@@ -42,55 +70,20 @@ class GeneratorConfig:
     n_pages: int = 10
     n_threads: int = 2000
     target_fraction: float = 0.1
-    # popularity scale factors for target threads
-    target_comment_multiplier: float = 3.0
-    target_like_multiplier: float = 3.0
-    # arrival intensity shape: rises, peaks at peak_minute, long-tail decay
-    peak_minute: float = 12.0
-    mean_first_hour_comments: float = 40.0
-    # per-thread popularity spread (lognormal sigma); heavy tails make
-    # popular non-targets overlap with targets
-    popularity_sigma: float = 0.3
-    # fraction of targets whose activity is a sharp early burst (peaking
-    # at burst_peak_minute) instead of a sustained lift; the two target
-    # modes together make single-feature marginals bimodal
-    burst_target_fraction: float = 0.45
-    burst_peak_minute: float = 2.0
     strategy_mix: dict[str, float] = field(default_factory=lambda: {
         EARLY_STAGE: 0.25, LATE_STAGE: 0.25, SYNC_BURST: 0.25, SINGLE_REPEAT: 0.25})
-    sync_burst_accounts: int = 4
-    sync_burst_span_minutes: float = 8.0
-    single_repeat_copies: int = 12
-    category_mix: dict[str, float] = field(default_factory=lambda: {
-        c.value: 0.25 for c in Category})
-    regions: tuple[str, ...] = ("MiddleEast", "Asia", "Europe", "USNews", "USPolitics")
-    accounts_per_page: int = 400
-    n_attacker_accounts: int = 60
-    attacker_zero_like_prob: float = 0.75
-    shortener_fraction: float = 0.3
     benign_url_prob: float = 0.05
-    campaign_urls_per_category: int = 25
-    url_key_fraction: float = 0.25
-    sim_minutes: int = 600
 
     def validate(self) -> None:
         if self.n_pages < 1 or self.n_threads < 1:
             raise ConfigError("n_pages and n_threads must be positive")
         if not 0.0 < self.target_fraction < 1.0:
             raise ConfigError("target_fraction must be in (0,1)")
-        for name, mix in (("strategy_mix", self.strategy_mix),
-                          ("category_mix", self.category_mix)):
-            total = sum(mix.values())
-            if abs(total - 1.0) > 1e-9 or any(v < 0 for v in mix.values()):
-                raise ConfigError(f"{name} weights must be >= 0 and sum to 1")
-        if set(self.strategy_mix) - set(STRATEGIES):
-            raise ConfigError(f"unknown strategies {set(self.strategy_mix) - set(STRATEGIES)}")
-        if self.sync_burst_accounts > self.n_attacker_accounts:
-            raise ConfigError("SyncBurst account count exceeds the attacker pool")
-        if self.sync_burst_accounts < 2:
-            raise ConfigError("SyncBurst needs at least 2 accounts")
-        if self.single_repeat_copies < 1:
-            raise ConfigError("single_repeat_copies must be >= 1")
+        mix = self.strategy_mix
+        if abs(sum(mix.values()) - 1.0) > 1e-9 or any(v < 0 for v in mix.values()):
+            raise ConfigError("strategy_mix weights must be >= 0 and sum to 1")
+        if set(mix) - set(STRATEGIES):
+            raise ConfigError(f"unknown strategies {set(mix) - set(STRATEGIES)}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +110,12 @@ def intensity(minutes: np.ndarray, peak: float, amplitude: float) -> np.ndarray:
     return amplitude * (t / peak) * np.exp(1.0 - t / peak)
 
 
-def _amplitude(config: GeneratorConfig) -> float:
-    shape = intensity(np.arange(60) + 0.5, config.peak_minute, 1.0)
-    return config.mean_first_hour_comments / float(shape.sum())
+def _amplitude() -> float:
+    shape = intensity(np.arange(60) + 0.5, PEAK_MINUTE, 1.0)
+    return MEAN_FIRST_HOUR_COMMENTS / float(shape.sum())
 
 
-def _campaigns(config: GeneratorConfig):
+def _campaigns():
     """Deterministic campaign URL pool, blacklist, and shortener map.
 
     Domains are unique per (category, index) so a comment never matches
@@ -134,11 +127,11 @@ def _campaigns(config: GeneratorConfig):
     for category in Category:
         cat = category.value
         urls[cat] = []
-        for j in range(config.campaign_urls_per_category):
+        for j in range(CAMPAIGN_URLS_PER_CATEGORY):
             domain = f"{cat.lower()}{j:03d}-sink.com"
             url = f"http://{domain}/offer{j}"
             urls[cat].append(url)
-            if config.url_key_fraction > 0 and j % max(1, round(1 / config.url_key_fraction)) == 0:
+            if j % 4 == 0:  # a quarter of the keys are full URLs
                 blacklist.append(BlacklistEntry(f"{domain}/offer{j}", category))
             else:
                 blacklist.append(BlacklistEntry(domain, category))
@@ -175,29 +168,31 @@ def generate(config: GeneratorConfig) -> SynthResult:
     Fully deterministic per config: each thread derives its own RNG from
     (seed, thread index)."""
     config.validate()
-    amplitude = _amplitude(config)
-    urls, blacklist, shortener_map, short_alias = _campaigns(config)
+    amplitude = _amplitude()
+    urls, blacklist, shortener_map, short_alias = _campaigns()
     master = np.random.default_rng([config.seed, 0])
 
-    regions = [Region(config.regions[i % len(config.regions)])
+    regions = [Region(REGIONS[i % len(REGIONS)])
                for i in range(config.n_pages)]
     pages = {f"pg{i:02d}": Page(f"pg{i:02d}", f"Synth Page {i:02d}", regions[i])
              for i in range(config.n_pages)}
     page_ids = sorted(pages)
-    pools = {pid: [f"u{idx:02d}_{k:04d}" for k in range(config.accounts_per_page)]
+    pools = {pid: [f"u{idx:02d}_{k:04d}" for k in range(ACCOUNTS_PER_PAGE)]
              for idx, pid in enumerate(page_ids)}
-    attackers = [f"atk{k:03d}" for k in range(config.n_attacker_accounts)]
-    attacker_zero_like = {a: bool(master.uniform() < config.attacker_zero_like_prob)
+    attackers = [f"atk{k:03d}" for k in range(N_ATTACKER_ACCOUNTS)]
+    attacker_zero_like = {a: bool(master.uniform() < ATTACKER_ZERO_LIKE_PROB)
                           for a in attackers}
 
     strategy_names = sorted(config.strategy_mix)
     strategy_w = np.array([config.strategy_mix[s] for s in strategy_names])
-    category_names = sorted(config.category_mix)
-    category_w = np.array([config.category_mix[c] for c in category_names])
+    category_names = sorted(c.value for c in Category)
+    # uniform, but passed as p= all the same: numpy draws an unweighted
+    # choice from the stream differently, which would change every corpus
+    category_w = np.full(len(category_names), 1 / len(category_names))
 
     targets = _target_flags(config.n_threads, config.target_fraction)
-    minutes_grid = np.arange(config.sim_minutes) + 0.5
-    base_lam = intensity(minutes_grid, config.peak_minute, amplitude)
+    minutes_grid = np.arange(SIM_MINUTES) + 0.5
+    base_lam = intensity(minutes_grid, PEAK_MINUTE, amplitude)
 
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
@@ -209,30 +204,29 @@ def generate(config: GeneratorConfig) -> SynthResult:
         pool = pools[page_id]
         post_id = f"p{i:05d}"
         post_ts = int(_START_TS + rng.integers(0, _END_TS - _START_TS))
-        sigma = config.popularity_sigma
-        spread = float(rng.lognormal(-0.5 * sigma * sigma, sigma)) if sigma > 0 else 1.0
-        burst_mode = bool(targets[i] and rng.uniform() < config.burst_target_fraction)
-        mult = (config.target_comment_multiplier if targets[i] else 1.0) * spread
-        like_mult = (config.target_like_multiplier if targets[i] else 1.0) * spread
+        spread = float(rng.lognormal(-0.5 * POPULARITY_SIGMA * POPULARITY_SIGMA,
+                                     POPULARITY_SIGMA))
+        burst_mode = bool(targets[i] and rng.uniform() < BURST_TARGET_FRACTION)
+        lift = (TARGET_LIFT if targets[i] else 1.0) * spread
         post = Post(post_id, page_id, pool[int(rng.integers(len(pool)))],
-                    post_ts, int(rng.poisson(30 * like_mult)),
+                    post_ts, int(rng.poisson(30 * lift)),
                     f"synthetic story {i}")
         posts[post_id] = post
 
         if burst_mode:
             # same expected first-hour volume as a sustained-lift target,
             # but concentrated into the first few minutes
-            lam = intensity(minutes_grid, config.burst_peak_minute, 1.0)
-            lam *= (config.mean_first_hour_comments * mult) / float(lam[:60].sum())
+            lam = intensity(minutes_grid, BURST_PEAK_MINUTE, 1.0)
+            lam *= (MEAN_FIRST_HOUR_COMMENTS * lift) / float(lam[:60].sum())
         else:
-            lam = base_lam * mult
+            lam = base_lam * lift
         counts = rng.poisson(lam)
         events: list[tuple[int, str, int, str]] = []  # (ts, author, likes, text)
         for minute in np.nonzero(counts)[0]:
             for _ in range(int(counts[minute])):
                 ts = post_ts + int(minute) * 60 + int(rng.integers(0, 60))
                 author = pool[int(rng.integers(len(pool)))]
-                likes = int(rng.poisson(0.5 * like_mult))
+                likes = int(rng.poisson(0.5 * lift))
                 if rng.uniform() < config.benign_url_prob:
                     text = f"source: http://news-site.org/story/{int(rng.integers(10000))}"
                 else:
@@ -245,7 +239,7 @@ def generate(config: GeneratorConfig) -> SynthResult:
             category = category_names[int(rng.choice(len(category_names), p=category_w))]
             url = urls[category][int(rng.integers(len(urls[category])))]
             if strategy == EARLY_STAGE:
-                t_attack = rng.uniform(0.0, config.peak_minute)
+                t_attack = rng.uniform(0.0, PEAK_MINUTE)
                 account = attackers[int(rng.integers(len(attackers)))]
                 attack_events.append((post_ts + int(t_attack * 60), account, url, strategy))
             elif strategy == LATE_STAGE:
@@ -258,16 +252,16 @@ def generate(config: GeneratorConfig) -> SynthResult:
                 account = attackers[int(rng.integers(len(attackers)))]
                 attack_events.append((post_ts + int(t_attack * 60) + 1, account, url, strategy))
             elif strategy == SYNC_BURST:
-                k = config.sync_burst_accounts
+                k = SYNC_BURST_ACCOUNTS
                 picks = rng.choice(len(attackers), size=k, replace=False)
                 t0 = rng.uniform(3.0, 90.0)
-                offsets = np.sort(rng.uniform(0.0, config.sync_burst_span_minutes, size=k))
+                offsets = np.sort(rng.uniform(0.0, SYNC_BURST_SPAN_MINUTES, size=k))
                 for acc_idx, off in zip(picks, offsets):
                     attack_events.append((post_ts + int((t0 + off) * 60),
                                           attackers[int(acc_idx)], url, strategy))
             else:  # SINGLE_REPEAT
                 account = attackers[int(rng.integers(len(attackers)))]
-                times = np.sort(rng.uniform(0.0, 180.0, size=config.single_repeat_copies))
+                times = np.sort(rng.uniform(0.0, 180.0, size=SINGLE_REPEAT_COPIES))
                 for t in times:
                     attack_events.append((post_ts + int(t * 60), account, url, strategy))
 
@@ -279,7 +273,7 @@ def generate(config: GeneratorConfig) -> SynthResult:
             else:
                 likes = int(rng.poisson(0.3))
             shown = None
-            if url in short_alias and rng.uniform() < config.shortener_fraction:
+            if url in short_alias and rng.uniform() < SHORTENER_FRACTION:
                 shown = short_alias[url]
             text = f"check this out {shown or url}"
             rows.append((ts, account, likes, text, url, strategy))

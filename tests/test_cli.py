@@ -95,23 +95,47 @@ class TestLabel:
             rows = [l for l in fh if l.strip()]
         assert len(rows) == len(planted)
 
-    def test_url_tokens_urlsplit_rejects_are_skipped(self, pipeline, tmp_path):
+    @staticmethod
+    def _with_comments(pipeline, tmp_path, texts):
+        """The pipeline corpus plus one attacker comment per text on its
+        first post, written under tmp_path; returns the file's path."""
         with open(pipeline["corpus"], encoding="utf-8") as fh:
             text = fh.read()
         post = next(r for r in map(json.loads, text.splitlines()) if r["kind"] == "post")
-        hostile = ["see http://[evil/x", "http://a\uff0fb.com/x"]
-        with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            for i, comment in enumerate(hostile):
+            for i, comment in enumerate(texts):
                 fh.write(json.dumps({
                     "kind": "comment", "id": f"hostile{i}", "post_id": post["id"],
                     "author_id": "attacker", "created_ts": post["created_ts"] + 60,
                     "like_count": 0, "text": comment}) + "\n")
+        return str(path)
+
+    def test_url_tokens_urlsplit_rejects_are_skipped(self, pipeline, tmp_path):
+        corpus = self._with_comments(pipeline, tmp_path,
+                                     ["see http://[evil/x", "http://a\uff0fb.com/x"])
         out = tmp_path / "labels.tsv"
-        assert main(["label", "--corpus", str(tmp_path / "corpus.jsonl"),
+        assert main(["label", "--corpus", corpus,
                      "--blacklist", pipeline["blacklist"],
                      "--shortener-map", pipeline["map"],
                      "--shortener-hosts", pipeline["hosts"],
+                     "--out", str(out)]) == 0
+        assert read(out) == read(pipeline["labels"])
+
+    def test_rejected_shortener_targets_leave_links_unexpanded(self, pipeline, tmp_path):
+        corpus = self._with_comments(pipeline, tmp_path,
+                                     ["see http://bit.ly/a", "and http://bit.ly/b"])
+        shorteners = tmp_path / "shorteners.tsv"
+        shorteners.write_bytes(read(pipeline["map"])
+                               + b"bit.ly/a\thttp://[x/y\nbit.ly/b\thttp://LOCALHOST/X\n")
+        hosts = tmp_path / "shortener_hosts.txt"
+        hosts.write_bytes(read(pipeline["hosts"]) + b"bit.ly\n")
+        out = tmp_path / "labels.tsv"
+        assert main(["label", "--corpus", corpus,
+                     "--blacklist", pipeline["blacklist"],
+                     "--shortener-map", str(shorteners),
+                     "--shortener-hosts", str(hosts),
                      "--out", str(out)]) == 0
         assert read(out) == read(pipeline["labels"])
 
@@ -152,6 +176,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("text, message", [
         ("", "unexpected feature CSV header"),
         ("post_id,is_target,span_days\np1,1,2.0\np2\n", "line 3: expected"),
+        ("post_id,is_target,span_days,dav_1\np1,1,2.0,3.0\np2,0,1.0\n",
+         "features.csv line 3: expected 4 columns as in the header, got 3"),
     ])
     def test_eval_bad_feature_csv_exit_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "features.csv"

@@ -52,16 +52,12 @@ class RefDavVector:
 @dataclass(frozen=True)
 class RefFeatureVector:
     post_id: str
-    macro: RefMacroFeatures | None
+    macro: RefMacroFeatures
     dav: RefDavVector
     label: bool
 
     def values(self):
-        vals = []
-        if self.macro is not None:
-            vals.extend(self.macro.as_list())
-        vals.extend(self.dav.as_list())
-        return vals
+        return self.macro.as_list() + self.dav.as_list()
 
 
 def ref_macro_features(thread):
@@ -90,13 +86,11 @@ def ref_dav(thread, window_minutes, t_final_minutes):
 
 
 def ref_featurize_threads(threads, is_target, window_minutes, t_final_minutes,
-                          macro_mode, with_macro):
+                          macro_mode):
     out = []
     for thread in threads:
-        macro = None
-        if with_macro:
-            src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
-            macro = ref_macro_features(src)
+        src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
+        macro = ref_macro_features(src)
         out.append(RefFeatureVector(thread.post.post_id, macro,
                                     ref_dav(thread, window_minutes, t_final_minutes),
                                     bool(is_target.get(thread.post.post_id, False))))
@@ -122,22 +116,21 @@ def random_thread(rng, post_id):
 class TestRowsMatchReference:
     @pytest.mark.parametrize("window,t_final", [(5, 60), (1, 60), (5, 10),
                                                 (10, 30), (60, 60)])
-    @pytest.mark.parametrize("macro_mode,with_macro", [("full", True),
-                                                       ("censored", True),
-                                                       ("full", False)])
-    def test_rows_equal_reference(self, window, t_final, macro_mode, with_macro):
+    # the ids also say that every row carries the macro statistics
+    @pytest.mark.parametrize("macro_mode", ["full", "censored"],
+                             ids=["full-True", "censored-True"])
+    def test_rows_equal_reference(self, window, t_final, macro_mode):
         rng = random.Random(window * 1000 + t_final)
         threads = [random_thread(rng, f"p{i}") for i in range(60)]
         is_target = {t.post.post_id: rng.random() < 0.3 for t in threads}
         got = featurize_threads(threads, is_target, window, t_final,
-                                macro_mode=macro_mode, with_macro=with_macro)
-        want = ref_featurize_threads(threads, is_target, window, t_final,
-                                     macro_mode, with_macro)
+                                macro_mode=macro_mode)
+        want = ref_featurize_threads(threads, is_target, window, t_final, macro_mode)
         assert [(v.post_id, v.label, v.values) for v in got] == \
                [(r.post_id, r.label, r.values()) for r in want]
         # floats, not ints: the CSV writes each value with repr
         assert all(type(x) is float for v in got for x in v.values)
-        width = len(MACRO_COLUMNS) * with_macro + t_final // window
+        width = len(MACRO_COLUMNS) + t_final // window
         assert all(len(v.values) == width for v in got)
 
 

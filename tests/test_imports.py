@@ -1,8 +1,8 @@
 """Every name a threadwatch module or test module imports is referenced
 in that module, every public name a threadwatch module defines and every
 record field is used by the program or its benchmark, not only by tests,
-and every third-party module the program imports is a declared
-dependency."""
+every generator setting is set by some caller, and every third-party
+module the program imports is a declared dependency."""
 
 import ast
 import pathlib
@@ -146,6 +146,45 @@ def test_no_unread_fields():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_fields(texts, others) == sorted(UNREAD_FIELDS)
+
+
+CONFIG_CALLS = {"GeneratorConfig", "profile_config", "replace"}
+
+
+def unset_config_fields(sources: list[str], others: list[str]) -> list[str]:
+    """Fields of the ``GeneratorConfig`` class defined in sources that no
+    call to ``GeneratorConfig``, ``profile_config`` or ``replace``, as a
+    bare name or an attribute, in sources or others passes as a keyword."""
+    trees = [ast.parse(text) for text in [*sources, *others]]
+    fields = {stmt.target.id
+              for tree in trees[:len(sources)] for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "GeneratorConfig"
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    passed = {kw.arg for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in CONFIG_CALLS
+              for kw in node.keywords}
+    return sorted(fields - passed)
+
+
+def test_scan_finds_unset_config_fields():
+    source = ("from dataclasses import dataclass, replace\n"
+              "@dataclass(frozen=True)\nclass GeneratorConfig:\n"
+              "    seed: int = 0\n    n_threads: int = 1\n    mix: dict = None\n"
+              "    sigma: float = 0.3\n    lift: float = 3.0\n"
+              "def profile_config(profile, **overrides):\n"
+              "    return replace(GeneratorConfig(**overrides), mix={})\n"
+              "cfg = GeneratorConfig(seed=1)\nother(sigma=0.0)\n")
+    assert unset_config_fields([source], []) == ["lift", "n_threads", "sigma"]
+    assert unset_config_fields([source], ["m.profile_config('x', n_threads=5)"]) == \
+        ["lift", "sigma"]
+
+
+def test_every_config_field_is_set():
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unset_config_fields(texts, others) == []
 
 
 def undeclared_imports(sources: list[str], pyproject: str) -> list[str]:

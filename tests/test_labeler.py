@@ -191,6 +191,11 @@ class TestExpandUrl:
         table = ShortenerTable({"bit.ly"}, {"bit.ly/abc": "http://evil.com/p"})
         assert expand_url("http://bit.ly/abc", table) == ("http://evil.com/p", False)
 
+    @pytest.mark.parametrize("target", ["http://[x/y", "http://LOCALHOST/X", "not a url"])
+    def test_rejected_target_left_unmapped(self, target):
+        table = ShortenerTable({"bit.ly"}, {"bit.ly/a": target})
+        assert expand_url("http://bit.ly/a", table) == ("http://bit.ly/a", False)
+
     def test_self_loop_flagged(self):
         table = ShortenerTable({"t.co"}, {"t.co/1": "http://t.co/1"})
         url, flagged = expand_url("http://t.co/1", table)

@@ -333,10 +333,8 @@ def _tie_heavy_dataset(seed: int):
 def test_shared_cut_scan_matches_reference_learners():
     for seed in range(300):
         X, y = _tie_heavy_dataset(seed)
-        depth, leaf = (20, 1) if seed % 4 else (3, 1 + seed % 5)
-        tree = DecisionTree(depth, leaf).fit(X, y)
-        assert tree.to_dict() == _RefTree(depth, leaf).fit(X, y).to_dict(), seed
-        boost, ref = AdaBoost(20).fit(X, y), _RefBoost(20).fit(X, y)
+        assert DecisionTree().fit(X, y).to_dict() == _RefTree().fit(X, y).to_dict(), seed
+        boost, ref = AdaBoost().fit(X, y), _RefBoost().fit(X, y)
         assert (boost.stumps, boost.alphas) == (ref.stumps, ref.alphas), seed
 
 
@@ -376,3 +374,16 @@ def test_smote_matches_full_tensor_neighbors_with_duplicate_rows():
             nn = minority[neighbors[i][rng.integers(0, k)]]
             lam = rng.uniform(0.0, 1.0)
             assert np.array_equal(point, minority[i] + lam * (nn - minority[i]))
+
+
+def test_sweep_matches_per_horizon_featurization(small_synth, small_labels):
+    # the reference counts each horizon's windows from the threads again,
+    # as the sweep did before it sliced one 60-minute featurization
+    is_target, _ = label_threads(small_synth.corpus, small_labels[1])
+    threads = build_threads(small_synth.corpus)
+    y = [is_target.get(t.post.post_id, False) for t in threads]
+    want = []
+    for horizon in range(5, 65, 5):
+        data = Dataset([features.dav(t, 5, horizon) for t in threads], y)
+        want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
+    assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want

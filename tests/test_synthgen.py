@@ -25,11 +25,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GeneratorConfig(strategy_mix={synthgen.EARLY_STAGE: 0.5}).validate()
 
-    def test_burst_exceeding_pool(self):
-        with pytest.raises(ConfigError):
-            GeneratorConfig(sync_burst_accounts=100,
-                            n_attacker_accounts=10).validate()
-
     def test_profiles(self):
         cfg = profile_config("late", seed=1, n_threads=10)
         assert cfg.strategy_mix[synthgen.LATE_STAGE] == 1.0
@@ -63,12 +58,11 @@ class TestPlanting:
         assert len(posts) == 100
 
     def test_early_stage_before_peak(self):
-        cfg = profile_config("early", seed=5, n_threads=60)
-        result = generate(cfg)
+        result = generate(profile_config("early", seed=5, n_threads=60))
         for p in result.planted:
             comment = result.corpus.comments[p.comment_id]
             post = result.corpus.posts[comment.post_id]
-            assert rel_minutes(post, comment) < cfg.peak_minute
+            assert rel_minutes(post, comment) < synthgen.PEAK_MINUTE
             assert p.strategy == synthgen.EARLY_STAGE
 
     def test_zero_targets_zero_labels(self):
@@ -95,19 +89,17 @@ class TestVerifyPlanted:
 
 class TestIntensityCalibration:
     def test_nontarget_bins_follow_intensity(self):
-        cfg = GeneratorConfig(seed=11, n_threads=600, target_fraction=0.01,
-                              popularity_sigma=0.0)
-        result = generate(cfg)
+        result = generate(GeneratorConfig(seed=11, n_threads=600, target_fraction=0.01))
         target_posts = {result.corpus.comments[p.comment_id].post_id
                         for p in result.planted}
         threads = [t for t in build_threads(result.corpus)
                    if t.post.post_id not in target_posts]
         assert len(threads) >= 500
         grid = np.arange(60)
-        expected = intensity(grid + 0.5, cfg.peak_minute,
-                             cfg.mean_first_hour_comments /
+        expected = intensity(grid + 0.5, synthgen.PEAK_MINUTE,
+                             synthgen.MEAN_FIRST_HOUR_COMMENTS /
                              float(intensity(np.arange(60) + 0.5,
-                                             cfg.peak_minute, 1.0).sum()))
+                                             synthgen.PEAK_MINUTE, 1.0).sum()))
         counts = np.zeros((len(threads), 60))
         for i, t in enumerate(threads):
             for c in t.comments:
@@ -136,27 +128,25 @@ class TestIntensityCalibration:
 
 class TestStrategies:
     def test_sync_burst_within_span(self):
-        cfg = profile_config("burst", seed=17, n_threads=60)
-        result = generate(cfg)
+        result = generate(profile_config("burst", seed=17, n_threads=60))
         by_post = {}
         for p in result.planted:
             c = result.corpus.comments[p.comment_id]
             by_post.setdefault(c.post_id, []).append(c)
             assert p.strategy == synthgen.SYNC_BURST
         for post_id, cs in by_post.items():
-            assert len({c.author_id for c in cs}) == cfg.sync_burst_accounts
+            assert len({c.author_id for c in cs}) == synthgen.SYNC_BURST_ACCOUNTS
             ts = sorted(c.created_ts for c in cs)
-            assert (ts[-1] - ts[0]) / 60.0 <= cfg.sync_burst_span_minutes + 1
+            assert (ts[-1] - ts[0]) / 60.0 <= synthgen.SYNC_BURST_SPAN_MINUTES + 1
 
     def test_single_repeat_one_account_many_copies(self):
-        cfg = profile_config("repeat", seed=19, n_threads=40)
-        result = generate(cfg)
+        result = generate(profile_config("repeat", seed=19, n_threads=40))
         by_post = {}
         for p in result.planted:
             by_post.setdefault(
                 result.corpus.comments[p.comment_id].post_id, []).append(p)
         for post_id, planted in by_post.items():
-            assert len(planted) == cfg.single_repeat_copies
+            assert len(planted) == synthgen.SINGLE_REPEAT_COPIES
             assert len({p.account_id for p in planted}) == 1
             assert len({p.url for p in planted}) == 1
 
