@@ -10,6 +10,7 @@ holds post id, label, MACRO_COLUMNS, dav_1..dav_k.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,13 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
                 raise FeatureConfigError(
                     f"{path} line {reader.line_num}: expected {len(header)} "
                     f"columns as in the header, got {len(rec)}")
+            row = [float(x) for x in rec[2:]]
+            if not all(map(math.isfinite, row)):
+                col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
+                raise FeatureConfigError(
+                    f"{path} line {reader.line_num}: non-finite value "
+                    f"{rec[col]!r} in column {header[col]}")
             ids.append(rec[0])
             labels.append(bool(int(rec[1])))
-            rows.append([float(x) for x in rec[2:]])
+            rows.append(row)
     return ids, rows, labels

@@ -3,6 +3,11 @@ Bayes, a CART-style decision tree, and AdaBoost over depth-1 stumps.
 Each has ``fit``, ``predict_scores``, which rejects rows of any width
 but the training width, and ``to_dict``, the JSON that ``save_model``
 writes.
+
+Both tree learners sort each feature column once per fit, as in SLIQ
+(Mehta, Agrawal & Rissanen, EDBT 1996): AdaBoost reuses the orders in
+every round, and the decision tree filters them down to each node's
+rows, which keeps them the stable sort of that node's column.
 """
 
 from __future__ import annotations
@@ -81,16 +86,32 @@ def _gini(neg, pos, n):
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _cuts(x: np.ndarray, *weights: np.ndarray):
-    """Candidate cuts of one column: the midpoints between adjacent
-    distinct values of the stable-sorted column, the row count left of
-    each cut, and per weight column its sum left of each cut and its
-    total."""
-    order = np.argsort(x, kind="stable")
+def _column_orders(X: np.ndarray) -> np.ndarray:
+    """(d, n) array whose row j is the stable sort order of column j;
+    the one sort of each column in a fit."""
+    orders = np.empty(X.shape[::-1], dtype=np.intp)
+    for j, column in enumerate(X.T):
+        orders[j] = np.argsort(column, kind="stable")
+    return orders
+
+
+def _cuts(x: np.ndarray, order: np.ndarray):
+    """Candidate cuts of column x, given the stable sort order of the
+    rows in question (a row of ``_column_orders``, or one filtered to a
+    subset of rows, which is the subset's own stable sort order): the
+    midpoints between adjacent distinct values, and for each cut the
+    position in ``order`` of the last row left of it."""
     xs = x[order]
     idx = np.nonzero(xs[1:] > xs[:-1])[0]
-    sums = [(cum[idx], cum[-1]) for cum in (np.cumsum(w[order]) for w in weights)]
-    return (xs[idx] + xs[idx + 1]) / 2.0, idx + 1, sums
+    return (xs[idx] + xs[idx + 1]) / 2.0, idx
+
+
+def _keep(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``orders`` filtered to the row indices where the
+    boolean ``rows`` holds. Each row of ``orders`` lists the same
+    indices, so each keeps the same number, and filtering keeps each
+    the stable sort order of its column over the rows kept."""
+    return orders[rows[orders]].reshape(len(orders), -1)
 
 
 class DecisionTree:
@@ -110,42 +131,45 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         _check_two_classes(y)
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=bool)
+        y = np.asarray(y, dtype=int)
         self.n_features = X.shape[1]
-        self.root = self._grow(X, y, depth=0)
+        self.root = self._grow(X, y, _column_orders(X), depth=0)
         return self
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray):
-        n, d = X.shape
-        y_int = y.astype(int)
-        n_pos = int(y_int.sum())
+    def _best_split(self, X: np.ndarray, y: np.ndarray, orders: np.ndarray, n_pos: int):
+        """Best cut of the node whose rows each row of ``orders`` lists
+        in its column's stable sort order; y holds 0/1 labels."""
+        n = orders.shape[1]
         # a cut must beat the parent, then each later cut the best so far,
         # by 1e-12; ties keep the earlier (lower dim, lower threshold)
         limit = _gini(n - n_pos, n_pos, n) - 1e-12
         best = None  # (impurity, dim, threshold)
-        for dim in range(d):
-            thresholds, nl, [(pl, total_pos)] = _cuts(X[:, dim], y_int)
-            nr, pr = n - nl, total_pos - pl
+        for dim, order in enumerate(orders):
+            thresholds, idx = _cuts(X[:, dim], order)
+            pos = np.cumsum(y[order])
+            nl, pl = idx + 1, pos[idx]
+            nr, pr = n - nl, pos[-1] - pl
             w = (nl * _gini(nl - pl, pl, nl) + nr * _gini(nr - pr, pr, nr)) / n
             for i in np.nonzero(w < limit)[0]:
                 if w[i] < limit:
                     best, limit = (w[i], dim, thresholds[i]), w[i] - 1e-12
         return best
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> dict:
-        n_pos = int(np.sum(y))
-        purity_pos = n_pos / len(y)
+    def _grow(self, X: np.ndarray, y: np.ndarray, orders: np.ndarray, depth: int) -> dict:
+        n = orders.shape[1]
+        n_pos = int(np.sum(y[orders[0]]))
+        purity_pos = n_pos / n
         split = None
-        if 0 < n_pos < len(y) and depth < self.max_depth:
-            split = self._best_split(X, y)
+        if 0 < n_pos < n and depth < self.max_depth:
+            split = self._best_split(X, y, orders, n_pos)
         if split is None:
             return {"leaf": True, "cls": purity_pos >= 0.5, "score": purity_pos}
         _, dim, thr = split
-        mask = X[:, dim] <= thr
+        go_left = X[:, dim] <= thr
         return {
             "leaf": False, "dim": dim, "threshold": thr,
-            "left": self._grow(X[mask], y[mask], depth + 1),
-            "right": self._grow(X[~mask], y[~mask], depth + 1),
+            "left": self._grow(X, y, _keep(orders, go_left), depth + 1),
+            "right": self._grow(X, y, _keep(orders, ~go_left), depth + 1),
         }
 
     def _leaf(self, x: np.ndarray) -> dict:
@@ -178,16 +202,16 @@ class AdaBoost:
         self.n_features = None
 
     @staticmethod
-    def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray):
-        """Minimum weighted error stump. polarity +1 predicts positive
-        for values > threshold; -1 the reverse."""
-        w_pos = w * (y_pm > 0)
+    def _best_stump(columns: list, w_pos: np.ndarray, w: np.ndarray):
+        """Minimum weighted error stump over ``columns``, one
+        ``(dim, order, thresholds, idx)`` per column with a cut, where
+        ``thresholds, idx = _cuts(X[:, dim], order)``. polarity +1
+        predicts positive for values > threshold; -1 the reverse."""
         best = (np.inf, 0, 0.0, 1)  # err, dim, thr, polarity
-        for dim in range(X.shape[1]):
-            thresholds, _, sums = _cuts(X[:, dim], w_pos, w)
-            if thresholds.size == 0:
-                continue
-            (pos_left, total_pos), (w_left, total_w) = sums
+        for dim, order, thresholds, idx in columns:
+            cum_pos, cum_w = np.cumsum(w_pos[order]), np.cumsum(w[order])
+            pos_left, total_pos = cum_pos[idx], cum_pos[-1]
+            w_left, total_w = cum_w[idx], cum_w[-1]
             # polarity +1 predicts positive strictly above the threshold,
             # so it misses positives on the left and negatives on the right
             neg_left = w_left - pos_left
@@ -211,9 +235,15 @@ class AdaBoost:
         self.n_features = X.shape[1]
         n = len(y_pm)
         w = np.full(n, 1.0 / n)
+        # the cuts depend on the values only; each round reweighs them
+        columns = []
+        for dim, order in enumerate(_column_orders(X)):
+            thresholds, idx = _cuts(X[:, dim], order)
+            if idx.size:
+                columns.append((dim, order, thresholds, idx))
         self.stumps, self.alphas = [], []
         for _ in range(self.n_rounds):
-            err, dim, thr, pol = self._best_stump(X, y_pm, w)
+            err, dim, thr, pol = self._best_stump(columns, w * (y_pm > 0), w)
             if err >= 0.5:
                 break
             err = max(err, 1e-12)

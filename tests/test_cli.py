@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -57,6 +58,20 @@ class TestBasics:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_collector_left_as_found(self, pipeline, tmp_path):
+        # ingest pauses the collector and freezes the corpus; an in-process
+        # caller gets both back, on success and on an unreadable corpus
+        runs = [(pipeline["corpus"], 0), (str(tmp_path / "nope.jsonl"), 2)]
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                for corpus, code in runs:
+                    assert main(["ingest", "--corpus", corpus]) == code
+                    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_bad_config_value_exit_one(self, pipeline, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"),
@@ -185,6 +200,23 @@ class TestTrainEval:
         assert main(["eval", "--features", str(path),
                      "--algorithm", "decision_tree"]) == 1
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exit_one(self, pipeline, tmp_path, capsys, command, value):
+        lines = read(pipeline["features"]).decode().splitlines()
+        post_id, label, _, *rest = lines[2].split(",")
+        lines[2] = ",".join([post_id, label, value, *rest])
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--features", str(path), "--algorithm", "naive_bayes",
+                     "--out", str(out)]) == 1
+        column = lines[0].split(",")[2]
+        assert (f"features.csv line 3: non-finite value '{value}' in column {column}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestSweep:

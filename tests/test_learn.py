@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,8 @@ def test_smote_stays_in_convex_hull_coordinatewise():
 
 # Reference copies of the split searches and of SMOTE's neighbour lists as
 # they were before both tree learners shared one cut scan and SMOTE
-# stopped building the n x n x d difference tensor. The new code must
+# stopped building the n x n x d difference tensor, and of the fits as
+# they were before each column was sorted once per fit. The new code must
 # reproduce them exactly, ties included.
 
 def _ref_gini(counts: np.ndarray) -> float:
@@ -309,11 +312,57 @@ def _ref_smote_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
 
 
 class _RefTree(DecisionTree):
-    _best_split = _ref_best_split
+    """The tree fit as it was before the column orders were shared:
+    each node slices its rows and every split search sorts again."""
+
+    def fit(self, X, y):
+        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=bool)
+        self.n_features = X.shape[1]
+        self.root = self._ref_grow(X, y, depth=0)
+        return self
+
+    def _ref_grow(self, X, y, depth):
+        n_pos = int(np.sum(y))
+        purity_pos = n_pos / len(y)
+        split = None
+        if 0 < n_pos < len(y) and depth < self.max_depth:
+            split = _ref_best_split(self, X, y)
+        if split is None:
+            return {"leaf": True, "cls": purity_pos >= 0.5, "score": purity_pos}
+        _, dim, thr = split
+        mask = X[:, dim] <= thr
+        return {
+            "leaf": False, "dim": dim, "threshold": thr,
+            "left": self._ref_grow(X[mask], y[mask], depth + 1),
+            "right": self._ref_grow(X[~mask], y[~mask], depth + 1),
+        }
 
 
 class _RefBoost(AdaBoost):
-    _best_stump = staticmethod(_ref_best_stump)
+    """The boosting loop as it was before the column orders were
+    shared: every round sorts every column again."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y_pm = np.where(np.asarray(y, dtype=bool), 1, -1)
+        self.n_features = X.shape[1]
+        n = len(y_pm)
+        w = np.full(n, 1.0 / n)
+        self.stumps, self.alphas = [], []
+        for _ in range(self.n_rounds):
+            err, dim, thr, pol = _ref_best_stump(X, y_pm, w)
+            if err >= 0.5:
+                break
+            err = max(err, 1e-12)
+            alpha = 0.5 * math.log((1 - err) / err)
+            self.stumps.append((dim, float(thr), pol))
+            self.alphas.append(alpha)
+            if err <= 1e-12:
+                break
+            pred = self._stump_predict(X, dim, thr, pol)
+            w *= np.exp(-alpha * y_pm * pred)
+            w /= w.sum()
+        return self
 
 
 def _tie_heavy_dataset(seed: int):
@@ -338,25 +387,49 @@ def test_shared_cut_scan_matches_reference_learners():
         assert (boost.stumps, boost.alphas) == (ref.stumps, ref.alphas), seed
 
 
-def test_shared_cut_scan_matches_reference_tree_on_bench(
+def test_shared_cut_scan_matches_reference_learners_on_bench(
         bench_synth, bench_labels, monkeypatch):
     # the seed-42 training split of the 2k benchmark, after SMOTE
     is_target, _ = label_threads(bench_synth.corpus, bench_labels[1])
     dataset = Dataset.from_vectors(features.featurize_threads(
         build_threads(bench_synth.corpus), is_target))
-    trees = []
+    algorithms = ["adaboost", "decision_tree"]
+    fitted = []
     real_train = learn.train
 
-    def keep_tree(algorithm, data):
-        trees.append(real_train(algorithm, data))
-        return trees[-1]
+    def keep_model(algorithm, data):
+        fitted.append(real_train(algorithm, data))
+        return fitted[-1]
 
-    monkeypatch.setattr(learn, "train", keep_tree)
-    [new] = evaluate_split(dataset, ["decision_tree"], seed=42)
-    monkeypatch.setattr(DecisionTree, "_best_split", _ref_best_split)
-    [ref] = evaluate_split(dataset, ["decision_tree"], seed=42)
+    monkeypatch.setattr(learn, "train", keep_model)
+    new = evaluate_split(dataset, algorithms, seed=42)
+    monkeypatch.setitem(models.ALGORITHMS, "adaboost", _RefBoost)
+    monkeypatch.setitem(models.ALGORITHMS, "decision_tree", _RefTree)
+    ref = evaluate_split(dataset, algorithms, seed=42)
     assert new == ref
-    assert trees[0].to_dict() == trees[1].to_dict()
+    assert [type(m) for m in fitted] == [AdaBoost, DecisionTree, _RefBoost, _RefTree]
+    for got, want in zip(fitted[:2], fitted[2:]):
+        assert got.to_dict() == want.to_dict()
+
+
+def _splits(node: dict) -> int:
+    return 0 if node["leaf"] else 1 + _splits(node["left"]) + _splits(node["right"])
+
+
+@pytest.mark.parametrize("learner", [AdaBoost, DecisionTree])
+def test_one_sort_per_column_per_fit(learner, monkeypatch):
+    X, y = _tie_heavy_dataset(4)
+    sorts = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        sorts.append(1)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    model = learner().fit(X, y)
+    searches = len(model.stumps) if learner is AdaBoost else _splits(model.root)
+    assert searches > 10 and len(sorts) == X.shape[1]
 
 
 def test_smote_matches_full_tensor_neighbors_with_duplicate_rows():
