@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Comment, Corpus, rel_minutes
+from .corpus import TIME_ORDER, Comment, Corpus, rel_minutes
 from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
 
 SCATTER_THRESHOLD = 10
@@ -56,7 +56,7 @@ def comments_by_author(corpus: Corpus, account_ids: list[str]
         if c.author_id in by_author:
             by_author[c.author_id].append(c)
     for rows in by_author.values():
-        rows.sort(key=lambda c: (c.created_ts, c.comment_id))
+        rows.sort(key=TIME_ORDER)
     return by_author
 
 

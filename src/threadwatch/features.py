@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PostThread, rel_seconds
+from .corpus import PostThread
 
 MacroMode = str  # "full" | "censored"
 
@@ -34,43 +34,41 @@ class FeatureConfigError(Exception):
     pass
 
 
-def macro_features(thread: PostThread) -> list[float]:
-    """The thread's macro statistics, in MACRO_COLUMNS order."""
-    post = thread.post
-    if thread.comments:
-        span_days = max(c.created_ts - post.created_ts for c in thread.comments)
-        span_days = max(0, span_days) / 86400.0
-    else:
-        span_days = 0.0
-    return [span_days,
-            float(len(thread.comments)),
-            float(len({c.author_id for c in thread.comments})),
-            float(post.like_count),
-            float(sum(c.like_count for c in thread.comments))]
-
-
-def dav(thread: PostThread, window_minutes: int = 5,
-        t_final_minutes: int = 60) -> list[float]:
-    """Per-window comment counts over the thread's first t_final minutes.
-
-    Bin i (1-based) counts comments whose clamped offset in minutes
-    lies in [(i-1)*window, i*window); a comment exactly at t_final is
-    excluded.
-    """
+def _n_bins(window_minutes: int, t_final_minutes: int) -> int:
+    """The number of DAV bins of a window width and a horizon, both
+    checked."""
     if window_minutes <= 0 or t_final_minutes <= 0:
         raise FeatureConfigError("window and t_final must be positive")
     if t_final_minutes % window_minutes:
         raise FeatureConfigError(
             f"window {window_minutes} does not divide t_final {t_final_minutes}")
-    n_bins = t_final_minutes // window_minutes
+    return t_final_minutes // window_minutes
+
+
+def _row(thread: PostThread, window_s: int, final_s: int, n_bins: int) -> list[float]:
+    """The thread's feature row, from one pass over its comments: the
+    macro statistics in MACRO_COLUMNS order, then the DAV.
+
+    DAV bin i (1-based) counts the comments whose offset from the post,
+    clamped at zero for clock skew, lies in [(i-1)*window_s, i*window_s)
+    seconds; a comment exactly at final_s is excluded.
+    """
+    post = thread.post
+    t0 = post.created_ts
+    last = t0
+    authors = set()
+    likes = 0
     counts = [0] * n_bins
-    window_s = window_minutes * 60
-    final_s = t_final_minutes * 60
-    for c in thread.comments:
-        offset = rel_seconds(thread.post, c)
+    for _, _, author, ts, like, _ in thread.comments:
+        authors.add(author)
+        likes += like
+        if ts > last:
+            last = ts
+        offset = ts - t0
         if offset < final_s:
-            counts[offset // window_s] += 1
-    return [float(n) for n in counts]
+            counts[offset // window_s if offset > 0 else 0] += 1
+    return [(last - t0) / 86400.0, float(len(thread.comments)), float(len(authors)),
+            float(post.like_count), float(likes), *map(float, counts)]
 
 
 def censor_thread(thread: PostThread, horizon_minutes: float) -> PostThread:
@@ -78,7 +76,10 @@ def censor_thread(thread: PostThread, horizon_minutes: float) -> PostThread:
     if horizon_minutes <= 0:
         raise FeatureConfigError("horizon must be positive")
     horizon_s = horizon_minutes * 60
-    kept = [c for c in thread.comments if rel_seconds(thread.post, c) < horizon_s]
+    t0 = thread.post.created_ts
+    # the horizon is positive, so a comment before its post (offset
+    # clamped to zero) is kept either way
+    kept = [c for c in thread.comments if c.created_ts - t0 < horizon_s]
     return PostThread(thread.post, kept)
 
 
@@ -111,12 +112,17 @@ def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
     """
     if macro_mode not in ("full", "censored"):
         raise FeatureConfigError(f"unknown macro mode {macro_mode!r}")
+    n_bins = _n_bins(window_minutes, t_final_minutes)
+    window_s, final_s = window_minutes * 60, t_final_minutes * 60
+    censored = macro_mode == "censored"
     out = []
     for thread in threads:
-        src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
-        values = macro_features(src) + dav(thread, window_minutes, t_final_minutes)
         pid = thread.post.post_id
-        out.append(FeatureVector(pid, bool(is_target.get(pid, False)), values))
+        # censoring at t_final keeps exactly the comments the DAV counts,
+        # so one pass over the censored thread gives both parts of its row
+        src = censor_thread(thread, t_final_minutes) if censored else thread
+        out.append(FeatureVector(pid, bool(is_target.get(pid, False)),
+                                 _row(src, window_s, final_s, n_bins)))
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
@@ -53,6 +54,10 @@ class UrlObservation(NamedTuple):
     account_id: str
     ts: int
     flagged: bool = False  # expansion chain exceeded the hop bound or cycled
+
+
+# the sort key (domain, url, ts) of a UrlObservation, by field position
+_OBSERVATION_ORDER = itemgetter(1, 0, 4)
 
 
 class BlacklistEntry(NamedTuple):
@@ -211,26 +216,23 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
     once per call; the memo ends with the call, as it holds for one table.
     """
     memo: dict[str, tuple[str, str, bool] | None] = {}
+    findall = _URL_RE.findall
     out = []
     for thread in build_threads(corpus):
-        for comment in thread.comments:
-            for token in _url_tokens(comment.raw_text):
+        for cid, _, author, ts, _, text in thread.comments:
+            # as in _url_tokens: text without "/" cannot match
+            if "/" not in text:
+                continue
+            for token in findall(text):
                 try:
                     hit = memo[token]
                 except KeyError:
                     hit = memo[token] = _resolve(token, table)
-                if hit is None:
-                    continue
-                resolved, domain, flagged = hit
-                out.append(UrlObservation(
-                    url=resolved,
-                    domain=domain,
-                    comment_id=comment.comment_id,
-                    account_id=comment.author_id,
-                    ts=comment.created_ts,
-                    flagged=flagged,
-                ))
-    out.sort(key=lambda o: (o.domain, o.url, o.ts))
+                if hit is not None:
+                    resolved, domain, flagged = hit
+                    out.append(tuple.__new__(UrlObservation, (
+                        resolved, domain, cid, author, ts, flagged)))
+    out.sort(key=_OBSERVATION_ORDER)
     return out
 
 

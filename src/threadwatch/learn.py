@@ -170,7 +170,7 @@ def evaluate_split(dataset: Dataset, algorithms: list[str],
     X_test = apply_minmax(dataset.X[test_idx], stats)
     y_train, y_test = dataset.y[train_idx], dataset.y[test_idx]
 
-    if len(np.unique(y_test)) < 2:
+    if y_test.all() or not y_test.any():
         warnings.warn("test portion contains a single class; "
                       "undefined precision reported as 0")
     if balance:

@@ -24,9 +24,17 @@ class ModelError(Exception):
     pass
 
 
-def _check_two_classes(y: np.ndarray) -> None:
-    if len(np.unique(y)) < 2:
+def _labels(y) -> np.ndarray:
+    """The training labels as a bool array. Each label must be 0 or 1
+    (False or True), and both classes must occur."""
+    y = np.asarray(y)
+    binary = (y == 0) | (y == 1)
+    if not binary.all():
+        raise ModelError(f"labels must be 0 or 1, got {y[~binary][0].item()!r}")
+    y = y.astype(bool)
+    if y.all() or not y.any():
         raise ModelError("training data must contain both classes")
+    return y
 
 
 def _rows(X, width: int) -> np.ndarray:
@@ -48,9 +56,8 @@ class GaussianNaiveBayes:
         self.priors = None      # (2,)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNaiveBayes":
-        _check_two_classes(y)
+        y = _labels(y)
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=bool)
         self.means = np.vstack([X[~y].mean(axis=0), X[y].mean(axis=0)])
         self.variances = np.vstack([X[~y].var(axis=0), X[y].var(axis=0)])
         self.variances = np.maximum(self.variances, VARIANCE_FLOOR)
@@ -129,16 +136,15 @@ class DecisionTree:
         self.n_features = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        _check_two_classes(y)
+        y = _labels(y)
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         self.n_features = X.shape[1]
         self.root = self._grow(X, y, _column_orders(X), depth=0)
         return self
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, orders: np.ndarray, n_pos: int):
         """Best cut of the node whose rows each row of ``orders`` lists
-        in its column's stable sort order; y holds 0/1 labels."""
+        in its column's stable sort order; y holds bool labels."""
         n = orders.shape[1]
         # a cut must beat the parent, then each later cut the best so far,
         # by 1e-12; ties keep the earlier (lower dim, lower threshold)
@@ -229,9 +235,8 @@ class AdaBoost:
         return raw * polarity
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AdaBoost":
-        _check_two_classes(y)
+        y_pm = np.where(_labels(y), 1, -1)
         X = np.asarray(X, dtype=float)
-        y_pm = np.where(np.asarray(y, dtype=bool), 1, -1)
         self.n_features = X.shape[1]
         n = len(y_pm)
         w = np.full(n, 1.0 / n)

@@ -10,7 +10,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .corpus import Corpus, build_threads, rel_minutes
+from .corpus import TIME_ORDER, Corpus, build_threads, rel_minutes
 from .labeler import Category, MaliciousLabel
 
 DAY_MINUTES = 1440.0
@@ -59,8 +59,7 @@ def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEv
         page = corpus.pages[post.page_id]
         # (created_ts, comment_id) is unique, so this is the comment's rank
         thread = comments_of[post.post_id]
-        rank = bisect_left(thread, (comment.created_ts, comment.comment_id),
-                           key=lambda c: (c.created_ts, c.comment_id))
+        rank = bisect_left(thread, TIME_ORDER(comment), key=TIME_ORDER)
         n = len(thread)
         events.append(AttackEvent(
             comment_id=comment.comment_id,

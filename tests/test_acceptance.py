@@ -309,7 +309,8 @@ def test_criterion_8_unit_exactness(bench_synth, bench_labels):
     rng = random.Random(0)
     for thread in rng.sample(threads, 1000):
         horizon = rng.choice(range(5, 65, 5))
-        total = sum(features.dav(thread, 5, horizon))
+        [vector] = features.featurize_threads([thread], {}, 5, horizon)
+        total = sum(vector.values[len(features.MACRO_COLUMNS):])
         censored = len(features.censor_thread(thread, horizon).comments)
         if total != censored:
             problems.append(f"dav sum {total} != censored {censored}")

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threadwatch import corpus as corpus_mod
-from threadwatch.corpus import (Corpus, CorpusError, IngestResult, Region, build_threads,
-                                ingest, rel_minutes)
+from threadwatch.corpus import (TIME_ORDER, Corpus, CorpusError, IngestResult, Region,
+                                build_threads, ingest, rel_minutes)
 from threadwatch.synthgen import write_corpus_jsonl
 
 
@@ -102,6 +102,15 @@ def test_comment_sort_key_is_ts_then_id(tmp_path):
     result = ingest(_write(tmp_path, records))
     thread = build_threads(result.corpus)[0]
     assert [c.comment_id for c in thread.comments] == ["c1", "c2", "c3"]
+
+
+def test_time_order_reads_created_ts_then_id(small_synth):
+    # the key reads fields by position; a reordered record must fail here
+    corpus = small_synth.corpus
+    assert [TIME_ORDER(p) for p in corpus.posts.values()] == [
+        (p.created_ts, p.post_id) for p in corpus.posts.values()]
+    assert [TIME_ORDER(c) for c in corpus.comments.values()] == [
+        (c.created_ts, c.comment_id) for c in corpus.comments.values()]
 
 
 def test_threads_ordered_by_post_creation(tmp_path):
@@ -460,6 +469,44 @@ def mixed_jsonl(small_synth_jsonl, tmp_path_factory):
     return str(path)
 
 
+_MISSING = object()  # a field to delete
+
+# (field, value) changes to a comment record, each breaking one condition
+# of ingest's fused comment path
+_FAST_PATH_EXITS = st.one_of(
+    # 7 names post "7" as an int
+    st.tuples(st.sampled_from(["id", "post_id", "author_id"]),
+              st.just(7) | st.integers()),
+    st.tuples(st.sampled_from(["created_ts", "like_count"]),
+              st.sampled_from([1030.0, 1030.5, 0.0, -0.0, True, False, 1e20])
+              | st.floats()),
+    st.tuples(st.just("like_count"), st.integers(max_value=-1)),
+    st.tuples(st.just("text"), _JSON_VALUES.filter(lambda v: not isinstance(v, str))),
+    st.tuples(st.sampled_from(["kind", *_REF_REQUIRED["comment"]]), st.just(_MISSING)),
+    st.tuples(st.just("kind"), _JSON_VALUES.filter(lambda v: not isinstance(v, str))),
+)
+
+# changes the fused path accepts but must treat as the general path does
+_FAST_PATH_KEEPS = st.one_of(
+    st.tuples(st.sampled_from(["extra", "Kind", "ID"]), _JSON_VALUES),  # an extra field
+    st.tuples(st.just("id"), st.sampled_from(["c1", "c2", "x0"])),  # a repeated id
+)
+
+
+@st.composite
+def _fast_path_edge_line(draw):
+    """A comment line under p1 or post "7" with one change from
+    _FAST_PATH_EXITS or _FAST_PATH_KEEPS."""
+    rec = _comment(draw(st.sampled_from(["x0", "x1", "x2"])),
+                   draw(st.sampled_from(["p1", "7"])), 1030, likes=2)
+    field, value = draw(_FAST_PATH_EXITS | _FAST_PATH_KEEPS)
+    if value is _MISSING:
+        del rec[field]
+    else:
+        rec[field] = value
+    return json.dumps(rec).encode()
+
+
 class TestIngestMatchesReference:
     def test_small_synth(self, small_synth_jsonl):
         got = assert_same_as_reference(small_synth_jsonl)
@@ -493,6 +540,16 @@ class TestIngestMatchesReference:
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_same_as_reference(str(path))
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edge=st.lists(_fast_path_edge_line(), min_size=1, max_size=8), data=st.data())
+    def test_fast_path_edges(self, tmp_path, edge, data):
+        valid = _VALID + [_post("7", ts=1005), _comment("c3", "7", 1040)]
+        lines = data.draw(st.permutations([json.dumps(r).encode() for r in valid] + edge))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_same_as_reference(str(path))
+
 
 def _json_loads_calls(monkeypatch):
     """The texts that json.loads is called with, from now on."""
@@ -518,6 +575,35 @@ class TestOrjsonCarriesTheLoad:
         ingest(mixed_jsonl)
         # a blank line is skipped before json.loads
         assert sorted(texts) == sorted(line.decode() for line in _NON_RECORD_LINES if line)
+
+
+class TestCommentFastPath:
+    def _general_path_lines(self, monkeypatch):
+        """The lines that reach the general path, from now on."""
+        lines = []
+        line_fields = corpus_mod._line_fields
+
+        def counted(line):
+            lines.append(line)
+            return line_fields(line)
+
+        monkeypatch.setattr(corpus_mod, "_line_fields", counted)
+        return lines
+
+    def test_no_comment_line_of_a_clean_corpus_leaves_it(self, small_synth_jsonl,
+                                                         monkeypatch):
+        lines = self._general_path_lines(monkeypatch)
+        corpus = ingest(small_synth_jsonl).corpus
+        assert len(corpus.comments) > 10_000
+        assert sorted(json.loads(line)["kind"] for line in lines) == sorted(
+            ["page"] * len(corpus.pages) + ["post"] * len(corpus.posts))
+
+    def test_orphan_and_repeated_comments_stay_on_it(self, mixed_jsonl, monkeypatch):
+        lines = self._general_path_lines(monkeypatch)
+        ingest(mixed_jsonl)
+        kinds = [json.loads(line).get("kind") if line.startswith(b"{") else None
+                 for line in lines]
+        assert "comment" not in kinds and kinds.count(None) == len(_NON_RECORD_LINES)
 
 
 class TestIdSharing:

@@ -5,9 +5,8 @@ import pytest
 
 from threadwatch.corpus import Comment, Post, PostThread, rel_seconds
 from threadwatch.features import (MACRO_COLUMNS, FeatureConfigError,
-                                  apply_minmax, censor_thread, dav,
-                                  featurize_threads, fit_minmax,
-                                  macro_features)
+                                  apply_minmax, censor_thread,
+                                  featurize_threads, fit_minmax)
 
 T0 = 1_400_000_000
 
@@ -20,6 +19,23 @@ def make_thread(offsets_s, likes=None, authors=None, post_likes=7):
                 for i, off in enumerate(offsets_s)]
     comments.sort(key=lambda c: (c.created_ts, c.comment_id))
     return PostThread(post, comments)
+
+
+def row_of(thread, window_minutes=5, t_final_minutes=60, macro_mode="full"):
+    """The thread's feature row, featurized on its own."""
+    [vector] = featurize_threads([thread], {}, window_minutes, t_final_minutes,
+                                 macro_mode=macro_mode)
+    return vector.values
+
+
+def macro_of(thread):
+    """The macro statistics of the thread's row."""
+    return row_of(thread)[:len(MACRO_COLUMNS)]
+
+
+def dav_of(thread, window_minutes, t_final_minutes):
+    """The per-window counts of the thread's row."""
+    return row_of(thread, window_minutes, t_final_minutes)[len(MACRO_COLUMNS):]
 
 
 # The record-based row builders that the plain float rows replaced, kept
@@ -136,11 +152,11 @@ class TestRowsMatchReference:
 
 class TestMacroFeatures:
     def test_commentless_thread(self):
-        m = macro_features(make_thread([], post_likes=7))
+        m = macro_of(make_thread([], post_likes=7))
         assert tuple(m) == (0.0, 0, 0, 7, 0)
 
     def test_hand_computed(self):
-        m = dict(zip(MACRO_COLUMNS, macro_features(
+        m = dict(zip(MACRO_COLUMNS, macro_of(
             make_thread([60, 120, 86400], likes=[1, 0, 2], authors=["A", "A", "B"]))))
         assert m["span_days"] == 1.0
         assert m["n_comments"] == 3
@@ -149,52 +165,77 @@ class TestMacroFeatures:
         assert m["comment_likes"] == 3
 
     def test_comment_at_post_time(self):
-        m = dict(zip(MACRO_COLUMNS, macro_features(make_thread([0]))))
+        m = dict(zip(MACRO_COLUMNS, macro_of(make_thread([0]))))
         assert m["span_days"] == 0.0
         assert m["n_comments"] == 1
 
     def test_order_invariance(self):
         offsets = [300, 60, 1200, 60, 900]
-        base = macro_features(make_thread(offsets))
+        base = macro_of(make_thread(offsets))
         shuffled = offsets[:]
         random.Random(3).shuffle(shuffled)
-        assert macro_features(make_thread(shuffled)) == base
+        assert macro_of(make_thread(shuffled)) == base
 
 
 class TestDav:
     def test_empty_thread(self):
-        assert tuple(dav(make_thread([]), 5, 60)) == (0,) * 12
+        assert tuple(dav_of(make_thread([]), 5, 60)) == (0,) * 12
 
     def test_hand_binning(self):
         thread = make_thread([60, 120, 420, 3660])  # minutes 1, 2, 7, 61
-        assert tuple(dav(thread, 5, 60)) == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert tuple(dav_of(thread, 5, 60)) == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     def test_default_length_twelve(self):
-        assert len(dav(make_thread([]), 5, 60)) == 12
+        assert len(dav_of(make_thread([]), 5, 60)) == 12
 
     def test_window_must_divide(self):
         with pytest.raises(FeatureConfigError):
-            dav(make_thread([]), 7, 60)
+            dav_of(make_thread([]), 7, 60)
 
     def test_comment_at_t_final_excluded(self):
-        assert sum(dav(make_thread([3600]), 5, 60)) == 0
+        assert sum(dav_of(make_thread([3600]), 5, 60)) == 0
 
     def test_bin_sum_equals_direct_count(self):
         rng = random.Random(99)
         for _ in range(50):
             offsets = [rng.randint(0, 7200) for _ in range(rng.randint(0, 40))]
             thread = make_thread(offsets)
-            v = dav(thread, 5, 60)
+            v = dav_of(thread, 5, 60)
             assert sum(v) == sum(1 for o in offsets if o < 3600)
+
+    def test_censored_row_keeps_the_full_threads_counts(self):
+        # the one pass over the censored thread counts the same comments
+        rng = random.Random(5)
+        for i in range(40):
+            thread = random_thread(rng, f"p{i}")
+            for window, t_final in ((5, 60), (10, 30), (1, 5)):
+                full = row_of(thread, window, t_final)
+                censored = row_of(thread, window, t_final, macro_mode="censored")
+                assert censored[len(MACRO_COLUMNS):] == full[len(MACRO_COLUMNS):]
+                assert censored[1] == sum(full[len(MACRO_COLUMNS):])
 
     def test_fine_bins_regroup_to_coarse(self):
         rng = random.Random(7)
         offsets = [rng.randint(0, 4000) for _ in range(60)]
         thread = make_thread(offsets)
-        coarse = tuple(dav(thread, 5, 60))
-        fine = dav(thread, 1, 60)
+        coarse = tuple(dav_of(thread, 5, 60))
+        fine = dav_of(thread, 1, 60)
         regrouped = tuple(sum(fine[i:i + 5]) for i in range(0, 60, 5))
         assert regrouped == coarse
+
+
+class TestWindowCheck:
+    @pytest.mark.parametrize("window,t_final", [(7, 60), (0, 60), (5, 0), (-5, 60),
+                                                (5, -60)])
+    @pytest.mark.parametrize("macro_mode", ["full", "censored"])
+    def test_checked_without_any_thread(self, window, t_final, macro_mode):
+        with pytest.raises(FeatureConfigError):
+            featurize_threads([], {}, window_minutes=window, t_final_minutes=t_final,
+                              macro_mode=macro_mode)
+
+    def test_unknown_macro_mode(self):
+        with pytest.raises(FeatureConfigError, match="unknown macro mode"):
+            featurize_threads([], {}, macro_mode="partial")
 
 
 class TestCensor:
@@ -210,7 +251,7 @@ class TestCensor:
     def test_censor_then_dav_consistent(self):
         thread = make_thread([60, 540, 600, 3000])
         censored = censor_thread(thread, 10)
-        assert sum(dav(censored, 5, 10)) == 2
+        assert sum(dav_of(censored, 5, 10)) == 2
 
     def test_composition_is_min(self):
         rng = random.Random(11)

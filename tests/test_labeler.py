@@ -292,6 +292,14 @@ def _random_corpus(rng):
     return Corpus(pages=pages, posts=posts, comments=comments)
 
 
+def test_observation_order_reads_domain_url_ts(small_labels):
+    # the key reads fields by position; a reordered record must fail here
+    observations, _ = small_labels
+    assert observations
+    assert [labeler._OBSERVATION_ORDER(o) for o in observations] == [
+        (o.domain, o.url, o.ts) for o in observations]
+
+
 class TestCollectMatchesReference:
     """Full observation lists, in order and flagged included, against the
     per-occurrence loop."""

@@ -110,6 +110,30 @@ class TestTrain:
         with pytest.raises(LearnError):
             train("svm", planted_separable())
 
+    @pytest.mark.parametrize("algorithm", sorted(models.ALGORITHMS))
+    @pytest.mark.parametrize("labels", [[0, 2, 0, 2], [1, 2, 1, 2], [0, 1, -1, 1],
+                                        [0.0, 0.5, 1.0, 1.0], [0, 1, math.nan, 1]])
+    def test_labels_outside_zero_one_rejected(self, algorithm, labels):
+        X = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ModelError, match="labels must be 0 or 1"):
+            models.ALGORITHMS[algorithm]().fit(X, np.array(labels))
+
+    @pytest.mark.parametrize("algorithm", sorted(models.ALGORITHMS))
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 0], [1, 1, 1, 1], [True] * 4, []])
+    def test_single_class_rejected(self, algorithm, labels):
+        X = np.arange(2.0 * len(labels)).reshape(len(labels), 2)
+        with pytest.raises(ModelError, match="both classes"):
+            models.ALGORITHMS[algorithm]().fit(X, np.array(labels))
+
+    @pytest.mark.parametrize("algorithm", sorted(models.ALGORITHMS))
+    def test_bool_and_zero_one_labels_fit_the_same_model(self, algorithm):
+        data = planted_separable(80, seed=6)
+        fit = models.ALGORITHMS[algorithm]
+        want = fit().fit(data.X, data.y).to_dict()
+        for y in (data.y.astype(int), data.y.astype(float), data.y.astype(np.uint8),
+                  data.y.tolist()):
+            assert fit().fit(data.X, y).to_dict() == want
+
 
 class TestPredict:
     def test_training_point_label_under_tree(self):
@@ -174,6 +198,16 @@ class TestEvaluateSplit:
         [a] = evaluate_split(data, ["adaboost"], seed=9)
         [b] = evaluate_split(data, ["adaboost"], seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("test_class", [False, True])
+    def test_single_class_test_portion_warns(self, test_class):
+        # the 0.75 split of 8 rows puts the last two of the permutation in test
+        order = np.random.default_rng(0).permutation(8)
+        y = np.full(8, test_class)
+        y[order[:3]] = not test_class
+        X = np.arange(16.0).reshape(8, 2)
+        with pytest.warns(UserWarning, match="single class"):
+            evaluate_split(Dataset(X, y), ["decision_tree"], balance=False, seed=0)
 
     def test_too_small_dataset(self):
         with pytest.raises(LearnError):
@@ -457,6 +491,7 @@ def test_sweep_matches_per_horizon_featurization(small_synth, small_labels):
     y = [is_target.get(t.post.post_id, False) for t in threads]
     want = []
     for horizon in range(5, 65, 5):
-        data = Dataset([features.dav(t, 5, horizon) for t in threads], y)
+        data = Dataset([v.values[len(features.MACRO_COLUMNS):]
+                        for v in features.featurize_threads(threads, {}, 5, horizon)], y)
         want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
     assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want
