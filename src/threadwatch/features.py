@@ -142,7 +142,9 @@ def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
 
 
 def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool]]:
-    """Returns (post_ids, feature rows, labels)."""
+    """Returns (post_ids, feature rows, labels). A row whose is_target is
+    not 0 or 1, or whose width differs from the header's, or that holds a
+    non-finite value, raises FeatureConfigError naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -154,6 +156,10 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
                 raise FeatureConfigError(
                     f"{path} line {reader.line_num}: expected {len(header)} "
                     f"columns as in the header, got {len(rec)}")
+            if rec[1] not in ("0", "1"):
+                raise FeatureConfigError(
+                    f"{path} line {reader.line_num}: is_target must be 0 or 1, "
+                    f"got {rec[1]!r}")
             row = [float(x) for x in rec[2:]]
             if not all(map(math.isfinite, row)):
                 col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
@@ -161,6 +167,6 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
                     f"{path} line {reader.line_num}: non-finite value "
                     f"{rec[col]!r} in column {header[col]}")
             ids.append(rec[0])
-            labels.append(bool(int(rec[1])))
+            labels.append(rec[1] == "1")
             rows.append(row)
     return ids, rows, labels

@@ -5,11 +5,17 @@ Blacklist keys containing "/" are full-URL keys; keys without "/" are
 domain keys. A comment gets one label per category it matches; the
 label's matched key is the smallest matching domain key, or, when no
 domain key matches, the smallest matching full-URL key.
+
+Each piece of work is done once per distinct key: the blacklist is
+indexed by key as it is read, each distinct raw URL token of a corpus is
+resolved once, and observations are grouped by their resolved URL, so
+the only per-observation sort is the one by time inside each group.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
@@ -46,6 +52,9 @@ class Category(str, Enum):
 
 _CATEGORY_LOOKUP = {c.value.lower(): c for c in Category}
 
+# the categories of a key listed once; every such key shares its tuple
+_ONE_CATEGORY = {c: (c,) for c in Category}
+
 
 class UrlObservation(NamedTuple):
     url: str
@@ -56,13 +65,46 @@ class UrlObservation(NamedTuple):
     flagged: bool = False  # expansion chain exceeded the hop bound or cycled
 
 
-# the sort key (domain, url, ts) of a UrlObservation, by field position
-_OBSERVATION_ORDER = itemgetter(1, 0, 4)
+# the sort key of a UrlObservation within its resolved URL's group
+_TS = itemgetter(4)
 
 
 class BlacklistEntry(NamedTuple):
     key: str  # lowercase domain, or full URL when it contains "/"
     category: Category
+
+
+class Blacklist:
+    """Blacklist keys indexed for the join: domain keys and full-URL keys,
+    each mapped to its distinct categories in file order. len() is the
+    number of entries the index was built from."""
+
+    __slots__ = ("domains", "urls", "entries")
+
+    def __init__(self, domains: dict[str, tuple[Category, ...]],
+                 urls: dict[str, tuple[Category, ...]], entries: int):
+        self.domains = domains
+        self.urls = urls
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return self.entries
+
+
+def _index(entries: Iterable[tuple[str, Category]]) -> Blacklist:
+    """Index (key, category) pairs: keys with "/" are full-URL keys."""
+    domains: dict[str, tuple[Category, ...]] = {}
+    urls: dict[str, tuple[Category, ...]] = {}
+    n = 0
+    for key, category in entries:
+        n += 1
+        index = urls if "/" in key else domains
+        categories = index.get(key)
+        if categories is None:
+            index[key] = _ONE_CATEGORY[category]
+        elif category not in categories:
+            index[key] = categories + (category,)
+    return Blacklist(domains, urls, n)
 
 
 class MaliciousLabel(NamedTuple):
@@ -210,14 +252,30 @@ def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
 
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
     """One observation per (comment, extracted URL) pair after expansion,
-    sorted by (domain, url, ts).
+    sorted by (domain, url, ts), ties in thread order.
 
     Campaigns repeat their links, so each distinct raw token is resolved
     once per call; the memo ends with the call, as it holds for one table.
+    Each token leads to the group of its resolved URL. The domain is a
+    function of the URL, so the groups in (domain, url) order, each
+    stably sorted by time, are the observations in (domain, url, ts)
+    order.
     """
-    memo: dict[str, tuple[str, str, bool] | None] = {}
+    groups: dict[str, list[UrlObservation]] = {}
+
+    def group_of(token: str):
+        hit = _resolve(token, table)
+        if hit is None:
+            return None
+        resolved, domain, flagged = hit
+        group = groups.get(resolved)
+        if group is None:
+            group = groups[resolved] = []
+        return group, resolved, domain, flagged
+
+    memo: dict[str, tuple | None] = {}
     findall = _URL_RE.findall
-    out = []
+    new = tuple.__new__
     for thread in build_threads(corpus):
         for cid, _, author, ts, _, text in thread.comments:
             # as in _url_tokens: text without "/" cannot match
@@ -227,63 +285,88 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
                 try:
                     hit = memo[token]
                 except KeyError:
-                    hit = memo[token] = _resolve(token, table)
+                    hit = memo[token] = group_of(token)
                 if hit is not None:
-                    resolved, domain, flagged = hit
-                    out.append(tuple.__new__(UrlObservation, (
-                        resolved, domain, cid, author, ts, flagged)))
-    out.sort(key=_OBSERVATION_ORDER)
+                    group, resolved, domain, flagged = hit
+                    group.append(new(UrlObservation,
+                                     (resolved, domain, cid, author, ts, flagged)))
+    out: list[UrlObservation] = []
+    for _, url in sorted((group[0].domain, url) for url, group in groups.items()):
+        group = groups[url]
+        group.sort(key=_TS)
+        out += group
     return out
 
 
-def load_blacklist(path: str) -> list[BlacklistEntry]:
-    """Read a key<TAB>category TSV and return its entries in file order."""
-    entries = []
+def load_blacklist(path: str) -> Blacklist:
+    """Read a key<TAB>category TSV into the join's index, in one pass.
+
+    Keys are stripped, lose an http(s):// scheme and are lowercased;
+    categories are case-insensitive. Blank lines are skipped. The
+    blacklist is written by operators, not attackers, so a bad line
+    (no tab, an unknown category, or a key that is empty once stripped)
+    raises LabelError naming the line and aborts the run.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+        return _index(_blacklist_entries(fh))
+
+
+def _blacklist_entries(lines: Iterable[str]):
+    """The (key, category) pair of each entry line, in file order."""
+    categories: dict[str, Category] = {}  # raw category field -> category
+    for lineno, line in enumerate(lines, start=1):
+        key, tab, cat = line.partition("\t")
+        category = categories.get(cat)
+        if category is None:
             if not line.strip():
                 continue
-            try:
-                key, cat = line.split("\t", 1)
-            except ValueError as exc:
-                raise LabelError(f"blacklist line {lineno}: not key<TAB>category") from exc
+            if not tab:
+                raise LabelError(f"blacklist line {lineno}: not key<TAB>category")
             category = _CATEGORY_LOOKUP.get(cat.strip().lower())
             if category is None:
+                cat = cat.rstrip("\n")
                 raise LabelError(f"blacklist line {lineno}: unknown category {cat!r}")
-            entries.append(BlacklistEntry(_strip_scheme(key.strip()).lower(), category))
-    return entries
+            categories[cat] = category
+        key = key.strip()
+        if "://" in key:  # _SCHEME_RE matches nothing else
+            key = _strip_scheme(key)
+        key = key.lower()
+        if not key:
+            raise LabelError(f"blacklist line {lineno}: empty key")
+        yield key, category
 
 
 def join_blacklist(observations: list[UrlObservation],
-                   blacklist: list[BlacklistEntry]) -> list[MaliciousLabel]:
+                   blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
     """Match observations against the blacklist by keyed lookup.
 
     An observation matches when its full URL without the scheme equals
     a full-URL key or its domain equals a domain key. Output has one
     label per (comment_id, category), sorted; its matched key is the
     smallest matching domain key, else the smallest matching full-URL
-    key. Neither input needs any order.
+    key. Neither input needs any order. A blacklist given as entries
+    rather than as a loaded Blacklist is indexed here.
     """
-    domain_index: dict[str, list[Category]] = {}
-    url_index: dict[str, list[Category]] = {}
-    for e in blacklist:
-        index = url_index if "/" in e.key else domain_index
-        index.setdefault(e.key, []).append(e.category)
+    if not isinstance(blacklist, Blacklist):
+        blacklist = _index(blacklist)
+    domain_index, url_index = blacklist.domains, blacklist.urls
 
     # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
-    # observations repeat their URLs; strip each distinct one once
-    url_keys: dict[str, str] = {}
-    for o in observations:
-        url_key = url_keys.get(o.url)
-        if url_key is None:
-            url_key = url_keys[o.url] = _strip_scheme(o.url)
-        for is_url, key, index in ((False, o.domain, domain_index),
-                                   (True, url_key, url_index)):
-            for category in index.get(key, ()):
-                k = (o.comment_id, category)
-                found[k] = min(found.get(k, (is_url, key)), (is_url, key))
+    # observations come grouped by URL; look each run's keys up once
+    last_url = last_domain = None
+    hits: list[tuple[Category, tuple[bool, str]]] = []
+    for url, domain, cid, _, _, _ in observations:
+        if url != last_url or domain != last_domain:
+            last_url, last_domain = url, domain
+            url_key = _strip_scheme(url)
+            hits = [(c, (False, domain)) for c in domain_index.get(domain, ())]
+            hits += [(c, (True, url_key)) for c in url_index.get(url_key, ())]
+        for category, rank in hits:
+            k = (cid, category)
+            best = found.get(k)
+            if best is None or rank < best:
+                found[k] = rank
 
     labels = [MaliciousLabel(cid, cat, key)
               for (cid, cat), (_, key) in found.items()]

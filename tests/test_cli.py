@@ -201,6 +201,18 @@ class TestTrainEval:
                      "--algorithm", "decision_tree"]) == 1
         assert message in capsys.readouterr().err
 
+    def test_eval_is_target_outside_zero_one_exit_one(self, pipeline, tmp_path, capsys):
+        lines = read(pipeline["features"]).decode().splitlines()
+        post_id, _, *rest = lines[2].split(",")
+        lines[2] = ",".join([post_id, "2", *rest])
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--features", str(path), "--algorithm", "decision_tree",
+                     "--out", str(out)]) == 1
+        assert ("features.csv line 3: is_target must be 0 or 1, got '2'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -6,7 +6,8 @@ import pytest
 from threadwatch.corpus import Comment, Post, PostThread, rel_seconds
 from threadwatch.features import (MACRO_COLUMNS, FeatureConfigError,
                                   apply_minmax, censor_thread,
-                                  featurize_threads, fit_minmax)
+                                  featurize_threads, fit_minmax,
+                                  read_feature_csv)
 
 T0 = 1_400_000_000
 
@@ -283,3 +284,20 @@ class TestNormalize:
         stats = fit_minmax([[2.0], [6.0]])
         assert apply_minmax([[8.0]], stats).tolist() == [[1.0]]
         assert apply_minmax([[0.0]], stats).tolist() == [[0.0]]
+
+
+class TestReadFeatureCsv:
+    def test_zero_and_one_read_as_labels(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("post_id,is_target,span_days\np1,1,0.5\np2,0,0.25\n")
+        assert read_feature_csv(str(path)) == (["p1", "p2"], [[0.5], [0.25]],
+                                               [True, False])
+
+    @pytest.mark.parametrize("value", ["2", "-1", "x", "1.0"])
+    def test_is_target_outside_zero_one_names_the_line(self, tmp_path, value):
+        path = tmp_path / "features.csv"
+        path.write_text(f"post_id,is_target,span_days\np1,1,0.5\np2,{value},0.1\n")
+        with pytest.raises(FeatureConfigError) as err:
+            read_feature_csv(str(path))
+        assert str(err.value) == (f"{path} line 3: is_target must be 0 or 1, "
+                                  f"got {value!r}")

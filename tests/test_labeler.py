@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwatch import labeler
+from threadwatch import labeler, synthgen
 from threadwatch.corpus import Comment, Corpus, Page, Post, Region, build_threads
 from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
                                  LabelError, MaliciousLabel, ShortenerTable,
@@ -293,11 +294,12 @@ def _random_corpus(rng):
 
 
 def test_observation_order_reads_domain_url_ts(small_labels):
-    # the key reads fields by position; a reordered record must fail here
+    # groups are sorted by a positional key; a reordered record must fail here
     observations, _ = small_labels
     assert observations
-    assert [labeler._OBSERVATION_ORDER(o) for o in observations] == [
-        (o.domain, o.url, o.ts) for o in observations]
+    assert [labeler._TS(o) for o in observations] == [o.ts for o in observations]
+    keys = [(o.domain, o.url, o.ts) for o in observations]
+    assert keys == sorted(keys)
 
 
 class TestCollectMatchesReference:
@@ -383,6 +385,18 @@ class TestJoinBlacklist:
         labels = join_blacklist(observations, blacklist)
         assert labels == join_blacklist(observations, sort_blacklist(blacklist))
         assert [l.comment_id for l in labels] == ["c1", "c2"]
+
+    def test_each_observation_joined_on_its_own_domain(self):
+        # the join looks keys up once per run of equal (url, domain); a
+        # hand-built observation whose domain is not its URL's still
+        # matches by the domain it carries
+        observations = [UrlObservation("http://a.com/x", "a.com", "c1", "u1", 0),
+                        UrlObservation("http://a.com/x", "b.com", "c2", "u1", 0),
+                        UrlObservation("http://a.com/x", "a.com", "c3", "u1", 0)]
+        blacklist = [BlacklistEntry("b.com", Category.ADS)]
+        labels = join_blacklist(observations, blacklist)
+        assert labels == [MaliciousLabel("c2", Category.ADS, "b.com")]
+        assert brute_force_join(observations, blacklist) == {("c2", Category.ADS)}
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(1234)
@@ -520,12 +534,91 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
                    or _strip_scheme(u) == lab.matched_key for u in urls)
 
 
+def reference_load(lines):
+    """Entries of blacklist lines, one per line in file order, parsed
+    field by field: an oracle for the loader's one-pass index."""
+    entries = []
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        key, cat = line.split("\t", 1)
+        entries.append(BlacklistEntry(_strip_scheme(key.strip()).lower(),
+                                      Category(cat.strip().capitalize())))
+    return entries
+
+
 def test_load_blacklist_case_insensitive_categories(tmp_path):
     path = tmp_path / "bl.tsv"
     path.write_text("Evil.COM\tPHISHING\nads.net\tads\n")
-    entries = load_blacklist(str(path))
-    assert entries == [BlacklistEntry("evil.com", Category.PHISHING),
-                       BlacklistEntry("ads.net", Category.ADS)]
+    blacklist = load_blacklist(str(path))
+    assert blacklist.domains == {"evil.com": (Category.PHISHING,),
+                                 "ads.net": (Category.ADS,)}
+    assert blacklist.urls == {}
+    assert len(blacklist) == 2
+
+
+def test_key_listed_once_shares_one_category_tuple(tmp_path, small_synth):
+    path = str(tmp_path / "bl.tsv")
+    synthgen.write_blacklist_tsv(small_synth, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("twice.com\tporn\nTwice.com\tads\nhttp://twice.com\tporn\n"
+                 "twice.com/x\tmalware\nTWICE.com/x\tMalware\n")
+    blacklist = load_blacklist(path)
+    once = {e.key: e.category for e in small_synth.blacklist}
+    assert len(blacklist) == len(once) + 5
+    for index in (blacklist.domains, blacklist.urls):
+        for key, categories in index.items():
+            if key in once:
+                assert categories is labeler._ONE_CATEGORY[once[key]]
+    # a repeated key keeps its distinct categories in file order
+    assert blacklist.domains["twice.com"] == (Category.PORN, Category.ADS)
+    assert blacklist.urls["twice.com/x"] is labeler._ONE_CATEGORY[Category.MALWARE]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\tads", "blacklist line 2: empty key"),
+    ("http://\tphishing", "blacklist line 2: empty key"),
+    ("  HTTPS://  \tPorn", "blacklist line 2: empty key"),
+    ("evil.com", "blacklist line 2: not key<TAB>category"),
+    ("evil.com\tspam", "blacklist line 2: unknown category 'spam'"),
+])
+def test_bad_blacklist_line_names_the_line(tmp_path, line, message):
+    path = tmp_path / "bl.tsv"
+    path.write_text(f"ok.com\tads\n{line}\nlater.com\tads\n")
+    with pytest.raises(LabelError) as err:
+        load_blacklist(str(path))
+    assert str(err.value) == message
+
+
+_BL_KEYS = ["a.com", "A.Com", "www.a.com", "b.org", "B.ORG", "a.com/x", "A.com/X",
+            "b.org/x", "www.a.com/x", "a.com/go?u=http://b.org/x"]
+_BL_CATEGORIES = ["ads", "Ads", "ADS", "malware", "Malware", "phishing", "PHISHING",
+                  "porn", "pOrN"]
+_PAD = st.sampled_from(["", " ", "  "])
+_BL_LINE = st.one_of(
+    st.tuples(_PAD, st.sampled_from(["", "http://", "HTTPS://", "hTtP://"]),
+              st.sampled_from(_BL_KEYS), _PAD, st.just("\t"), _PAD,
+              st.sampled_from(_BL_CATEGORIES), _PAD).map("".join),
+    st.sampled_from(["", " ", "  \t ", "\t"]))
+
+_BL_OBSERVATIONS = [obs(f"{scheme}://{host}/{path}", f"c{i}", ts=i % 3)
+                    for i, (scheme, host, path) in enumerate(itertools.product(
+                        ("http", "https"), ("a.com", "www.a.com", "b.org", "c.net"),
+                        ("x", "X", "y", "go?u=http://b.org/x")))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_BL_LINE, max_size=30), st.booleans())
+def test_loaded_index_joins_as_reference(tmp_path, lines, final_newline):
+    path = tmp_path / "bl.tsv"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+    entries = reference_load(lines)
+    blacklist = load_blacklist(str(path))
+    assert len(blacklist) == len(entries)
+    assert join_blacklist(_BL_OBSERVATIONS, blacklist) == reference_join(
+        sort_obs(_BL_OBSERVATIONS), sort_blacklist(entries))
 
 
 def test_shortener_map_line_without_tab_names_the_line(tmp_path):
