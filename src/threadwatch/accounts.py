@@ -41,7 +41,7 @@ class CampaignCluster:
     accounts: frozenset[str]
 
 
-class AccountError(Exception):
+class AccountError(ValueError):
     pass
 
 

@@ -1,10 +1,14 @@
 """Command surface tying the pipeline together.
 
 Subcommands: synth, ingest, label, featurize, train, eval, sweep,
-temporal, accounts, report. Exit codes: 0 success, 1 validation error,
-2 I/O error; any other exception propagates with its traceback (the
+temporal, accounts, report. Exit codes: 0 success, 1 validation error
+(every module's error class is a ValueError), 2 I/O error or unreadable
+corpus; any other exception propagates with its traceback (the
 interpreter also exits 1). All randomness is seeded through flags/config, so reruns
 with identical inputs produce byte-identical output files.
+
+Each subcommand imports the layers it runs when it starts, so ``ingest``,
+``label`` and ``temporal`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,14 +19,11 @@ import os
 import sys
 import time
 
-from . import accounts as accounts_mod
-from . import features as features_mod
-from . import labeler as labeler_mod
-from . import learn as learn_mod
-from . import models as models_mod
-from . import synthgen as synthgen_mod
-from . import temporal as temporal_mod
+from . import labeler
 from .corpus import Corpus, CorpusError, IngestResult, build_threads, ingest
+
+# the names of models.ALGORITHMS, here so that parsing loads no models
+ALGORITHMS = ("adaboost", "decision_tree", "naive_bayes")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -83,38 +84,37 @@ def _ingest(path: str) -> IngestResult:
     return result
 
 
-def _load_labeling_inputs(args):
-    corpus = _ingest(args.corpus).corpus
-    table = labeler_mod.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
-    return corpus, table
-
-
 # Stages: each output file is computed and written by one function below.
-# Single-stage subcommands load their inputs from files and call one;
-# report calls them all on the same in-memory values.
+# Single-stage subcommands call one; report calls them all on the same
+# in-memory values. A command reads its operator files (blacklist,
+# shortener map, labels) before the corpus, so that a bad line in one
+# aborts before the ingest. Commands and stages import the layers they run
+# at their top: a command that ingests thus loads them before the ingest,
+# and the gc.freeze() after it also covers the modules' objects.
 
 def label_stage(corpus: Corpus, table, blacklist, path: str):
     """URL observations and malicious-comment labels; writes the labels."""
-    observations = labeler_mod.collect_observations(corpus, table)
-    labels = labeler_mod.join_blacklist(observations, blacklist)
-    labeler_mod.write_labels(labels, path)
+    observations = labeler.collect_observations(corpus, table)
+    labels = labeler.join_blacklist(observations, blacklist)
+    labeler.write_labels(labels, path)
     return observations, labels
 
 
 def featurize_stage(corpus: Corpus, labels, path: str, **options):
     """One feature vector per thread; writes the feature CSV."""
-    vectors = features_mod.featurize_threads(
-        build_threads(corpus), labeler_mod.label_threads(corpus, labels)[0],
+    from . import features
+    vectors = features.featurize_threads(
+        build_threads(corpus), labeler.label_threads(corpus, labels)[0],
         **options)
-    features_mod.write_feature_csv(vectors, path)
+    features.write_feature_csv(vectors, path)
     return vectors
 
 
-def metrics_stage(dataset: learn_mod.Dataset, algorithms: list[str],
-                  path: str | None, **split) -> list[learn_mod.Metrics]:
-    """Split evaluation per algorithm; writes one CSV row each when a
-    path is given."""
-    results = learn_mod.evaluate_split(dataset, algorithms, **split)
+def metrics_stage(dataset, algorithms: list[str], path: str | None, **split):
+    """Split evaluation of a learn.Dataset per algorithm, as a list of
+    learn.Metrics; writes one CSV row each when a path is given."""
+    from . import learn
+    results = learn.evaluate_split(dataset, algorithms, **split)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("algorithm,precision,recall,f1\n")
@@ -126,45 +126,48 @@ def metrics_stage(dataset: learn_mod.Dataset, algorithms: list[str],
 def temporal_stage(corpus: Corpus, labels, out: str):
     """Attack events; writes the three ECDF tables, the within-one-day
     fractions and the monthly heatmap into the directory out."""
-    events = temporal_mod.attack_events(corpus, labels)
+    from . import temporal
+    events = temporal.attack_events(corpus, labels)
     os.makedirs(out, exist_ok=True)
-    temporal_mod.write_ecdf_csv(temporal_mod.relative_positions(events),
-                                os.path.join(out, "relative_positions.csv"))
-    tables, within_day = temporal_mod.time_since_post(events)
-    temporal_mod.write_ecdf_csv(tables, os.path.join(out, "time_since_post.csv"))
+    temporal.write_ecdf_csv(temporal.relative_positions(events),
+                            os.path.join(out, "relative_positions.csv"))
+    tables, within_day = temporal.time_since_post(events)
+    temporal.write_ecdf_csv(tables, os.path.join(out, "time_since_post.csv"))
     with open(os.path.join(out, "within_one_day.csv"), "w", encoding="utf-8") as fh:
         fh.write("group,fraction_within_day\n")
         for group in sorted(within_day):
             fh.write(f"{group},{within_day[group]:.6f}\n")
-    temporal_mod.write_ecdf_csv(temporal_mod.inter_attack_intervals(events),
-                                os.path.join(out, "inter_attack_intervals.csv"))
-    pages, months, matrix = temporal_mod.monthly_heatmap(events, corpus)
-    temporal_mod.write_heatmap_csv(pages, months, matrix,
-                                   os.path.join(out, "monthly_heatmap.csv"))
+    temporal.write_ecdf_csv(temporal.inter_attack_intervals(events),
+                            os.path.join(out, "inter_attack_intervals.csv"))
+    pages, months, matrix = temporal.monthly_heatmap(events, corpus)
+    temporal.write_heatmap_csv(pages, months, matrix,
+                               os.path.join(out, "monthly_heatmap.csv"))
     return events
 
 
 def campaign_stage(labels, observations, out: str):
     """Campaign clusters by exact URL; writes the scatter into the
     directory out."""
-    clusters = accounts_mod.cluster_campaigns(labels, observations)
-    accounts_mod.write_scatter_csv(accounts_mod.campaign_scatter(clusters),
-                                   os.path.join(out, "campaign_scatter.csv"))
+    from . import accounts
+    clusters = accounts.cluster_campaigns(labels, observations)
+    accounts.write_scatter_csv(accounts.campaign_scatter(clusters),
+                               os.path.join(out, "campaign_scatter.csv"))
     return clusters
 
 
 def cmd_synth(args) -> tuple[int, int]:
-    config = synthgen_mod.profile_config(
+    from . import synthgen
+    config = synthgen.profile_config(
         args.profile, seed=args.seed, n_threads=args.threads,
         n_pages=args.pages, target_fraction=args.target_fraction)
-    result = synthgen_mod.generate(config)
+    result = synthgen.generate(config)
     os.makedirs(args.out, exist_ok=True)
-    synthgen_mod.write_corpus_jsonl(result, os.path.join(args.out, "corpus.jsonl"))
-    synthgen_mod.write_blacklist_tsv(result, os.path.join(args.out, "blacklist.tsv"))
-    synthgen_mod.write_shortener_files(result,
-                                       os.path.join(args.out, "shorteners.tsv"),
-                                       os.path.join(args.out, "shortener_hosts.txt"))
-    synthgen_mod.write_planted_jsonl(result, os.path.join(args.out, "planted.jsonl"))
+    synthgen.write_corpus_jsonl(result, os.path.join(args.out, "corpus.jsonl"))
+    synthgen.write_blacklist_tsv(result, os.path.join(args.out, "blacklist.tsv"))
+    synthgen.write_shortener_files(result,
+                                   os.path.join(args.out, "shorteners.tsv"),
+                                   os.path.join(args.out, "shortener_hosts.txt"))
+    synthgen.write_planted_jsonl(result, os.path.join(args.out, "planted.jsonl"))
     return config.n_threads, len(result.corpus.comments) + len(result.corpus.posts)
 
 
@@ -178,31 +181,37 @@ def cmd_ingest(args) -> tuple[int, int]:
 
 
 def cmd_label(args) -> tuple[int, int]:
-    corpus, table = _load_labeling_inputs(args)
-    observations, labels = label_stage(
-        corpus, table, labeler_mod.load_blacklist(args.blacklist), args.out)
+    table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
+    blacklist = labeler.load_blacklist(args.blacklist)
+    corpus = _ingest(args.corpus).corpus
+    observations, labels = label_stage(corpus, table, blacklist, args.out)
     return len(observations), len(labels)
 
 
 def cmd_featurize(args) -> tuple[int, int]:
+    from . import features
+    labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
-    vectors = featurize_stage(corpus, labeler_mod.read_labels(args.labels), args.out,
+    vectors = featurize_stage(corpus, labels, args.out,
                               window_minutes=args.window, t_final_minutes=args.t_final,
                               macro_mode=args.macro_mode)
     return len(corpus.posts), len(vectors)
 
 
-def _load_dataset(path: str) -> learn_mod.Dataset:
-    _, rows, labels = features_mod.read_feature_csv(path)
-    return learn_mod.Dataset(rows, labels)
+def _load_dataset(path: str):
+    """The learn.Dataset of a feature CSV."""
+    from . import features, learn
+    _, rows, labels = features.read_feature_csv(path)
+    return learn.Dataset(rows, labels)
 
 
 def cmd_train(args) -> tuple[int, int]:
+    from . import features, learn, models
     dataset = _load_dataset(args.features)
-    stats = features_mod.fit_minmax(dataset.X)
-    scaled = learn_mod.Dataset(features_mod.apply_minmax(dataset.X, stats), dataset.y)
-    models_mod.save_model(learn_mod.train(args.algorithm, scaled), args.out,
-                          scaling=stats.tolist())
+    stats = features.fit_minmax(dataset.X)
+    scaled = learn.Dataset(features.apply_minmax(dataset.X, stats), dataset.y)
+    models.save_model(learn.train(args.algorithm, scaled), args.out,
+                      scaling=stats.tolist())
     return len(dataset.y), 1
 
 
@@ -217,41 +226,46 @@ def cmd_eval(args) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> tuple[int, int]:
+    from . import learn
+    labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
-    is_target = labeler_mod.label_threads(
-        corpus, labeler_mod.read_labels(args.labels))[0]
-    results = learn_mod.sweep_horizon(corpus, is_target, algorithm=args.algorithm,
-                                      seed=args.seed)
-    learn_mod.write_sweep_csv(results, args.out)
+    is_target = labeler.label_threads(corpus, labels)[0]
+    results = learn.sweep_horizon(corpus, is_target, algorithm=args.algorithm,
+                                  seed=args.seed)
+    learn.write_sweep_csv(results, args.out)
     return len(corpus.posts), len(results)
 
 
 def cmd_temporal(args) -> tuple[int, int]:
+    from . import temporal
+    labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
-    events = temporal_stage(corpus, labeler_mod.read_labels(args.labels), args.out)
+    events = temporal_stage(corpus, labels, args.out)
     return len(events), 5
 
 
 def cmd_accounts(args) -> tuple[int, int]:
-    corpus, table = _load_labeling_inputs(args)
-    labels = labeler_mod.read_labels(args.labels)
-    _, attackers = labeler_mod.label_threads(corpus, labels)
-    normals = accounts_mod.sample_normal_accounts(
+    from . import accounts
+    table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
+    labels = labeler.read_labels(args.labels)
+    corpus = _ingest(args.corpus).corpus
+    _, attackers = labeler.label_threads(corpus, labels)
+    normals = accounts.sample_normal_accounts(
         corpus, attackers, per_page=args.sample_per_page, seed=args.seed)
     groups = {"attacker": sorted(attackers), "normal": normals}
-    by_author = accounts_mod.comments_by_author(
+    by_author = accounts.comments_by_author(
         corpus, [aid for ids in groups.values() for aid in ids])
     os.makedirs(args.out, exist_ok=True)
-    accounts_mod.write_footprint_csv(
-        {grp: accounts_mod.footprint(corpus, by_author, ids) for grp, ids in groups.items()},
+    accounts.write_footprint_csv(
+        {grp: accounts.footprint(corpus, by_author, ids) for grp, ids in groups.items()},
         os.path.join(args.out, "footprints.csv"))
-    accounts_mod.write_response_csv(
-        {grp: accounts_mod.response_stats(corpus, by_author, ids)
+    accounts.write_response_csv(
+        {grp: accounts.response_stats(corpus, by_author, ids)
          for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
     # campaign clusters read only the observations of labelled comments
     labelled = {lab.comment_id for lab in labels}
-    observations = labeler_mod.collect_observations(Corpus(
+    observations = labeler.collect_observations(Corpus(
         corpus.pages, corpus.posts,
         {cid: c for cid, c in corpus.comments.items() if cid in labelled}), table)
     clusters = campaign_stage(labels, observations, args.out)
@@ -259,14 +273,15 @@ def cmd_accounts(args) -> tuple[int, int]:
 
 
 def cmd_report(args) -> tuple[int, int]:
+    from . import accounts, features, learn, models, temporal
     os.makedirs(args.out, exist_ok=True)
-    corpus, table = _load_labeling_inputs(args)
-    observations, labels = label_stage(
-        corpus, table, labeler_mod.load_blacklist(args.blacklist),
-        os.path.join(args.out, "labels.tsv"))
+    table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
+    blacklist = labeler.load_blacklist(args.blacklist)
+    corpus = _ingest(args.corpus).corpus
+    observations, labels = label_stage(corpus, table, blacklist,
+                                       os.path.join(args.out, "labels.tsv"))
     vectors = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
-    metrics_stage(learn_mod.Dataset.from_vectors(vectors),
-                  sorted(models_mod.ALGORITHMS),
+    metrics_stage(learn.Dataset.from_vectors(vectors), sorted(models.ALGORITHMS),
                   os.path.join(args.out, "metrics.csv"), seed=args.seed)
     temporal_stage(corpus, labels, args.out)
     campaign_stage(labels, observations, args.out)
@@ -279,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Malicious-URL campaign analysis over discussion-thread corpora")
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    algorithms = sorted(models_mod.ALGORITHMS)
 
     def command(name: str, summary: str, func, *paths: str,
                 seed: int | None = None) -> argparse.ArgumentParser:
@@ -314,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "train a classifier and save it as JSON", cmd_train,
                 "features", "out")
-    p.add_argument("--algorithm", required=True, choices=algorithms)
+    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
 
     p = command("eval", "75/25 split evaluation", cmd_eval, "features", seed=0)
-    p.add_argument("--algorithm", required=True, choices=algorithms)
+    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--train-frac", type=float, default=0.75, help="training share")
     p.add_argument("--smote", choices=["on", "off"], default="on",
                    help="balance the training portion with SMOTE")
@@ -325,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", "F1 versus observation horizon", cmd_sweep,
                 "corpus", "labels", "out", seed=0)
-    p.add_argument("--algorithm", choices=algorithms, default="decision_tree", help="model")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="decision_tree", help="model")
 
     command("temporal", "temporal analyses of labeled attacks", cmd_temporal,
             "corpus", "labels", "out")
@@ -337,14 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("report", "end-to-end pipeline into one directory", cmd_report,
             "corpus", "blacklist", "shortener-map", "shortener-hosts", "out", seed=0)
     return parser
-
-
-# validation and config errors exit 1; any other exception is a bug and
-# raises with its traceback
-_VALIDATION_ERRORS = (ValueError, accounts_mod.AccountError, synthgen_mod.ConfigError,
-                      features_mod.FeatureConfigError, labeler_mod.LabelError,
-                      learn_mod.LearnError, models_mod.ModelError,
-                      temporal_mod.TemporalError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # every module's validation error is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -30,7 +30,7 @@ class FeatureVector:
     values: list[float]  # macro statistics, then DAV bins
 
 
-class FeatureConfigError(Exception):
+class FeatureConfigError(ValueError):
     pass
 
 
@@ -144,7 +144,8 @@ def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
 def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool]]:
     """Returns (post_ids, feature rows, labels). A row whose is_target is
     not 0 or 1, or whose width differs from the header's, or that holds a
-    non-finite value, raises FeatureConfigError naming the line."""
+    non-numeric or non-finite value, raises FeatureConfigError naming the
+    line (and for a bad value, its column)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -160,7 +161,16 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
                 raise FeatureConfigError(
                     f"{path} line {reader.line_num}: is_target must be 0 or 1, "
                     f"got {rec[1]!r}")
-            row = [float(x) for x in rec[2:]]
+            try:
+                row = [float(x) for x in rec[2:]]
+            except ValueError:
+                for col in range(2, len(rec)):
+                    try:
+                        float(rec[col])
+                    except ValueError:
+                        raise FeatureConfigError(
+                            f"{path} line {reader.line_num}: non-numeric value "
+                            f"{rec[col]!r} in column {header[col]}") from None
             if not all(map(math.isfinite, row)):
                 col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
                 raise FeatureConfigError(

@@ -113,7 +113,7 @@ class MaliciousLabel(NamedTuple):
     matched_key: str
 
 
-class LabelError(Exception):
+class LabelError(ValueError):
     pass
 
 

@@ -16,7 +16,7 @@ from .features import (MACRO_COLUMNS, FeatureVector, apply_minmax,
                        featurize_threads, fit_minmax)
 
 
-class LearnError(Exception):
+class LearnError(ValueError):
     pass
 
 

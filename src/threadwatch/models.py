@@ -20,7 +20,7 @@ import numpy as np
 VARIANCE_FLOOR = 1e-9
 
 
-class ModelError(Exception):
+class ModelError(ValueError):
     pass
 
 

@@ -60,7 +60,7 @@ CAMPAIGN_URLS_PER_CATEGORY = 25
 SIM_MINUTES = 600
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 

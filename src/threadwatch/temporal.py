@@ -29,7 +29,7 @@ class AttackEvent:
     region: str
 
 
-class TemporalError(Exception):
+class TemporalError(ValueError):
     pass
 
 

@@ -1,10 +1,14 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from threadwatch import accounts, labeler
+import threadwatch
+from threadwatch import (accounts, cli, corpus, features, labeler, learn, models,
+                         synthgen, temporal)
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
@@ -92,6 +96,19 @@ class TestBasics:
         assert self._label_with_broken_join(pipeline, tmp_path, monkeypatch, error) == 1
         assert "error: bad blacklist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, exits_one", [
+        (accounts.AccountError, True), (synthgen.ConfigError, True),
+        (features.FeatureConfigError, True), (labeler.LabelError, True),
+        (learn.LearnError, True), (models.ModelError, True),
+        (temporal.TemporalError, True), (corpus.CorpusError, False),
+    ])
+    def test_module_errors_are_value_errors(self, error, exits_one):
+        # main maps ValueError to exit 1; an unreadable corpus exits 2
+        assert issubclass(error, ValueError) is exits_one
+
+    def test_algorithm_names_are_the_models(self):
+        assert list(cli.ALGORITHMS) == sorted(models.ALGORITHMS)
+
     def test_internal_error_raises(self, pipeline, tmp_path, monkeypatch):
         with pytest.raises(KeyError, match="internal"):
             self._label_with_broken_join(pipeline, tmp_path, monkeypatch,
@@ -101,6 +118,129 @@ class TestBasics:
         assert main(["ingest", "--corpus", pipeline["corpus"]]) == 0
         out = capsys.readouterr().out
         assert "ingest ok: " in out and " in, " in out and out.rstrip().endswith("s")
+
+
+def _refuse_ingest(monkeypatch):
+    def refused(path):
+        raise AssertionError("the corpus was read")
+    monkeypatch.setattr(cli, "ingest", refused)
+
+
+# a file with a bad line 2, and the error it gives, per flag
+BAD_LINES = {
+    "blacklist": ("evil.com/a\tphishing\nhttp://\tphishing\n",
+                  "blacklist line 2: empty key"),
+    "shortener-map": ("bit.ly/a\thttp://evil.com/a\nbit.ly/b\n",
+                      "shortener map line 2: not short<TAB>target"),
+    "labels": ("c1\tphishing\tevil.com\nc2\tphishing\n", "labels line 2: bad row"),
+}
+# the file flags besides --corpus of each command that reads a corpus
+FILE_FLAGS = {
+    "label": ["blacklist", "shortener-map", "shortener-hosts", "out"],
+    "report": ["blacklist", "shortener-map", "shortener-hosts", "out"],
+    "accounts": ["labels", "shortener-map", "shortener-hosts", "out"],
+    "featurize": ["labels", "out"],
+    "sweep": ["labels", "out"],
+    "temporal": ["labels", "out"],
+}
+
+
+class TestOperatorFilesFirst:
+    """A bad line in a blacklist, shortener map or labels file aborts the
+    run before the corpus is read."""
+
+    @pytest.mark.parametrize("command, bad", [
+        (command, bad) for command, flags in FILE_FLAGS.items()
+        for bad in flags if bad in BAD_LINES])
+    def test_bad_line_aborts_before_ingest(self, pipeline, tmp_path, monkeypatch,
+                                           capsys, command, bad):
+        files = {"blacklist": pipeline["blacklist"], "shortener-map": pipeline["map"],
+                 "shortener-hosts": pipeline["hosts"], "labels": pipeline["labels"],
+                 "out": str(tmp_path / "out")}
+        text, message = BAD_LINES[bad]
+        files[bad] = str(tmp_path / "bad.txt")
+        with open(files[bad], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _refuse_ingest(monkeypatch)
+        argv = [command, "--corpus", pipeline["corpus"]]
+        for flag in FILE_FLAGS[command]:
+            argv += [f"--{flag}", files[flag]]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_bad_algorithm_in_config_aborts_sweep_before_ingest(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithm = bogus\n")
+        _refuse_ingest(monkeypatch)
+        assert main(["--config", str(cfg), "sweep", "--corpus", pipeline["corpus"],
+                     "--labels", pipeline["labels"], "--out", str(tmp_path / "s")]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: parses each subcommand's argv (a JSON list
+# of lists) or runs main on it, then prints the names of the loaded modules.
+_PROBE = """\
+import json, sys
+from threadwatch import cli
+mode, runs = sys.argv[1], json.loads(sys.argv[2])
+for argv in runs:
+    if mode == "parse":
+        cli.build_parser().parse_args(argv)
+    elif cli.main(argv):
+        sys.exit("exit code not 0")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _loaded_after(mode, runs):
+    """Whether numpy was loaded, and the threadwatch modules loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(threadwatch.__file__))
+    done = subprocess.run([sys.executable, "-c", _PROBE, mode, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout.splitlines()[-1])
+    return "numpy" in modules, {m for m in modules if m.startswith("threadwatch.")}
+
+
+class TestLayersLoaded:
+    """Each subcommand imports only the layers it runs."""
+
+    def test_parsing_loads_no_numpy(self):
+        runs = []
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "subcommand")
+        for name, sub in subparsers.choices.items():
+            argv = [name]
+            for action in sub._actions:
+                if action.required:
+                    argv += [action.option_strings[0],
+                             action.choices[0] if action.choices else "x"]
+            runs.append(argv)
+        numpy, layers = _loaded_after("parse", runs)
+        assert not numpy
+        assert layers == {"threadwatch.cli", "threadwatch.corpus", "threadwatch.labeler"}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ingest", set()), ("label", set()), ("temporal", {"threadwatch.temporal"})])
+    def test_run_loads_no_numpy(self, pipeline, tmp_path, command, extra):
+        out = str(tmp_path / "out")
+        argv = {
+            "ingest": ["ingest", "--corpus", pipeline["corpus"]],
+            "label": ["label", "--corpus", pipeline["corpus"],
+                      "--blacklist", pipeline["blacklist"],
+                      "--shortener-map", pipeline["map"],
+                      "--shortener-hosts", pipeline["hosts"], "--out", out],
+            "temporal": ["temporal", "--corpus", pipeline["corpus"],
+                         "--labels", pipeline["labels"], "--out", out],
+        }[command]
+        numpy, layers = _loaded_after("run", [argv])
+        assert not numpy
+        assert layers == {"threadwatch.cli", "threadwatch.corpus",
+                          "threadwatch.labeler"} | extra
+        if command == "label":
+            assert read(out) == read(pipeline["labels"])
 
 
 class TestLabel:
@@ -193,6 +333,8 @@ class TestTrainEval:
         ("post_id,is_target,span_days\np1,1,2.0\np2\n", "line 3: expected"),
         ("post_id,is_target,span_days,dav_1\np1,1,2.0,3.0\np2,0,1.0\n",
          "features.csv line 3: expected 4 columns as in the header, got 3"),
+        ("post_id,is_target,span_days\np1,1,abc\n",
+         "features.csv line 2: non-numeric value 'abc' in column span_days"),
     ])
     def test_eval_bad_feature_csv_exit_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "features.csv"

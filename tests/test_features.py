@@ -301,3 +301,13 @@ class TestReadFeatureCsv:
             read_feature_csv(str(path))
         assert str(err.value) == (f"{path} line 3: is_target must be 0 or 1, "
                                   f"got {value!r}")
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_numeric_value_names_line_and_column(self, tmp_path, value):
+        path = tmp_path / "features.csv"
+        path.write_text("post_id,is_target,span_days,dav_1\n"
+                        f"p1,1,0.5,1\np2,0,0.1,{value}\n")
+        with pytest.raises(FeatureConfigError) as err:
+            read_feature_csv(str(path))
+        assert str(err.value) == (f"{path} line 3: non-numeric value {value!r} "
+                                  "in column dav_1")
