@@ -8,7 +8,12 @@ interpreter also exits 1). All randomness is seeded through flags/config, so rer
 with identical inputs produce byte-identical output files.
 
 Each subcommand imports the layers it runs when it starts, so ``ingest``,
-``label`` and ``temporal`` run without loading numpy.
+``label`` and ``temporal`` run without loading numpy. ``main`` pauses the
+cyclic garbage collector for the whole command, since the records it
+builds hold no reference cycles, and leaves it as it found it. A closed
+stdout (``threadwatch eval ... | head -1``) is not an error: output files
+are written before the summary line, so ``main`` returns 0 and prints
+nothing more.
 """
 
 from __future__ import annotations
@@ -63,20 +68,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str],
 
 
 def _ingest(path: str) -> IngestResult:
-    # Ingest makes one tracked tuple per record (about 100k for 2k
-    # threads) and no reference cycles, and the records stay alive and
-    # unchanged for the rest of the run. With the collector paused the
-    # read starts no collection, and once frozen the records are skipped
-    # by every later one, which would otherwise walk them all again.
-    # main thaws them when it returns.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        result = ingest(path)
-    finally:
-        if enabled:
-            gc.enable()
-    gc.freeze()
+    result = ingest(path)
     for lineno, msg in result.line_errors:
         print(f"warning: line {lineno}: {msg}", file=sys.stderr)
     if result.dropped:
@@ -89,8 +81,7 @@ def _ingest(path: str) -> IngestResult:
 # in-memory values. A command reads its operator files (blacklist,
 # shortener map, labels) before the corpus, so that a bad line in one
 # aborts before the ingest. Commands and stages import the layers they run
-# at their top: a command that ingests thus loads them before the ingest,
-# and the gc.freeze() after it also covers the modules' objects.
+# at their top, so a command that ingests loads them before the ingest.
 
 def label_stage(corpus: Corpus, table, blacklist, path: str):
     """URL observations and malicious-comment labels; writes the labels."""
@@ -355,6 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # A command's records (one tracked tuple each, about 100k for 2k
+    # threads) form no reference cycles and live until it ends, so every
+    # cyclic collection during the command would walk them all and free
+    # nothing. The collector is paused for the whole command and left as
+    # it was found.
+    enabled = gc.isenabled()
+    gc.disable()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -364,9 +362,17 @@ def main(argv: list[str] | None = None) -> int:
         n_in, n_out = args.func(args)
         print(f"{args.subcommand} ok: {n_in} in, {n_out} out, "
               f"{time.perf_counter() - started:.2f}s")
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         return 0
     except SystemExit as exc:  # argparse: --help, or a usage error
         return 0 if exc.code == 0 else 1
+    except BrokenPipeError:
+        # the reader of stdout left (``| head -1``) after every file was
+        # written; stdout goes to devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (OSError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -15,15 +15,22 @@ orjson reads each line and ``json.loads`` decides every line that orjson
 rejects or may read differently. Both paths accept the same values and
 report the same line errors, those of ``json.loads``.
 
+A comment keeps the raw URL tokens of its text, not the text: labelling
+reads nothing else of it, and texts are a large part of a corpus's memory.
+Ingest tokenizes each distinct comment text that holds a "/" once, in
+time linear in its length (see ``_url_tokens``).
+
 Records are immutable tuples (``NamedTuple``). Within one ingest, page,
 post and author ids share one string per distinct value, so a comment's
-``post_id`` is the very object its post holds. The sharing table is
-local to the call and freed with it; nothing is interned process-wide.
+``post_id`` is the very object its post holds, and equal token tuples
+share one tuple. The sharing table is local to the call and freed with
+it; nothing is interned process-wide.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -65,7 +72,7 @@ class Comment(NamedTuple):
     author_id: str
     created_ts: int
     like_count: int
-    raw_text: str
+    url_tokens: tuple[str, ...]  # raw, in text order; () when there are none
 
 
 @dataclass
@@ -102,6 +109,68 @@ def rel_seconds(post: Post, comment: Comment) -> int:
 
 def rel_minutes(post: Post, comment: Comment) -> float:
     return rel_seconds(post, comment) / 60.0
+
+
+# URL tokens. A token is what this pattern finds, scanning left to right:
+#
+#   (?i)\b( https?://[^\s<>"']+ | (?:[a-z0-9][a-z0-9-]*\.)+[a-z]{2,}/[^\s<>"']* )
+#
+# Tried as written, the scheme-less alternative rescans a dotted run from
+# every label in it, so one long run of "a." takes time quadratic in its
+# length. _url_tokens gives the same tokens, at any host length, by trying
+# a host only where a run of host characters that ends in ".<letters>/"
+# starts. The leftmost host in such a run starts after the last "." that
+# is followed by "." or "-", which a search from the run's end finds. Each
+# character is scanned a bounded number of times.
+
+# a scheme URL, or a "/" outside one
+_SCHEME_URL_OR_SLASH = re.compile(r"""(?i)\bhttps?://[^\s<>"']+|/""")
+# a scheme URL (group 1), or a run of host characters that no host
+# character precedes and that ends in ".<letters>/"
+_CANDIDATE = re.compile(r"""(?ix)
+    \b(https?://[^\s<>"']+)
+  | (?<![a-z0-9.-])[a-z0-9.-]*\.[a-z]{2,}/
+""")
+_PATH = re.compile(r"""[^\s<>"']*""")
+# a label start inside a run: a character after "." or "-" that is neither
+_LABEL_START = re.compile(r"[.-][^.-]")
+
+
+def _host_start(text: str, s: int, j: int) -> int:
+    """Where the leftmost host in the run text[s:j] starts, or -1.
+
+    The run holds only host characters and ends in ".<letters>". A host
+    is text[i:j] for an i at a word boundary whose labels are not empty
+    and do not start with "-"; so i lies after the last "." that is
+    followed by "." or "-".
+    """
+    dot = text.rfind(".", s, j)
+    bad = max(text.rfind("..", s, dot + 1), text.rfind(".-", s, dot + 1))
+    if bad < 0 and text[s] not in ".-" and not (
+            s and (text[s - 1].isalnum() or text[s - 1] == "_")):
+        return s
+    m = _LABEL_START.search(text, max(bad, s), dot)
+    return -1 if m is None else m.start() + 1
+
+
+def _url_tokens(text: str) -> tuple[str, ...]:
+    """The raw URL tokens of a comment's text, in text order."""
+    found = _SCHEME_URL_OR_SLASH.findall(text)
+    # a scheme-less token needs a "/" outside every scheme URL
+    if "/" not in found:
+        return tuple(found)
+    tokens = []
+    search, pos = _CANDIDATE.search, 0
+    while m := search(text, pos):
+        pos = m.end()
+        if m.group(1) is not None:
+            tokens.append(m.group(1))
+            continue
+        start = _host_start(text, m.start(), pos - 1)
+        if start >= 0:
+            pos = _PATH.match(text, pos).end()
+            tokens.append(text[start:pos])
+    return tuple(tokens)
 
 
 # the sort key (created_ts, id) of a Post or a Comment, by field position;
@@ -162,11 +231,12 @@ def _line_fields(line: bytes) -> tuple[str, tuple] | None:
         raise ValueError(f"{kind} record missing fields {missing}") from None
 
 
-def _make_record(kind: str, values: tuple, ids: dict[str, str]) -> tuple[str, tuple]:
+def _make_record(kind: str, values: tuple, shared: dict) -> tuple[str, tuple]:
     """The id and record of one line's field values; page, post and
-    author ids are replaced by their first-seen string in ``ids``."""
+    author ids and comment token tuples are replaced by their first-seen
+    equal in ``shared``."""
     rid = str(values[0])
-    share = ids.setdefault
+    share = shared.setdefault
     if kind == "page":
         _, name, region_name = values
         region = _REGION_LOOKUP.get(str(region_name).lower())
@@ -183,10 +253,13 @@ def _make_record(kind: str, values: tuple, ids: dict[str, str]) -> tuple[str, tu
         raise ValueError("like_count must be >= 0")
     parent, author = str(parent), str(author)
     parent, author = share(parent, parent), share(author, author)
+    text = str(text)
     if kind == "post":
         rid = share(rid, rid)
-        return rid, tuple.__new__(Post, (rid, parent, author, ts, like, str(text)))
-    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like, str(text)))
+        return rid, tuple.__new__(Post, (rid, parent, author, ts, like, text))
+    tokens = _url_tokens(text)
+    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like,
+                                        share(tokens, tokens)))
 
 
 def ingest(path: str) -> IngestResult:
@@ -197,9 +270,13 @@ def ingest(path: str) -> IngestResult:
     unreadable file raises CorpusError. Records referencing unknown
     parents, and later records repeating an id, are dropped.
     """
-    # one string per distinct page, post and author id; ids are attacker
-    # written, so the table lives and dies with this call (no sys.intern)
-    ids: dict[str, str] = {}
+    # one object per distinct page, post and author id and per distinct
+    # token tuple; both are attacker written, so the table lives and dies
+    # with this call (no sys.intern)
+    shared: dict = {}
+    # the token tuple of each distinct comment text that holds a "/":
+    # campaigns repeat their texts, so each is tokenized once
+    by_text: dict[str, tuple[str, ...]] = {}
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
@@ -207,7 +284,8 @@ def ingest(path: str) -> IngestResult:
     errors: list[tuple[int, str]] = []
     dropped = 0
 
-    loads, comment_values, share = orjson.loads, _FIELDS["comment"], ids.setdefault
+    loads, comment_values, share = orjson.loads, _FIELDS["comment"], shared.setdefault
+    url_tokens = _url_tokens
 
     try:
         with open(path, "rb") as fh:
@@ -225,9 +303,14 @@ def ingest(path: str) -> IngestResult:
                             if cid in comments:
                                 dropped += 1
                             else:
+                                if "/" not in text:
+                                    tokens = ()
+                                elif (tokens := by_text.get(text)) is None:
+                                    tokens = url_tokens(text)
+                                    tokens = by_text[text] = share(tokens, tokens)
                                 comments[cid] = tuple.__new__(Comment, (
                                     cid, share(parent, parent), share(author, author),
-                                    ts, like, text))
+                                    ts, like, tokens))
                             continue
                 except (orjson.JSONDecodeError, KeyError, TypeError):
                     pass
@@ -236,7 +319,7 @@ def ingest(path: str) -> IngestResult:
                     if fields is None:
                         continue
                     kind, values = fields
-                    rid, rec = _make_record(kind, values, ids)
+                    rid, rec = _make_record(kind, values, shared)
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue

@@ -1,5 +1,10 @@
-"""Ground-truth labeling: URL extraction, shortener expansion, and the
+"""Ground-truth labeling: URL normalization, shortener expansion, and the
 keyed join of URL observations against a categorized blacklist.
+
+Ingest takes each comment's raw URL tokens from its text once, in linear
+time (``Comment.url_tokens``); labelling reads those tokens and scans no
+text. ``extract_urls`` runs the same tokenizer on a text and normalizes
+what it finds.
 
 Blacklist keys containing "/" are full-URL keys; keys without "/" are
 domain keys. A comment gets one label per category it matches; the
@@ -21,7 +26,7 @@ from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
-from .corpus import Corpus, build_threads
+from .corpus import Corpus, _url_tokens, build_threads
 
 MAX_EXPANSION_HOPS = 5
 
@@ -32,16 +37,6 @@ _PUBLIC_SUFFIXES = {"co.uk", "com.au", "com.tw", "co.jp"}
 _TRAILING_JUNK = ".,;:!?)\"'’”]}>"
 
 _SCHEME_RE = re.compile(r"(?i)https?://")
-
-_URL_RE = re.compile(
-    r"""(?i)\b(
-        https?://[^\s<>"']+
-        |
-        (?:[a-z0-9][a-z0-9-]*\.)+[a-z]{2,}/[^\s<>"']*
-    )""",
-    re.VERBOSE,
-)
-
 
 class Category(str, Enum):
     ADS = "Ads"
@@ -138,17 +133,9 @@ def normalize_url(token: str) -> str | None:
     return urlunsplit((parts.scheme.lower(), host, parts.path, parts.query, ""))
 
 
-def _url_tokens(raw_text: str) -> list[str]:
-    """Raw URL-like tokens of a comment's text, before normalization."""
-    # both alternatives of _URL_RE contain a literal "/", so text without
-    # one cannot match
-    if "/" not in raw_text:
-        return []
-    return _URL_RE.findall(raw_text)
-
-
 def extract_urls(raw_text: str) -> list[str]:
-    """All normalized absolute http/https URLs found in a comment's text."""
+    """All normalized absolute http/https URLs found in a comment's text:
+    the tokens ingest keeps for it (``Comment.url_tokens``), normalized."""
     out = []
     for token in _url_tokens(raw_text):
         url = normalize_url(token)
@@ -251,8 +238,8 @@ def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
 
 
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
-    """One observation per (comment, extracted URL) pair after expansion,
-    sorted by (domain, url, ts), ties in thread order.
+    """One observation per (comment, URL token that normalizes) pair
+    after expansion, sorted by (domain, url, ts), ties in thread order.
 
     Campaigns repeat their links, so each distinct raw token is resolved
     once per call; the memo ends with the call, as it holds for one table.
@@ -274,14 +261,13 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
         return group, resolved, domain, flagged
 
     memo: dict[str, tuple | None] = {}
-    findall = _URL_RE.findall
     new = tuple.__new__
     for thread in build_threads(corpus):
-        for cid, _, author, ts, _, text in thread.comments:
-            # as in _url_tokens: text without "/" cannot match
-            if "/" not in text:
+        for comment in thread.comments:
+            if not comment.url_tokens:
                 continue
-            for token in findall(text):
+            cid, _, author, ts, _, tokens = comment
+            for token in tokens:
                 try:
                     hit = memo[token]
                 except KeyError:

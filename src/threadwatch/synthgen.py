@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Comment, Corpus, Page, Post, Region
+from .corpus import Comment, Corpus, Page, Post, Region, _url_tokens
 from .labeler import BlacklistEntry, Category, MaliciousLabel
 
 EARLY_STAGE = "EarlyStage"
@@ -97,7 +97,8 @@ class PlantedAttack:
 
 @dataclass
 class SynthResult:
-    corpus: Corpus
+    corpus: Corpus  # its comments carry URL tokens, as ingest builds them
+    comment_texts: dict[str, str]  # comment id -> text, for the corpus file
     blacklist: list[BlacklistEntry]
     shortener_hosts: list[str]
     shortener_map: dict[str, str]
@@ -196,6 +197,7 @@ def generate(config: GeneratorConfig) -> SynthResult:
 
     posts: dict[str, Post] = {}
     comments: dict[str, Comment] = {}
+    texts: dict[str, str] = {}
     planted: list[PlantedAttack] = []
 
     for i in range(config.n_threads):
@@ -281,14 +283,15 @@ def generate(config: GeneratorConfig) -> SynthResult:
         rows.sort(key=lambda r: r[0])
         for j, (ts, author, likes, text, url, strategy) in enumerate(rows):
             cid = f"c{i:05d}_{j:04d}"
-            comments[cid] = Comment(cid, post_id, author, ts, likes, text)
+            comments[cid] = Comment(cid, post_id, author, ts, likes, _url_tokens(text))
+            texts[cid] = text
             if url is not None:
                 category = _category_of(url)
                 planted.append(PlantedAttack(cid, category, strategy, author, url))
 
     corpus = Corpus(pages=pages, posts=posts, comments=comments)
     planted.sort(key=lambda p: p.comment_id)
-    return SynthResult(corpus=corpus, blacklist=blacklist,
+    return SynthResult(corpus=corpus, comment_texts=texts, blacklist=blacklist,
                        shortener_hosts=[SHORTENER_HOST],
                        shortener_map=dict(sorted(shortener_map.items())),
                        planted=planted)
@@ -359,7 +362,8 @@ def write_corpus_jsonl(result: SynthResult, path: str) -> None:
             fh.write(json.dumps({"kind": "comment", "id": c.comment_id,
                                  "post_id": c.post_id, "author_id": c.author_id,
                                  "created_ts": c.created_ts, "like_count": c.like_count,
-                                 "text": c.raw_text}, sort_keys=True) + "\n")
+                                 "text": result.comment_texts[cid]},
+                                sort_keys=True) + "\n")
 
 
 def write_blacklist_tsv(result: SynthResult, path: str) -> None:

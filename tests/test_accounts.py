@@ -22,10 +22,10 @@ def two_page_corpus():
     posts = {"p1": Post("p1", "pg0", "au", T0, 0, "x"),
              "p2": Post("p2", "pg1", "au", T0, 0, "x")}
     comments = {
-        "c1": Comment("c1", "p1", "acct", T0 + 60, 0, "t"),
-        "c2": Comment("c2", "p1", "acct", T0 + 120, 1, "t"),
-        "c3": Comment("c3", "p2", "acct", T0 + 420, 2, "t"),
-        "c4": Comment("c4", "p2", "other", T0 + 500, 5, "t"),
+        "c1": Comment("c1", "p1", "acct", T0 + 60, 0, ()),
+        "c2": Comment("c2", "p1", "acct", T0 + 120, 1, ()),
+        "c3": Comment("c3", "p2", "acct", T0 + 420, 2, ()),
+        "c4": Comment("c4", "p2", "other", T0 + 500, 5, ()),
     }
     return Corpus(pages=pages, posts=posts, comments=comments)
 

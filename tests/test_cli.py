@@ -64,8 +64,9 @@ class TestBasics:
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
 
     def test_collector_left_as_found(self, pipeline, tmp_path):
-        # ingest pauses the collector and freezes the corpus; an in-process
-        # caller gets both back, on success and on an unreadable corpus
+        # main pauses the collector for the command and freezes nothing; an
+        # in-process caller gets it back, on success and on an unreadable
+        # corpus
         runs = [(pipeline["corpus"], 0), (str(tmp_path / "nope.jsonl"), 2)]
         was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
         try:
@@ -193,15 +194,105 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _loaded_after(mode, runs):
-    """Whether numpy was loaded, and the threadwatch modules loaded."""
+def _child_env(**changes):
+    """The environment of a child interpreter that imports this threadwatch;
+    a change to None removes the variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(threadwatch.__file__))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _loaded_after(mode, runs):
+    """Whether numpy was loaded, and the threadwatch modules loaded."""
     done = subprocess.run([sys.executable, "-c", _PROBE, mode, json.dumps(runs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     modules = json.loads(done.stdout.splitlines()[-1])
     return "numpy" in modules, {m for m in modules if m.startswith("threadwatch.")}
+
+
+# Run in a fresh interpreter: collects the garbage left by the imports,
+# runs main on argv and prints how many unreachable objects the collector
+# then finds.
+_GARBAGE_PROBE = """\
+import gc, sys
+from threadwatch import cli
+gc.collect()
+if cli.main(sys.argv[1:]):
+    sys.exit("exit code not 0")
+print(gc.collect())
+"""
+
+
+class TestCollector:
+    """main pauses the cyclic collector for the whole command."""
+
+    def test_paused_while_the_command_runs(self, pipeline, tmp_path, monkeypatch):
+        # collect_observations runs after the ingest
+        states = []
+        collect = labeler.collect_observations
+        monkeypatch.setattr(labeler, "collect_observations",
+                            lambda *args: states.append(gc.isenabled()) or collect(*args))
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(["label", "--corpus", pipeline["corpus"],
+                         "--blacklist", pipeline["blacklist"],
+                         "--shortener-map", pipeline["map"],
+                         "--shortener-hosts", pipeline["hosts"],
+                         "--out", str(tmp_path / "labels.tsv")]) == 0
+            assert gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert states == [False]
+
+    def test_report_leaves_no_cyclic_garbage_per_record(self, small_synth, bench_synth,
+                                                        tmp_path):
+        # what a run leaves for the collector comes from parsing and
+        # imports; if records formed cycles, ten times the threads would
+        # leave more
+        left = []
+        for result in (small_synth, bench_synth):
+            data = tmp_path / str(len(result.corpus.posts))
+            data.mkdir()
+            paths = {name: str(data / name) for name in
+                     ("corpus.jsonl", "blacklist.tsv", "map.tsv", "hosts.txt")}
+            synthgen.write_corpus_jsonl(result, paths["corpus.jsonl"])
+            synthgen.write_blacklist_tsv(result, paths["blacklist.tsv"])
+            synthgen.write_shortener_files(result, paths["map.tsv"], paths["hosts.txt"])
+            argv = ["report", "--corpus", paths["corpus.jsonl"],
+                    "--blacklist", paths["blacklist.tsv"], "--shortener-map",
+                    paths["map.tsv"], "--shortener-hosts", paths["hosts.txt"],
+                    "--out", str(data / "report")]
+            done = subprocess.run([sys.executable, "-c", _GARBAGE_PROBE, *argv],
+                                  env=_child_env(), capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            left.append(int(done.stdout.splitlines()[-1]))
+        assert [len(small_synth.corpus.posts), len(bench_synth.corpus.posts)] == [200, 2000]
+        assert left[0] == left[1]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_reader_leaving_early_is_not_an_error(self, pipeline, tmp_path, unbuffered):
+        # as in ``threadwatch eval ... | head -1`` once head has exited
+        out = tmp_path / "metrics.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "threadwatch.cli", "eval",
+             "--features", pipeline["features"], "--algorithm", "decision_tree",
+             "--out", str(out)],
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the interpreter has even started
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out.read_text().startswith("algorithm,precision,recall,f1\n")
 
 
 class TestLayersLoaded:

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import tracemalloc
 from dataclasses import dataclass
 from operator import itemgetter
@@ -13,6 +14,7 @@ from threadwatch import corpus as corpus_mod
 from threadwatch.corpus import (TIME_ORDER, Corpus, CorpusError, IngestResult, Region,
                                 build_threads, ingest, rel_minutes)
 from threadwatch.synthgen import write_corpus_jsonl
+from url_oracle import oracle_tokens
 
 
 def _write(tmp_path, records, name="corpus.jsonl"):
@@ -191,13 +193,15 @@ def test_invalid_utf8_line_is_a_line_error(tmp_path, bad):
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
 def test_unicode_line_separator_in_text_is_kept(tmp_path, sep):
-    records = [_page(), _post("p1"), _comment("c1", "p1", 1010, text=f"a{sep}b")]
+    records = [_page(), _post("p1"),
+               _comment("c1", "p1", 1010, text=f"a{sep}b.co/c{sep}d")]
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n",
                     encoding="utf-8")
     result = ingest(str(path))
     assert result.line_errors == []
-    assert result.corpus.comments["c1"].raw_text == f"a{sep}b"
+    # one line, one comment: the separator ends the token, not the line
+    assert result.corpus.comments["c1"].url_tokens == ("b.co/c",)
 
 
 def test_crlf_line_ends_are_read(tmp_path):
@@ -230,7 +234,14 @@ def test_integral_float_is_read_exactly(tmp_path):
 
 
 _VALID = [_page(), _post("p1"), _post("p2", ts=2000, likes=4),
-          _comment("c1", "p1", 1010), _comment("c2", "p2", 1990, likes=1)]
+          _comment("c1", "p1", 1010, text="see http://a.com/x or b.co/y"),
+          _comment("c2", "p2", 1990, likes=1)]
+
+# URL-like text: the scheme, host characters (with the four non-ASCII
+# letters that (?i)[a-z] matches) and characters that end a host or a token
+_URL_PIECES = st.sampled_from([*"ab1-./:_é\"<²", " ", "\n", "http://", "HTTPſ://", "co/",
+                               "\u0130", "\u0131", "\u212a"])
+_URL_TEXT = st.lists(_URL_PIECES, max_size=40).map("".join)
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -257,7 +268,7 @@ def _bad_number_record(draw):
 def _any_text_record(draw):
     """A comment under p1 whose author or text is any string, escaped or
     raw, or holds lone surrogates."""
-    value = draw(st.builds(json.dumps, st.text(), ensure_ascii=st.booleans())
+    value = draw(st.builds(json.dumps, st.text() | _URL_TEXT, ensure_ascii=st.booleans())
                  | st.sampled_from(['"\\ud800"', '"a\\udfff"', '"\\ud83d\\ude00"']))
     rec = _comment(f"t{draw(st.integers(0, 3))}", "p1", 1030)
     field = draw(st.sampled_from(["author_id", "text"]))
@@ -292,9 +303,10 @@ def test_ingest_survives_any_line_and_keeps_valid_records(tmp_path, junk, text, 
 
 
 # The ingest with frozen-dataclass records, unshared id strings, json.loads
-# on every line and a copy of the surviving posts and comments into new
-# tables, kept as an oracle. Its field table, region lookup and number
-# check are its own, so a change to the module's cannot pass on both sides.
+# on every line, URL tokens from the one-regex oracle and a copy of the
+# surviving posts and comments into new tables, kept as an oracle. Its
+# field table, region lookup and number check are its own, so a change to
+# the module's cannot pass on both sides.
 
 _REF_REQUIRED = {
     "page": ("id", "name", "region"),
@@ -339,7 +351,7 @@ class RefComment:
     author_id: str
     created_ts: int
     like_count: int
-    raw_text: str
+    url_tokens: tuple
 
 
 def _ref_parse_record(obj):
@@ -364,8 +376,10 @@ def _ref_parse_record(obj):
     like, ts = _ref_int_field(like, "like_count"), _ref_int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
-    cls = RefPost if kind == "post" else RefComment
-    return kind, rid, cls(rid, str(parent), str(author), ts, like, str(text))
+    if kind == "post":
+        return kind, rid, RefPost(rid, str(parent), str(author), ts, like, str(text))
+    return kind, rid, RefComment(rid, str(parent), str(author), ts, like,
+                                 oracle_tokens(str(text)))
 
 
 def reference_ingest(path):
@@ -633,6 +647,152 @@ class TestIdSharing:
         pid = next(iter(one.posts))
         assert one.posts[pid].post_id == two.posts[pid].post_id
         assert one.posts[pid].post_id is not two.posts[pid].post_id
+        cid = next(cid for cid, c in one.comments.items() if c.url_tokens)
+        assert one.comments[cid].url_tokens == two.comments[cid].url_tokens
+        assert one.comments[cid].url_tokens is not two.comments[cid].url_tokens
+
+    def test_equal_token_tuples_share_one_object(self, small_synth_jsonl):
+        comments = ingest(small_synth_jsonl).corpus.comments.values()
+        first: dict[tuple, tuple] = {}
+        with_tokens = [c.url_tokens for c in comments if c.url_tokens]
+        for tokens in with_tokens:
+            assert first.setdefault(tokens, tokens) is tokens
+        assert len(first) < len(with_tokens)  # campaigns repeat their links
+
+    def test_both_paths_share_one_token_tuple(self, tmp_path):
+        # a float number sends a comment line to the general path
+        records = [_page(), _post("p1"),
+                   *(_comment(f"c{i}", "p1", 1010, text="go a.co/x") for i in range(3))]
+        records[3]["created_ts"] = 1010.0
+        records[4]["like_count"] = 0.0
+        comments = ingest(_write(tmp_path, records)).corpus.comments
+        one = comments["c0"].url_tokens
+        assert one == ("a.co/x",)
+        assert comments["c1"].url_tokens is one and comments["c2"].url_tokens is one
+
+
+def _hosts(label_size):
+    """Hosts of up to 253 characters: dotted labels, some starting with
+    "-", and a last label of letters that may be too short; cut from the
+    left, so that the last label stays."""
+    label = st.text(st.sampled_from("ab1-\u212a"), min_size=label_size, max_size=63)
+    return st.builds(lambda labels, last: ".".join([*labels, last])[-253:],
+                     st.lists(label, max_size=6),
+                     st.text(st.sampled_from("ab\u017f\u0130\u0131"), max_size=4))
+
+
+# runs of host characters, each followed by a run of characters that are
+# none, so that no host in the text is longer than 253 characters
+_HOST_RUNS = (_hosts(1) | _hosts(40) | st.sampled_from(["http", "https", "HTTP\u017f"])
+              | st.text(st.sampled_from("ab1-.hHtTpsS\u017f\u0130\u0131\u212a"),
+                        max_size=253))
+_NON_HOST = st.sampled_from(["/", "://"]) | st.lists(
+    st.sampled_from([*" /:_\u00e9\"<>?#\u00b2\n'", "://"]),
+    min_size=1, max_size=3).map("".join)
+_HOSTS_TEXT = st.lists(st.tuples(_HOST_RUNS, _NON_HOST), max_size=8).map(
+    lambda parts: "".join(run + gap for run, gap in parts))
+
+# the shapes on which the oracle is quadratic, each with the end that
+# leaves no token and the end that makes the whole text one token
+_HOSTILE = [("a.", " /", "co/"), ("a-", " /", ".co/"), ("a-a.", " /", "co/")]
+_MB = 1 << 20
+
+
+def _hostile_texts():
+    for shape, none, whole in _HOSTILE:
+        run = shape * (_MB // len(shape))
+        yield pytest.param(run + none, (), id=f"{shape}*n+{none!r}")
+        yield pytest.param(run + whole, (run + whole,), id=f"{shape}*n+{whole!r}")
+
+
+class _Counted:
+    """A compiled pattern whose method calls are recorded in calls."""
+
+    def __init__(self, pattern, calls):
+        self._pattern, self._calls = pattern, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._pattern, name)
+
+        def counted(*args):
+            self._calls.append(name)
+            return method(*args)
+        return counted
+
+
+def _regex_calls(monkeypatch):
+    """The tokenizer's calls into its patterns, from now on."""
+    calls = []
+    for name in ("_SCHEME_URL_OR_SLASH", "_CANDIDATE", "_PATH", "_LABEL_START"):
+        monkeypatch.setattr(corpus_mod, name, _Counted(getattr(corpus_mod, name), calls))
+    return calls
+
+
+class TestUrlTokens:
+    @settings(max_examples=500, deadline=None)
+    @given(_HOSTS_TEXT)
+    def test_matches_the_oracle(self, text):
+        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+
+    @pytest.mark.parametrize("text", [
+        "see a.co/x", "_a.co/x", "\u00e9a.co/x", "\u00b2a.co/x", "-a.co/x", ".a.co/x",
+        "a..b.co/x", "a.-b.co/x", "a-.b.co/x", "a.b..co/x", "a.b.c1/x", "a.b.c-/x",
+        "a.b.c/x", "1.ab/x", "a.co/x.co/y z.co/", "x.http://a/", "http:/a.co/",
+        "httpS://a", "http\u017f://a b", "http://", "http:// a.co/", "\u212a.co/x",
+        "a.\u0130\u0131/x", "(http://x.io/p?q=1)", "<a.co/b>c", "a.co/'b'", "a/b.co/c"])
+    def test_examples_match_the_oracle(self, text):
+        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+
+    @pytest.mark.parametrize("host", [
+        "a" * 300 + ".com", "ab." * 200 + "org", ("a" * 63 + ".") * 20 + "net",
+        "x_" + "a" * 1000 + ".co", "a" * 5000 + "..b.co"])
+    def test_hosts_over_253_characters_match_the_oracle(self, host):
+        # no such host resolves, but its token is kept all the same: it can
+        # match only a blacklist key equal to it
+        text = f"see {host}/path and http://{host}/x"
+        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+
+    def test_text_without_slash_has_none(self):
+        assert corpus_mod._url_tokens("visit example.com or http:x") == ()
+
+    @pytest.mark.parametrize("text, tokens", _hostile_texts())
+    def test_hostile_comment_is_scanned_a_bounded_number_of_times(
+            self, monkeypatch, text, tokens):
+        calls = _regex_calls(monkeypatch)
+        started = time.perf_counter()
+        assert corpus_mod._url_tokens(text) == tokens
+        elapsed = time.perf_counter() - started
+        # each call scans on from where the last one stopped; the oracle
+        # would try the run once per label, half a million times
+        assert len(calls) <= 4
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("text, tokens", _hostile_texts())
+    def test_hostile_comment_passes_through_ingest(self, tmp_path, monkeypatch,
+                                                   text, tokens):
+        records = [_page(), _post("p1"), _comment("c1", "p1", 1010, text=text)]
+        path = _write(tmp_path, records)
+        calls = _regex_calls(monkeypatch)
+        started = time.perf_counter()
+        comments = ingest(path).corpus.comments
+        elapsed = time.perf_counter() - started
+        assert comments["c1"].url_tokens == tokens
+        assert len(calls) <= 4
+        assert elapsed < 1.0
+
+    def test_ingest_tokenizes_each_text_with_a_slash_once(self, small_synth,
+                                                          small_synth_jsonl, monkeypatch):
+        texts = []
+        tokenize = corpus_mod._url_tokens
+
+        def counted(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(corpus_mod, "_url_tokens", counted)
+        ingest(small_synth_jsonl)
+        want = {t for t in small_synth.comment_texts.values() if "/" in t}
+        assert want and sorted(texts) == sorted(want)
 
 
 def _peak_bytes(load, path):

@@ -16,7 +16,7 @@ def make_thread(offsets_s, likes=None, authors=None, post_likes=7):
     post = Post("p1", "pg0", "author", T0, post_likes, "post")
     likes = likes or [0] * len(offsets_s)
     authors = authors or [f"u{i}" for i in range(len(offsets_s))]
-    comments = [Comment(f"c{i}", "p1", authors[i], T0 + off, likes[i], "t")
+    comments = [Comment(f"c{i}", "p1", authors[i], T0 + off, likes[i], ())
                 for i, off in enumerate(offsets_s)]
     comments.sort(key=lambda c: (c.created_ts, c.comment_id))
     return PostThread(post, comments)
@@ -125,7 +125,7 @@ def random_thread(rng, post_id):
                              -rng.randint(1, 300), 300 * rng.randint(0, 24),
                              3600, 86400 * rng.randint(1, 3)])
         comments.append(Comment(f"{post_id}c{i}", post_id, rng.choice(authors),
-                                T0 + offset, rng.randint(0, 9), "t"))
+                                T0 + offset, rng.randint(0, 9), ()))
     comments.sort(key=lambda c: (c.created_ts, c.comment_id))
     return PostThread(post, comments)
 

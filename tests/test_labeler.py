@@ -1,18 +1,21 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threadwatch import labeler, synthgen
-from threadwatch.corpus import Comment, Corpus, Page, Post, Region, build_threads
+from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, _url_tokens,
+                                build_threads)
 from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
                                  LabelError, MaliciousLabel, ShortenerTable,
                                  UrlObservation, collect_observations,
                                  expand_url, extract_urls, join_blacklist,
                                  label_threads, load_blacklist,
-                                 registrable_domain, _strip_scheme)
+                                 normalize_url, registrable_domain, _strip_scheme)
+from url_oracle import URL_RE
 
 
 def brute_force_join(observations, blacklist):
@@ -89,13 +92,16 @@ def reference_join(observations, blacklist):
     return labels
 
 
-def reference_collect_observations(corpus, table):
-    """The per-occurrence loop: every extracted URL expanded and its
-    domain computed again, an oracle for the memoized collection."""
+def reference_collect_observations(corpus, table, texts):
+    """The per-occurrence loop over each comment's text (texts: comment id
+    -> text): every URL the one-regex oracle finds normalized, expanded
+    and its domain computed again, an oracle for the memoized collection
+    over the tokens ingest kept."""
     out = []
     for thread in build_threads(corpus):
         for comment in thread.comments:
-            for url in extract_urls(comment.raw_text):
+            urls = map(normalize_url, URL_RE.findall(texts[comment.comment_id]))
+            for url in filter(None, urls):
                 resolved, flagged = expand_url(url, table)
                 out.append(UrlObservation(
                     url=resolved,
@@ -149,9 +155,9 @@ class TestExtractUrls:
                                   fullmatch=True) | st.text(max_size=5),
                     max_size=8).map(" ".join).filter(lambda t: "/" not in t))
     def test_text_without_slash_holds_no_url(self, text):
-        # the "/" prefilter in front of _URL_RE relies on this; extracting
-        # bare domains would break it, and must drop the prefilter too
-        assert labeler._URL_RE.search(text) is None
+        # ingest tokenizes only text with a "/"; extracting bare domains
+        # would break that, and must drop the prefilter too
+        assert URL_RE.search(text) is None
         assert extract_urls(text) == []
 
     @pytest.mark.parametrize("token", ["http://[evil/x", "http://a]b.com/x",
@@ -162,14 +168,26 @@ class TestExtractUrls:
         assert extract_urls(f"see {token} http://ok.com/y") == ["http://ok.com/y"]
 
     # text over the characters of those tokens, with a scheme as one
-    # piece so that most examples hold a URL; the scheme-less alternative
-    # of _URL_RE is quadratic, so the text stays short (at most 200)
+    # piece so that most examples hold a URL, repeated up to a thousand
+    # times; tokenizing is linear, so the length is not capped
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([*"htps:/.a[]@／＃？ ", "http://"]),
-                    max_size=28).map("".join))
-    def test_extraction_never_raises(self, text):
+    @given(st.lists(st.sampled_from([*"htps:/.a[]@／＃？ ", "http://"])).map("".join),
+           st.integers(1, 1000))
+    def test_extraction_never_raises(self, text, repeat):
+        text *= repeat
         observations = collect_observations(_tiny_corpus([text]), ShortenerTable())
         assert len(observations) == len(extract_urls(text))
+
+    @pytest.mark.parametrize("shape, end", [("a.", " /"), ("a-", " /"), ("a-a.", " /"),
+                                            ("a.", "co/"), ("a-", ".co/"), ("a-a.", "co/")])
+    def test_hostile_comment_extracts_in_linear_time(self, shape, end):
+        # the oracle took 4.8 s on 16 KB of the first shape, and four times
+        # as long for twice the text
+        run = shape * ((1 << 20) // len(shape))
+        started = time.perf_counter()
+        urls = extract_urls(run + end)
+        assert time.perf_counter() - started < 1.0
+        assert urls == ([] if end == " /" else [f"http://{run}{end}"])
 
 
 class TestRegistrableDomain:
@@ -281,7 +299,7 @@ def _random_corpus(rng):
              for j in range(n_posts)}
     # campaigns repeat their links: most tokens come from a small pool
     pool = [_random_token(rng) for _ in range(rng.randint(1, 8))]
-    comments = {}
+    comments, texts = {}, {}
     for i in range(rng.randint(0, 40)):
         words = [(rng.choice(pool) if rng.random() < 0.8 else _random_token(rng))
                  if rng.random() < 0.6 else "word"
@@ -289,8 +307,9 @@ def _random_corpus(rng):
         text = rng.choice([" ", "\n", ", ", " see "]).join(words)
         cid = f"c{i}"
         comments[cid] = Comment(cid, f"p{rng.randrange(n_posts)}", f"u{rng.randint(0, 5)}",
-                                rng.randint(0, 60), 0, text)
-    return Corpus(pages=pages, posts=posts, comments=comments)
+                                rng.randint(0, 60), 0, _url_tokens(text))
+        texts[cid] = text
+    return Corpus(pages=pages, posts=posts, comments=comments), texts
 
 
 def test_observation_order_reads_domain_url_ts(small_labels):
@@ -309,30 +328,32 @@ class TestCollectMatchesReference:
     def test_small_synth(self, small_synth, small_labels):
         table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
         observations, _ = small_labels
-        assert observations == reference_collect_observations(small_synth.corpus, table)
+        assert observations == reference_collect_observations(
+            small_synth.corpus, table, small_synth.comment_texts)
 
     def test_bench(self, bench_synth, bench_labels):
         table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
         observations, _ = bench_labels
-        assert observations == reference_collect_observations(bench_synth.corpus, table)
+        assert observations == reference_collect_observations(
+            bench_synth.corpus, table, bench_synth.comment_texts)
 
     def test_random_corpora(self):
         rng = random.Random(2024)
         flagged = 0
         for trial in range(200):
-            corpus, table = _random_corpus(rng), _random_table(rng)
-            want = reference_collect_observations(corpus, table)
+            (corpus, texts), table = _random_corpus(rng), _random_table(rng)
+            want = reference_collect_observations(corpus, table, texts)
             assert collect_observations(corpus, table) == want, f"trial {trial}"
             flagged += sum(o.flagged for o in want)
         assert flagged  # the mix reaches cycles and over-bound chains
 
     def test_memo_lasts_one_call(self):
-        corpus = _tiny_corpus(["go s.io/a now", "http://s.io/a again",
-                               "plain http://b.com/1"])
+        texts = ["go s.io/a now", "http://s.io/a again", "plain http://b.com/1"]
+        corpus = _tiny_corpus(texts)
         for table in (ShortenerTable({"s.io"}, {"s.io/a": "http://good.com/1"}),
                       ShortenerTable({"s.io"}, {"s.io/a": "http://evil.com/1"}),
                       ShortenerTable()):
-            want = reference_collect_observations(corpus, table)
+            want = reference_collect_observations(corpus, table, _by_id(texts))
             assert collect_observations(corpus, table) == want
 
     def test_each_distinct_token_normalized_once(self, monkeypatch):
@@ -528,8 +549,8 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
     _, labels = small_labels
     table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
     for lab in labels:
-        comment = small_synth.corpus.comments[lab.comment_id]
-        urls = [expand_url(u, table)[0] for u in extract_urls(comment.raw_text)]
+        text = small_synth.comment_texts[lab.comment_id]
+        urls = [expand_url(u, table)[0] for u in extract_urls(text)]
         assert any(registrable_domain(u) == lab.matched_key
                    or _strip_scheme(u) == lab.matched_key for u in urls)
 
@@ -630,11 +651,17 @@ def test_shortener_map_line_without_tab_names_the_line(tmp_path):
 
 
 def _tiny_corpus(texts, n_posts=1):
+    """One comment per text, with id c<i>, carrying the text's URL tokens."""
     pages = {"pg0": Page("pg0", "P", Region.ASIA)}
     posts = {f"p{j}": Post(f"p{j}", "pg0", "author", 1000, 0, "post")
              for j in range(n_posts)}
     comments = {}
     for i, text in enumerate(texts):
         pid = f"p{i % n_posts}"
-        comments[f"c{i}"] = Comment(f"c{i}", pid, f"u{i}", 1000 + i, 0, text)
+        comments[f"c{i}"] = Comment(f"c{i}", pid, f"u{i}", 1000 + i, 0, _url_tokens(text))
     return Corpus(pages=pages, posts=posts, comments=comments)
+
+
+def _by_id(texts):
+    """The texts of _tiny_corpus(texts) by comment id."""
+    return {f"c{i}": text for i, text in enumerate(texts)}

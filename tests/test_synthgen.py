@@ -159,6 +159,9 @@ def test_file_round_trip(tmp_path, small_synth):
     assert result.dropped == 0
     assert len(result.corpus.comments) == len(small_synth.corpus.comments)
     assert result.corpus.posts == small_synth.corpus.posts
+    # the generator's comments carry the URL tokens ingest takes from the file
+    assert result.corpus.comments == small_synth.corpus.comments
+    assert any(c.url_tokens for c in small_synth.corpus.comments.values())
 
     planted_path = tmp_path / "planted.jsonl"
     synthgen.write_planted_jsonl(small_synth, str(planted_path))

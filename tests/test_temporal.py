@@ -36,7 +36,7 @@ def build_corpus(comment_offsets, attack_ids, n_comments_likes=0):
     posts = {"p1": Post("p1", "pg0", "a", T0, 0, "post")}
     comments = {
         f"c{i}": Comment(f"c{i}", "p1", f"u{i}", T0 + int(off * 60),
-                         n_comments_likes, "t")
+                         n_comments_likes, ())
         for i, off in enumerate(comment_offsets)
     }
     corpus = Corpus(pages=pages, posts=posts, comments=comments)
@@ -138,7 +138,7 @@ class TestInterAttackIntervals:
         corpus, _ = build_corpus([0, 5, 30], [])
         corpus.pages["pg1"] = Page("pg1", "Other", Region.ASIA)
         corpus.posts["p2"] = Post("p2", "pg1", "a", T0, 0, "post")
-        corpus.comments["d0"] = Comment("d0", "p2", "v", T0 + 60, 0, "t")
+        corpus.comments["d0"] = Comment("d0", "p2", "v", T0 + 60, 0, ())
         labels = [MaliciousLabel(cid, Category.ADS, "k") for cid in ("c0", "c2", "d0")]
         tables = inter_attack_intervals(attack_events(corpus, labels))
         assert sorted(tables) == ["all", "category:Ads", "region:Europe"]
