@@ -10,10 +10,10 @@ with identical inputs produce byte-identical output files.
 Each subcommand imports the layers it runs when it starts, so ``ingest``,
 ``label`` and ``temporal`` run without loading numpy. ``main`` pauses the
 cyclic garbage collector for the whole command, since the records it
-builds hold no reference cycles, and leaves it as it found it. A closed
-stdout (``threadwatch eval ... | head -1``) is not an error: output files
-are written before the summary line, so ``main`` returns 0 and prints
-nothing more.
+builds hold no reference cycles, and leaves it as it found it. A reader
+of stdout that leaves early (``threadwatch eval ... | head -1``) is not an
+error: the rest of stdout goes to devnull and the command finishes. A
+broken pipe on an output file is an I/O error like any other.
 """
 
 from __future__ import annotations
@@ -65,6 +65,18 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str],
     while argv[at] != args.subcommand:
         at += 1 if "=" in argv[at] else 2
     return argv[:at + 1] + tokens + argv[at + 1:]
+
+
+def _say(line: str) -> None:
+    """Print a line to stdout. Once its reader has left, stdout is pointed
+    at devnull, so this and every later write, the flush at exit too,
+    succeed."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _ingest(path: str) -> IngestResult:
@@ -165,9 +177,9 @@ def cmd_synth(args) -> tuple[int, int]:
 def cmd_ingest(args) -> tuple[int, int]:
     result = _ingest(args.corpus)
     corpus = result.corpus
-    print(f"pages={len(corpus.pages)} posts={len(corpus.posts)} "
-          f"comments={len(corpus.comments)} dropped={result.dropped} "
-          f"skew_clamped={corpus.skew_clamped}")
+    _say(f"pages={len(corpus.pages)} posts={len(corpus.posts)} "
+         f"comments={len(corpus.comments)} dropped={result.dropped} "
+         f"skew_clamped={corpus.skew_clamped}")
     return result.kept + result.dropped, result.kept
 
 
@@ -211,8 +223,8 @@ def cmd_eval(args) -> tuple[int, int]:
     [metrics] = metrics_stage(dataset, [args.algorithm], args.out,
                               train_frac=args.train_frac,
                               balance=args.smote == "on", seed=args.seed)
-    print(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
-          f"f1={metrics.f1:.4f}")
+    _say(f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} "
+         f"f1={metrics.f1:.4f}")
     return len(dataset.y), 1
 
 
@@ -360,19 +372,11 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(_with_config(parser, argv, args))
         started = time.perf_counter()
         n_in, n_out = args.func(args)
-        print(f"{args.subcommand} ok: {n_in} in, {n_out} out, "
-              f"{time.perf_counter() - started:.2f}s")
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        _say(f"{args.subcommand} ok: {n_in} in, {n_out} out, "
+             f"{time.perf_counter() - started:.2f}s")
         return 0
     except SystemExit as exc:  # argparse: --help, or a usage error
         return 0 if exc.code == 0 else 1
-    except BrokenPipeError:
-        # the reader of stdout left (``| head -1``) after every file was
-        # written; stdout goes to devnull so the flush at exit cannot fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 0
     except (OSError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,8 +123,6 @@ def rel_minutes(post: Post, comment: Comment) -> float:
 # is followed by "." or "-", which a search from the run's end finds. Each
 # character is scanned a bounded number of times.
 
-# a scheme URL, or a "/" outside one
-_SCHEME_URL_OR_SLASH = re.compile(r"""(?i)\bhttps?://[^\s<>"']+|/""")
 # a scheme URL (group 1), or a run of host characters that no host
 # character precedes and that ends in ".<letters>/"
 _CANDIDATE = re.compile(r"""(?ix)
@@ -155,10 +153,6 @@ def _host_start(text: str, s: int, j: int) -> int:
 
 def _url_tokens(text: str) -> tuple[str, ...]:
     """The raw URL tokens of a comment's text, in text order."""
-    found = _SCHEME_URL_OR_SLASH.findall(text)
-    # a scheme-less token needs a "/" outside every scheme URL
-    if "/" not in found:
-        return tuple(found)
     tokens = []
     search, pos = _CANDIDATE.search, 0
     while m := search(text, pos):
@@ -231,10 +225,23 @@ def _line_fields(line: bytes) -> tuple[str, tuple] | None:
         raise ValueError(f"{kind} record missing fields {missing}") from None
 
 
-def _make_record(kind: str, values: tuple, shared: dict) -> tuple[str, tuple]:
+def _text_tokens(text: str, by_text: dict, share) -> tuple[str, ...]:
+    """The URL tokens of a comment text that holds a "/". Each distinct
+    text is tokenized once, its tokens kept in ``by_text`` and shared
+    through ``share``."""
+    tokens = by_text.get(text)
+    if tokens is None:
+        tokens = _url_tokens(text)
+        tokens = by_text[text] = share(tokens, tokens)
+    return tokens
+
+
+def _make_record(kind: str, values: tuple, shared: dict,
+                 by_text: dict) -> tuple[str, tuple]:
     """The id and record of one line's field values; page, post and
     author ids and comment token tuples are replaced by their first-seen
-    equal in ``shared``."""
+    equal in ``shared``, and comment texts are tokenized through
+    ``by_text`` (see ``_text_tokens``)."""
     rid = str(values[0])
     share = shared.setdefault
     if kind == "page":
@@ -257,9 +264,8 @@ def _make_record(kind: str, values: tuple, shared: dict) -> tuple[str, tuple]:
     if kind == "post":
         rid = share(rid, rid)
         return rid, tuple.__new__(Post, (rid, parent, author, ts, like, text))
-    tokens = _url_tokens(text)
-    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like,
-                                        share(tokens, tokens)))
+    tokens = _text_tokens(text, by_text, share) if "/" in text else ()
+    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like, tokens))
 
 
 def ingest(path: str) -> IngestResult:
@@ -274,8 +280,9 @@ def ingest(path: str) -> IngestResult:
     # token tuple; both are attacker written, so the table lives and dies
     # with this call (no sys.intern)
     shared: dict = {}
-    # the token tuple of each distinct comment text that holds a "/":
-    # campaigns repeat their texts, so each is tokenized once
+    # the token tuple of each distinct comment text that holds a "/",
+    # on both paths: campaigns repeat their texts, so each is tokenized
+    # once; the texts are freed when this call returns
     by_text: dict[str, tuple[str, ...]] = {}
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
@@ -285,7 +292,7 @@ def ingest(path: str) -> IngestResult:
     dropped = 0
 
     loads, comment_values, share = orjson.loads, _FIELDS["comment"], shared.setdefault
-    url_tokens = _url_tokens
+    text_tokens = _text_tokens
 
     try:
         with open(path, "rb") as fh:
@@ -303,11 +310,8 @@ def ingest(path: str) -> IngestResult:
                             if cid in comments:
                                 dropped += 1
                             else:
-                                if "/" not in text:
-                                    tokens = ()
-                                elif (tokens := by_text.get(text)) is None:
-                                    tokens = url_tokens(text)
-                                    tokens = by_text[text] = share(tokens, tokens)
+                                tokens = (text_tokens(text, by_text, share)
+                                          if "/" in text else ())
                                 comments[cid] = tuple.__new__(Comment, (
                                     cid, share(parent, parent), share(author, author),
                                     ts, like, tokens))
@@ -319,7 +323,7 @@ def ingest(path: str) -> IngestResult:
                     if fields is None:
                         continue
                     kind, values = fields
-                    rid, rec = _make_record(kind, values, shared)
+                    rid, rec = _make_record(kind, values, shared, by_text)
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue

@@ -1,6 +1,6 @@
 import pytest
 
-from threadwatch import labeler, synthgen
+from threadwatch import corpus, labeler, synthgen
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,28 @@ def bench_labels(bench_synth):
     observations = labeler.collect_observations(bench_synth.corpus, table)
     labels = labeler.join_blacklist(observations, bench_synth.blacklist)
     return observations, labels
+
+
+class _Counted:
+    """A compiled pattern whose method calls are recorded in calls."""
+
+    def __init__(self, pattern, calls):
+        self._pattern, self._calls = pattern, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._pattern, name)
+
+        def counted(*args):
+            self._calls.append(name)
+            return method(*args)
+        return counted
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """The URL tokenizer's calls into its patterns, from now on: a count
+    of scans, where a wall-clock bound would depend on the machine."""
+    calls = []
+    for name in ("_CANDIDATE", "_PATH", "_LABEL_START"):
+        monkeypatch.setattr(corpus, name, _Counted(getattr(corpus, name), calls))
+    return calls

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -293,6 +294,20 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"")
         assert out.read_text().startswith("algorithm,precision,recall,f1\n")
+
+    def test_output_file_reader_leaving_early_is_an_error(self, tmp_path, capsys):
+        # the corpus, near 1 MB, overfills the pipe, so the write fails
+        # whenever the reader closes
+        data = tmp_path / "data"
+        data.mkdir()
+        fifo = data / "corpus.jsonl"
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: os.close(os.open(fifo, os.O_RDONLY)),
+                                  daemon=True)
+        reader.start()
+        assert main(["synth", "--out", str(data)] + SYNTH_ARGS) == 2
+        reader.join(timeout=60)
+        assert "error: [Errno 32] Broken pipe" in capsys.readouterr().err
 
 
 class TestLayersLoaded:

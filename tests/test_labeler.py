@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -180,13 +179,13 @@ class TestExtractUrls:
 
     @pytest.mark.parametrize("shape, end", [("a.", " /"), ("a-", " /"), ("a-a.", " /"),
                                             ("a.", "co/"), ("a-", ".co/"), ("a-a.", "co/")])
-    def test_hostile_comment_extracts_in_linear_time(self, shape, end):
+    def test_hostile_comment_extracts_in_linear_time(self, tokenizer_calls, shape, end):
         # the oracle took 4.8 s on 16 KB of the first shape, and four times
-        # as long for twice the text
+        # as long for twice the text; the tokenizer scans it a bounded
+        # number of times
         run = shape * ((1 << 20) // len(shape))
-        started = time.perf_counter()
         urls = extract_urls(run + end)
-        assert time.perf_counter() - started < 1.0
+        assert 0 < len(tokenizer_calls) <= 4
         assert urls == ([] if end == " /" else [f"http://{run}{end}"])
 
 
