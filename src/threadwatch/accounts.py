@@ -7,9 +7,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .corpus import TIME_ORDER, Comment, Corpus, rel_minutes
 from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
@@ -78,24 +77,32 @@ def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
 def sample_normal_accounts(corpus: Corpus, attackers: set[str],
                            per_page: int = 1000, seed: int = 0) -> list[str]:
     """Seeded per-page sample of at most per_page commenters never seen
-    in the attacker set; per_page 0 gives an empty sample."""
+    in the attacker set; per_page 0 gives an empty sample.
+
+    Pages go in sorted order. A page's pool holding at most per_page
+    accounts is taken whole; from a larger one, the stdlib generator
+    ``random.Random(seed)``, one for all pages, draws per_page accounts
+    without replacement, listed in sorted order. The seed must not be
+    negative: ``random.Random`` seeds from its absolute value.
+    """
     if per_page < 0:
         raise AccountError(f"per_page must be >= 0, got {per_page}")
+    if seed < 0:
+        raise AccountError(f"seed must be >= 0, got {seed}")
     by_page: dict[str, set[str]] = {}
     for c in corpus.comments.values():
         if c.author_id in attackers:
             continue
         page_id = corpus.posts[c.post_id].page_id
         by_page.setdefault(page_id, set()).add(c.author_id)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     sample: list[str] = []
     for page_id in sorted(by_page):
         pool = sorted(by_page[page_id])
         if len(pool) <= per_page:
             sample.extend(pool)
         else:
-            idx = rng.choice(len(pool), size=per_page, replace=False)
-            sample.extend(pool[i] for i in sorted(idx))
+            sample.extend(sorted(rng.sample(pool, per_page)))
     return sample
 
 

@@ -8,12 +8,12 @@ interpreter also exits 1). All randomness is seeded through flags/config, so rer
 with identical inputs produce byte-identical output files.
 
 Each subcommand imports the layers it runs when it starts, so ``ingest``,
-``label`` and ``temporal`` run without loading numpy. ``main`` pauses the
-cyclic garbage collector for the whole command, since the records it
-builds hold no reference cycles, and leaves it as it found it. A reader
-of stdout that leaves early (``threadwatch eval ... | head -1``) is not an
-error: the rest of stdout goes to devnull and the command finishes. A
-broken pipe on an output file is an I/O error like any other.
+``label``, ``temporal`` and ``accounts`` run without loading numpy.
+``main`` pauses the cyclic garbage collector for the whole command, since
+the records it builds hold no reference cycles, and leaves it as it found
+it. A reader of stdout that leaves early (``threadwatch eval ... | head -1``)
+is not an error: the rest of stdout goes to devnull and the command
+finishes. A broken pipe on an output file is an I/O error like any other.
 """
 
 from __future__ import annotations
@@ -267,10 +267,9 @@ def cmd_accounts(args) -> tuple[int, int]:
          for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
     # campaign clusters read only the observations of labelled comments
-    labelled = {lab.comment_id for lab in labels}
     observations = labeler.collect_observations(Corpus(
         corpus.pages, corpus.posts,
-        {cid: c for cid, c in corpus.comments.items() if cid in labelled}), table)
+        {lab.comment_id: corpus.comments[lab.comment_id] for lab in labels}), table)
     clusters = campaign_stage(labels, observations, args.out)
     return len(labels), len(clusters)
 

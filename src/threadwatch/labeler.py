@@ -198,6 +198,8 @@ class ShortenerTable:
                 except ValueError as exc:
                     raise LabelError(
                         f"shortener map line {lineno}: not short<TAB>target") from exc
+                if not _strip_scheme(short.strip()):
+                    raise LabelError(f"shortener map line {lineno}: empty key")
                 mapping[short] = target
         return cls(hosts, mapping)
 

@@ -265,3 +265,42 @@ def test_sample_normal_per_page_must_not_be_negative(small_synth):
     with pytest.raises(AccountError, match="per_page.*-3"):
         sample_normal_accounts(small_synth.corpus, set(), per_page=-3)
     assert sample_normal_accounts(small_synth.corpus, set(), per_page=0) == []
+
+
+def test_sample_normal_seed_must_not_be_negative(small_synth):
+    # random.Random seeds from abs(seed), so -5 would silently sample as 5
+    with pytest.raises(AccountError, match="seed.*-5"):
+        sample_normal_accounts(small_synth.corpus, set(), per_page=3, seed=-5)
+
+
+def _pools_by_page(corpus, attackers):
+    """Each page's commenters outside the attacker set."""
+    pools = {}
+    for c in corpus.comments.values():
+        if c.author_id not in attackers:
+            pools.setdefault(corpus.posts[c.post_id].page_id, set()).add(c.author_id)
+    return pools
+
+
+@pytest.mark.parametrize("per_page", [0, 1, 5, 50])
+def test_sample_normal_per_page_properties(small_synth, small_labels, per_page):
+    corpus = small_synth.corpus
+    _, attackers = label_threads(corpus, small_labels[1])
+    pools = _pools_by_page(corpus, attackers)
+    assert any(len(pool) > per_page for pool in pools.values())
+    samples = {seed: sample_normal_accounts(corpus, attackers, per_page, seed)
+               for seed in (0, 1)}
+    for seed, sample in samples.items():
+        assert sample == sample_normal_accounts(corpus, attackers, per_page, seed)
+        assert not set(sample) & attackers
+        # the sample is the pages' picks, in sorted page order
+        start = 0
+        for page_id in sorted(pools):
+            pool = pools[page_id]
+            picked = sample[start:start + min(len(pool), per_page)]
+            assert picked == sorted(picked)
+            assert set(picked) <= pool and len(set(picked)) == len(picked)
+            start += len(picked)
+        assert start == len(sample)
+    if per_page:
+        assert samples[0] != samples[1]

@@ -329,7 +329,8 @@ class TestLayersLoaded:
         assert layers == {"threadwatch.cli", "threadwatch.corpus", "threadwatch.labeler"}
 
     @pytest.mark.parametrize("command, extra", [
-        ("ingest", set()), ("label", set()), ("temporal", {"threadwatch.temporal"})])
+        ("ingest", set()), ("label", set()), ("temporal", {"threadwatch.temporal"}),
+        ("accounts", {"threadwatch.accounts"})])
     def test_run_loads_no_numpy(self, pipeline, tmp_path, command, extra):
         out = str(tmp_path / "out")
         argv = {
@@ -340,6 +341,11 @@ class TestLayersLoaded:
                       "--shortener-hosts", pipeline["hosts"], "--out", out],
             "temporal": ["temporal", "--corpus", pipeline["corpus"],
                          "--labels", pipeline["labels"], "--out", out],
+            "accounts": ["accounts", "--corpus", pipeline["corpus"],
+                         "--labels", pipeline["labels"],
+                         "--shortener-map", pipeline["map"],
+                         "--shortener-hosts", pipeline["hosts"],
+                         "--sample-per-page", "30", "--out", out],
         }[command]
         numpy, layers = _loaded_after("run", [argv])
         assert not numpy
@@ -512,6 +518,14 @@ class TestAnalyses:
         for name in ("footprints.csv", "response_stats.csv",
                      "campaign_scatter.csv"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_accounts_negative_seed_exit_one(self, pipeline, tmp_path, capsys):
+        assert main(["accounts", "--corpus", pipeline["corpus"],
+                     "--labels", pipeline["labels"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--seed", "-1", "--out", str(tmp_path / "accounts")]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_accounts_groups_authors_once(self, pipeline, tmp_path, monkeypatch):
         calls, group = [], accounts.comments_by_author

@@ -649,6 +649,17 @@ def test_shortener_map_line_without_tab_names_the_line(tmp_path):
         ShortenerTable.load(str(smap), str(hosts))
 
 
+@pytest.mark.parametrize("line", [
+    "\thttp://evil.com/a", "http://\thttp://evil.com/b", "  HTTPS://  \thttp://evil.com/c"])
+def test_shortener_map_empty_key_names_the_line(tmp_path, line):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    smap.write_text(f"sh-url.io/a\thttp://evil.com/1\n{line}\nsh-url.io/b\thttp://evil.com/2\n")
+    hosts.write_text("sh-url.io\n")
+    with pytest.raises(LabelError) as err:
+        ShortenerTable.load(str(smap), str(hosts))
+    assert str(err.value) == "shortener map line 2: empty key"
+
+
 def _tiny_corpus(texts, n_posts=1):
     """One comment per text, with id c<i>, carrying the text's URL tokens."""
     pages = {"pg0": Page("pg0", "P", Region.ASIA)}
