@@ -298,6 +298,7 @@ def test_sample_normal_per_page_properties(small_synth, small_labels, per_page):
         for page_id in sorted(pools):
             pool = pools[page_id]
             picked = sample[start:start + min(len(pool), per_page)]
+            assert len(picked) == min(len(pool), per_page)
             assert picked == sorted(picked)
             assert set(picked) <= pool and len(set(picked)) == len(picked)
             start += len(picked)
