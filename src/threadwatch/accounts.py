@@ -74,6 +74,16 @@ def footprint(corpus: Corpus, by_author: dict[str, list[Comment]],
     return out
 
 
+def check_sample_options(per_page: int, seed: int) -> None:
+    """Raise AccountError unless ``sample_normal_accounts`` takes these
+    values: neither may be negative. A command checks them before it
+    reads a corpus."""
+    if per_page < 0:
+        raise AccountError(f"per_page must be >= 0, got {per_page}")
+    if seed < 0:
+        raise AccountError(f"seed must be >= 0, got {seed}")
+
+
 def sample_normal_accounts(corpus: Corpus, attackers: set[str],
                            per_page: int = 1000, seed: int = 0) -> list[str]:
     """Seeded per-page sample of at most per_page commenters never seen
@@ -85,10 +95,7 @@ def sample_normal_accounts(corpus: Corpus, attackers: set[str],
     without replacement, listed in sorted order. The seed must not be
     negative: ``random.Random`` seeds from its absolute value.
     """
-    if per_page < 0:
-        raise AccountError(f"per_page must be >= 0, got {per_page}")
-    if seed < 0:
-        raise AccountError(f"seed must be >= 0, got {seed}")
+    check_sample_options(per_page, seed)
     by_page: dict[str, set[str]] = {}
     for c in corpus.comments.values():
         if c.author_id in attackers:

@@ -96,11 +96,10 @@ def _ingest(path: str) -> IngestResult:
 # at their top, so a command that ingests loads them before the ingest.
 
 def label_stage(corpus: Corpus, table, blacklist, path: str):
-    """URL observations and malicious-comment labels; writes the labels."""
-    observations = labeler.collect_observations(corpus, table)
-    labels = labeler.join_blacklist(observations, blacklist)
+    """Malicious-comment labels; writes the labels."""
+    labels = labeler.label_comments(corpus.comments.values(), table, blacklist)
     labeler.write_labels(labels, path)
-    return observations, labels
+    return labels
 
 
 def featurize_stage(corpus: Corpus, labels, path: str, **options):
@@ -148,11 +147,15 @@ def temporal_stage(corpus: Corpus, labels, out: str):
     return events
 
 
-def campaign_stage(labels, observations, out: str):
+def campaign_stage(corpus: Corpus, table, labels, out: str):
     """Campaign clusters by exact URL; writes the scatter into the
-    directory out."""
+    directory out. Clusters read only the observations of labelled
+    comments, so only those comments are observed."""
     from . import accounts
-    clusters = accounts.cluster_campaigns(labels, observations)
+    labelled = Corpus(corpus.pages, corpus.posts,
+                      {lab.comment_id: corpus.comments[lab.comment_id] for lab in labels})
+    clusters = accounts.cluster_campaigns(
+        labels, labeler.collect_observations(labelled, table))
     accounts.write_scatter_csv(accounts.campaign_scatter(clusters),
                                os.path.join(out, "campaign_scatter.csv"))
     return clusters
@@ -187,8 +190,8 @@ def cmd_label(args) -> tuple[int, int]:
     table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
     blacklist = labeler.load_blacklist(args.blacklist)
     corpus = _ingest(args.corpus).corpus
-    observations, labels = label_stage(corpus, table, blacklist, args.out)
-    return len(observations), len(labels)
+    labels = label_stage(corpus, table, blacklist, args.out)
+    return len(corpus.comments), len(labels)
 
 
 def cmd_featurize(args) -> tuple[int, int]:
@@ -249,6 +252,7 @@ def cmd_temporal(args) -> tuple[int, int]:
 
 def cmd_accounts(args) -> tuple[int, int]:
     from . import accounts
+    accounts.check_sample_options(args.sample_per_page, args.seed)
     table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
     labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
@@ -266,11 +270,7 @@ def cmd_accounts(args) -> tuple[int, int]:
         {grp: accounts.response_stats(corpus, by_author, ids)
          for grp, ids in groups.items()},
         os.path.join(args.out, "response_stats.csv"))
-    # campaign clusters read only the observations of labelled comments
-    observations = labeler.collect_observations(Corpus(
-        corpus.pages, corpus.posts,
-        {lab.comment_id: corpus.comments[lab.comment_id] for lab in labels}), table)
-    clusters = campaign_stage(labels, observations, args.out)
+    clusters = campaign_stage(corpus, table, labels, args.out)
     return len(labels), len(clusters)
 
 
@@ -280,13 +280,12 @@ def cmd_report(args) -> tuple[int, int]:
     table = labeler.ShortenerTable.load(args.shortener_map, args.shortener_hosts)
     blacklist = labeler.load_blacklist(args.blacklist)
     corpus = _ingest(args.corpus).corpus
-    observations, labels = label_stage(corpus, table, blacklist,
-                                       os.path.join(args.out, "labels.tsv"))
+    labels = label_stage(corpus, table, blacklist, os.path.join(args.out, "labels.tsv"))
     vectors = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
     metrics_stage(learn.Dataset.from_vectors(vectors), sorted(models.ALGORITHMS),
                   os.path.join(args.out, "metrics.csv"), seed=args.seed)
     temporal_stage(corpus, labels, args.out)
-    campaign_stage(labels, observations, args.out)
+    campaign_stage(corpus, table, labels, args.out)
     return len(corpus.posts), len(labels)
 
 

@@ -13,8 +13,10 @@ domain key matches, the smallest matching full-URL key.
 
 Each piece of work is done once per distinct key: the blacklist is
 indexed by key as it is read, each distinct raw URL token of a corpus is
-resolved once, and observations are grouped by their resolved URL, so
-the only per-observation sort is the one by time inside each group.
+resolved once, and each distinct (URL, domain) pair's keys are looked up
+once. ``label_comments`` joins the observations of the comments as they
+are made, one at a time, and keeps none of them; ``collect_observations``
+keeps them, sorted, for the campaign stage and the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
-from .corpus import Corpus, _url_tokens, build_threads
+from .corpus import Comment, Corpus, _url_tokens, build_threads
 
 MAX_EXPANSION_HOPS = 5
 
@@ -239,45 +241,47 @@ def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
     return resolved, registrable_domain(resolved), flagged
 
 
-def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
-    """One observation per (comment, URL token that normalizes) pair
-    after expansion, sorted by (domain, url, ts), ties in thread order.
+def _observations(comments: Iterable[Comment], table: ShortenerTable):
+    """One observation per (comment, URL token that normalizes) pair after
+    expansion, yielded in the order of the comments given, each comment's
+    in token order.
 
     Campaigns repeat their links, so each distinct raw token is resolved
     once per call; the memo ends with the call, as it holds for one table.
-    Each token leads to the group of its resolved URL. The domain is a
-    function of the URL, so the groups in (domain, url) order, each
+    """
+    memo: dict[str, tuple[str, str, bool] | None] = {}
+    new = tuple.__new__
+    for comment in comments:
+        if not comment.url_tokens:
+            continue
+        cid, _, author, ts, _, tokens = comment
+        for token in tokens:
+            try:
+                hit = memo[token]
+            except KeyError:
+                hit = memo[token] = _resolve(token, table)
+            if hit is not None:
+                resolved, domain, flagged = hit
+                yield new(UrlObservation, (resolved, domain, cid, author, ts, flagged))
+
+
+def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
+    """The observations of the corpus's comments, sorted by (domain, url,
+    ts), ties in thread order.
+
+    Each observation goes to the group of its resolved URL. The domain is
+    a function of the URL, so the groups in (domain, url) order, each
     stably sorted by time, are the observations in (domain, url, ts)
-    order.
+    order. The campaign stage reads these for the labelled comments;
+    labelling itself keeps no observation (``label_comments``).
     """
     groups: dict[str, list[UrlObservation]] = {}
-
-    def group_of(token: str):
-        hit = _resolve(token, table)
-        if hit is None:
-            return None
-        resolved, domain, flagged = hit
-        group = groups.get(resolved)
+    comments = (c for thread in build_threads(corpus) for c in thread.comments)
+    for o in _observations(comments, table):
+        group = groups.get(o.url)
         if group is None:
-            group = groups[resolved] = []
-        return group, resolved, domain, flagged
-
-    memo: dict[str, tuple | None] = {}
-    new = tuple.__new__
-    for thread in build_threads(corpus):
-        for comment in thread.comments:
-            if not comment.url_tokens:
-                continue
-            cid, _, author, ts, _, tokens = comment
-            for token in tokens:
-                try:
-                    hit = memo[token]
-                except KeyError:
-                    hit = memo[token] = group_of(token)
-                if hit is not None:
-                    group, resolved, domain, flagged = hit
-                    group.append(new(UrlObservation,
-                                     (resolved, domain, cid, author, ts, flagged)))
+            group = groups[o.url] = []
+        group.append(o)
     out: list[UrlObservation] = []
     for _, url in sorted((group[0].domain, url) for url, group in groups.items()):
         group = groups[url]
@@ -324,7 +328,7 @@ def _blacklist_entries(lines: Iterable[str]):
         yield key, category
 
 
-def join_blacklist(observations: list[UrlObservation],
+def join_blacklist(observations: Iterable[UrlObservation],
                    blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
     """Match observations against the blacklist by keyed lookup.
 
@@ -332,8 +336,10 @@ def join_blacklist(observations: list[UrlObservation],
     a full-URL key or its domain equals a domain key. Output has one
     label per (comment_id, category), sorted; its matched key is the
     smallest matching domain key, else the smallest matching full-URL
-    key. Neither input needs any order. A blacklist given as entries
-    rather than as a loaded Blacklist is indexed here.
+    key. The observations may be any iterable, read once, in any order;
+    the keys of each distinct (url, domain) pair are looked up once. A
+    blacklist given as entries rather than as a loaded Blacklist is
+    indexed here.
     """
     if not isinstance(blacklist, Blacklist):
         blacklist = _index(blacklist)
@@ -341,15 +347,15 @@ def join_blacklist(observations: list[UrlObservation],
 
     # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
-    # observations come grouped by URL; look each run's keys up once
-    last_url = last_domain = None
-    hits: list[tuple[Category, tuple[bool, str]]] = []
+    # (url, domain) -> the (category, rank) pairs it matches
+    matches: dict[tuple[str, str], list[tuple[Category, tuple[bool, str]]]] = {}
     for url, domain, cid, _, _, _ in observations:
-        if url != last_url or domain != last_domain:
-            last_url, last_domain = url, domain
+        hits = matches.get((url, domain))
+        if hits is None:
             url_key = _strip_scheme(url)
             hits = [(c, (False, domain)) for c in domain_index.get(domain, ())]
             hits += [(c, (True, url_key)) for c in url_index.get(url_key, ())]
+            matches[url, domain] = hits
         for category, rank in hits:
             k = (cid, category)
             best = found.get(k)
@@ -360,6 +366,15 @@ def join_blacklist(observations: list[UrlObservation],
               for (cid, cat), (_, key) in found.items()]
     labels.sort(key=lambda lab: (lab.comment_id, lab.category.value))
     return labels
+
+
+def label_comments(comments: Iterable[Comment], table: ShortenerTable,
+                   blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
+    """The labels of the comments: ``join_blacklist`` over their
+    observations, made one at a time and never kept. Equal, for the
+    comments of a corpus in any order, to ``join_blacklist`` over
+    ``collect_observations`` of that corpus."""
+    return join_blacklist(_observations(comments, table), blacklist)
 
 
 def label_threads(corpus: Corpus, labels: list[MaliciousLabel]

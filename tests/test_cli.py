@@ -234,11 +234,11 @@ class TestCollector:
     """main pauses the cyclic collector for the whole command."""
 
     def test_paused_while_the_command_runs(self, pipeline, tmp_path, monkeypatch):
-        # collect_observations runs after the ingest
+        # label_comments runs after the ingest
         states = []
-        collect = labeler.collect_observations
-        monkeypatch.setattr(labeler, "collect_observations",
-                            lambda *args: states.append(gc.isenabled()) or collect(*args))
+        label = labeler.label_comments
+        monkeypatch.setattr(labeler, "label_comments",
+                            lambda *args: states.append(gc.isenabled()) or label(*args))
         enabled = gc.isenabled()
         gc.enable()
         try:
@@ -407,6 +407,44 @@ class TestLabel:
         assert read(out) == read(pipeline["labels"])
 
 
+class TestObservations:
+    """label joins a stream of observations and keeps none; report and
+    accounts collect observations once, for the labelled comments only."""
+
+    def test_label_collects_no_observations_and_builds_no_threads(
+            self, pipeline, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("label collected observations or built threads")
+        monkeypatch.setattr(labeler, "collect_observations", refused)
+        for owner in (labeler, cli, corpus):
+            monkeypatch.setattr(owner, "build_threads", refused)
+        out = tmp_path / "labels.tsv"
+        assert main(["label", "--corpus", pipeline["corpus"],
+                     "--blacklist", pipeline["blacklist"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--out", str(out)]) == 0
+        assert read(out) == read(pipeline["labels"])
+
+    @pytest.mark.parametrize("command, source", [
+        ("report", ["--blacklist", "blacklist"]), ("accounts", ["--labels", "labels"])])
+    def test_campaigns_observe_only_labelled_comments(self, pipeline, tmp_path,
+                                                      monkeypatch, command, source):
+        observed, collect = [], labeler.collect_observations
+
+        def spy(corp, table):
+            observed.append(set(corp.comments))
+            return collect(corp, table)
+        monkeypatch.setattr(labeler, "collect_observations", spy)
+        assert main([command, "--corpus", pipeline["corpus"],
+                     source[0], pipeline[source[1]],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     "--out", str(tmp_path / "out")]) == 0
+        labelled = {lab.comment_id for lab in labeler.read_labels(pipeline["labels"])}
+        assert labelled and observed == [labelled]
+
+
 class TestFeaturize:
     def test_row_per_thread(self, pipeline):
         with open(pipeline["features"], encoding="utf-8") as fh:
@@ -526,6 +564,19 @@ class TestAnalyses:
                      "--shortener-hosts", pipeline["hosts"],
                      "--seed", "-1", "--out", str(tmp_path / "accounts")]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed", "seed must be >= 0, got -1"),
+        ("--sample-per-page", "per_page must be >= 0, got -1")])
+    def test_accounts_negative_sample_option_exits_before_ingest(
+            self, pipeline, tmp_path, monkeypatch, capsys, flag, message):
+        _refuse_ingest(monkeypatch)
+        assert main(["accounts", "--corpus", pipeline["corpus"],
+                     "--labels", pipeline["labels"],
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"],
+                     flag, "-1", "--out", str(tmp_path / "accounts")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_accounts_groups_authors_once(self, pipeline, tmp_path, monkeypatch):
         calls, group = [], accounts.comments_by_author

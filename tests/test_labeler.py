@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwatch import labeler, synthgen
+from threadwatch import cli, labeler, synthgen
 from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, _url_tokens,
                                 build_threads)
 from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
@@ -369,6 +369,67 @@ class TestCollectMatchesReference:
         assert sorted(calls) == ["HTTP://A.com/x", "http://a.com/x",
                                  "http://localhost/y", "http://localhost/y,"]
         assert [o.comment_id for o in observations] == ["c0", "c1", "c2", "c3"]
+
+
+def _shuffled(corpus, rng):
+    """The corpus with its comments dict rebuilt in a shuffled order."""
+    comments = list(corpus.comments.items())
+    rng.shuffle(comments)
+    return Corpus(corpus.pages, corpus.posts, dict(comments))
+
+
+class TestLabelStageMatchesCollectedJoin:
+    """The label stage joins a stream of observations in comment order;
+    its labels equal the join over the sorted, collected observations,
+    whatever the order of the comments dict."""
+
+    @staticmethod
+    def _check(corpus, table, blacklist, tmp_path, rng):
+        want = join_blacklist(collect_observations(corpus, table), blacklist)
+        path = str(tmp_path / "labels.tsv")
+        assert cli.label_stage(corpus, table, blacklist, path) == want
+        assert cli.label_stage(_shuffled(corpus, rng), table, blacklist, path) == want
+        return want
+
+    def test_small_synth(self, small_synth, tmp_path):
+        table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
+        assert self._check(small_synth.corpus, table, small_synth.blacklist, tmp_path,
+                           random.Random(7))
+
+    def test_bench(self, bench_synth, tmp_path):
+        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        assert self._check(bench_synth.corpus, table, bench_synth.blacklist, tmp_path,
+                           random.Random(8))
+
+    def test_random_corpora(self, tmp_path):
+        rng = random.Random(2025)
+        categories = list(Category)
+        labelled = 0
+        for trial in range(200):
+            (corpus, _), table = _random_corpus(rng), _random_table(rng)
+            # keys the corpus can match, and one it cannot
+            keys = ["d.com"]
+            for o in collect_observations(corpus, table):
+                keys += [o.domain, _strip_scheme(o.url)]
+            blacklist = [BlacklistEntry(rng.choice(keys), rng.choice(categories))
+                         for _ in range(rng.randint(0, 6))]
+            labelled += bool(self._check(corpus, table, blacklist, tmp_path, rng))
+        assert labelled > 50
+
+    def test_join_looks_each_distinct_pair_up_once(self, bench_synth, bench_labels,
+                                                   monkeypatch):
+        observations, labels = bench_labels
+        shuffled = list(observations)
+        random.Random(9).shuffle(shuffled)
+        index = labeler._index(bench_synth.blacklist)
+        calls = []
+        strip = labeler._strip_scheme
+        monkeypatch.setattr(labeler, "_strip_scheme",
+                            lambda url: calls.append(url) or strip(url))
+        assert join_blacklist(iter(shuffled), index) == labels
+        pairs = {(o.url, o.domain) for o in observations}
+        assert len(pairs) < len(observations)
+        assert sorted(calls) == sorted(url for url, _ in pairs)
 
 
 class TestJoinBlacklist:
