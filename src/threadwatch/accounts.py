@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import TIME_ORDER, Comment, Corpus, rel_minutes
-from .labeler import MaliciousLabel, UrlObservation, _strip_scheme
+from .labeler import MaliciousLabel, UrlObservation, url_key
 
 SCATTER_THRESHOLD = 10
 
@@ -139,24 +139,27 @@ def cluster_campaigns(labels: list[MaliciousLabel],
     """Group labeled comments by exact malicious URL.
 
     Labels are joined back to their full URLs through the observations:
-    an observation belongs to a label when it shares the comment and its
-    URL or domain equals the matched key, with keys normalized as in the
-    join.
+    an observation matches a label when it shares the comment and its
+    domain or its URL's ``url_key`` equals the matched key. Each label
+    takes the URL of its matching observation with the smallest
+    (domain, url), so the clusters do not depend on the order of the
+    observations.
     """
     obs_by_comment: dict[str, list[UrlObservation]] = {}
     for o in observations:
         obs_by_comment.setdefault(o.comment_id, []).append(o)
 
-    hits: dict[str, dict[str, set[str]]] = {}  # url -> comment_id -> accounts
+    hits: dict[str, dict[str, str]] = {}  # url -> comment_id -> account
     for lab in labels:
-        for o in obs_by_comment.get(lab.comment_id, ()):
-            if o.domain == lab.matched_key or _strip_scheme(o.url) == lab.matched_key:
-                hits.setdefault(o.url, {}).setdefault(o.comment_id, set()).add(o.account_id)
-                break
-    clusters = []
-    for url, comments in hits.items():
-        accounts = frozenset(a for accs in comments.values() for a in accs)
-        clusters.append(CampaignCluster(url, len(comments), accounts))
+        key = lab.matched_key
+        matching = [(o.domain, o.url, o.account_id)
+                    for o in obs_by_comment.get(lab.comment_id, ())
+                    if o.domain == key or url_key(o.url) == key]
+        if matching:
+            _, url, account = min(matching)
+            hits.setdefault(url, {})[lab.comment_id] = account
+    clusters = [CampaignCluster(url, len(comments), frozenset(comments.values()))
+                for url, comments in hits.items()]
     clusters.sort(key=lambda c: (-c.occurrences, c.url))
     return clusters
 

@@ -18,7 +18,7 @@ report the same line errors, those of ``json.loads``.
 A comment keeps the raw URL tokens of its text, not the text: labelling
 reads nothing else of it, and texts are a large part of a corpus's memory.
 Ingest tokenizes each distinct comment text that holds a "/" once, in
-time linear in its length (see ``_url_tokens``).
+time linear in its length (see ``url_tokens``).
 
 Records are immutable tuples (``NamedTuple``). Within one ingest, page,
 post and author ids share one string per distinct value, so a comment's
@@ -117,7 +117,7 @@ def rel_minutes(post: Post, comment: Comment) -> float:
 #
 # Tried as written, the scheme-less alternative rescans a dotted run from
 # every label in it, so one long run of "a." takes time quadratic in its
-# length. _url_tokens gives the same tokens, at any host length, by trying
+# length. url_tokens gives the same tokens, at any host length, by trying
 # a host only where a run of host characters that ends in ".<letters>/"
 # starts. The leftmost host in such a run starts after the last "." that
 # is followed by "." or "-", which a search from the run's end finds. Each
@@ -151,7 +151,7 @@ def _host_start(text: str, s: int, j: int) -> int:
     return -1 if m is None else m.start() + 1
 
 
-def _url_tokens(text: str) -> tuple[str, ...]:
+def url_tokens(text: str) -> tuple[str, ...]:
     """The raw URL tokens of a comment's text, in text order."""
     tokens = []
     search, pos = _CANDIDATE.search, 0
@@ -231,7 +231,7 @@ def _text_tokens(text: str, by_text: dict, share) -> tuple[str, ...]:
     through ``share``."""
     tokens = by_text.get(text)
     if tokens is None:
-        tokens = _url_tokens(text)
+        tokens = url_tokens(text)
         tokens = by_text[text] = share(tokens, tokens)
     return tokens
 

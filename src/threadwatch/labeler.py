@@ -6,6 +6,12 @@ time (``Comment.url_tokens``); labelling reads those tokens and scans no
 text. ``extract_urls`` runs the same tokenizer on a text and normalizes
 what it finds.
 
+Every URL is compared with a key, and every blacklist and shortener key
+is read, in the one form ``url_key`` gives: surrounding spaces and an
+http(s):// scheme removed, the host (the text before the first "/")
+lowercased and the path kept as written, since scheme and host are
+case-insensitive and the path is not (RFC 3986 §6.2.2.1).
+
 Blacklist keys containing "/" are full-URL keys; keys without "/" are
 domain keys. A comment gets one label per category it matches; the
 label's matched key is the smallest matching domain key, or, when no
@@ -16,7 +22,7 @@ indexed by key as it is read, each distinct raw URL token of a corpus is
 resolved once, and each distinct (URL, domain) pair's keys are looked up
 once. ``label_comments`` joins the observations of the comments as they
 are made, one at a time, and keeps none of them; ``collect_observations``
-keeps them, sorted, for the campaign stage and the tests.
+keeps them, in thread order, for the campaign stage and the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from enum import Enum
-from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
-from .corpus import Comment, Corpus, _url_tokens, build_threads
+from .corpus import Comment, Corpus, build_threads, url_tokens
 
 MAX_EXPANSION_HOPS = 5
 
@@ -62,12 +67,8 @@ class UrlObservation(NamedTuple):
     flagged: bool = False  # expansion chain exceeded the hop bound or cycled
 
 
-# the sort key of a UrlObservation within its resolved URL's group
-_TS = itemgetter(4)
-
-
 class BlacklistEntry(NamedTuple):
-    key: str  # lowercase domain, or full URL when it contains "/"
+    key: str  # a url_key: a domain, or a full URL when it contains "/"
     category: Category
 
 
@@ -139,7 +140,7 @@ def extract_urls(raw_text: str) -> list[str]:
     """All normalized absolute http/https URLs found in a comment's text:
     the tokens ingest keeps for it (``Comment.url_tokens``), normalized."""
     out = []
-    for token in _url_tokens(raw_text):
+    for token in url_tokens(raw_text):
         url = normalize_url(token)
         if url is not None:
             out.append(url)
@@ -158,16 +159,24 @@ def registrable_domain(url_or_host: str) -> str:
     return ".".join(labels[-2:]) if len(labels) >= 2 else host
 
 
-def _strip_scheme(url: str) -> str:
-    match = _SCHEME_RE.match(url)
-    return url[match.end():] if match else url
+def url_key(text: str) -> str:
+    """The form in which a URL and a key are compared: without
+    surrounding spaces and an http(s):// scheme, the host (the text
+    before the first "/") lowercased, the path as written."""
+    text = text.strip()
+    if "://" in text:  # _SCHEME_RE matches nothing else
+        match = _SCHEME_RE.match(text)
+        if match:
+            text = text[match.end():]
+    host, slash, path = text.partition("/")
+    return host.lower() + slash + path
 
 
 class ShortenerTable:
     """Offline stand-in for live shortener resolution.
 
-    Holds the set of shortener hosts and a map from short URL
-    (host/path form) to target URL, normalized once. A target that
+    Holds the set of shortener hosts and a map from short URL (its
+    ``url_key``) to target URL, normalized once. A target that
     normalize_url rejects is left out, so its short link resolves to
     itself: whoever makes a short link chooses its target.
     """
@@ -179,7 +188,7 @@ class ShortenerTable:
         for short, target in (mapping or {}).items():
             target = normalize_url(target)
             if target is not None:
-                self.mapping[_strip_scheme(short).lower()] = target
+                self.mapping[url_key(short)] = target
 
     @classmethod
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
@@ -192,7 +201,6 @@ class ShortenerTable:
         mapping = {}
         with open(map_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
                 if not line.strip():
                     continue
                 try:
@@ -200,16 +208,16 @@ class ShortenerTable:
                 except ValueError as exc:
                     raise LabelError(
                         f"shortener map line {lineno}: not short<TAB>target") from exc
-                if not _strip_scheme(short.strip()):
+                if not url_key(short):
                     raise LabelError(f"shortener map line {lineno}: empty key")
-                mapping[short] = target
+                mapping[short] = target.strip()
         return cls(hosts, mapping)
 
     def lookup(self, url: str) -> str | None:
         host = urlsplit(url).netloc.lower()
         if host not in self.hosts:
             return None
-        return self.mapping.get(_strip_scheme(url).lower())
+        return self.mapping.get(url_key(url))
 
 
 def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:
@@ -266,35 +274,20 @@ def _observations(comments: Iterable[Comment], table: ShortenerTable):
 
 
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
-    """The observations of the corpus's comments, sorted by (domain, url,
-    ts), ties in thread order.
-
-    Each observation goes to the group of its resolved URL. The domain is
-    a function of the URL, so the groups in (domain, url) order, each
-    stably sorted by time, are the observations in (domain, url, ts)
-    order. The campaign stage reads these for the labelled comments;
-    labelling itself keeps no observation (``label_comments``).
+    """The observations of the corpus's comments, in thread order: threads
+    as ``build_threads`` orders them, the comments of each in time order,
+    each comment's observations in token order. The campaign stage reads
+    these for the labelled comments; labelling itself keeps no
+    observation (``label_comments``).
     """
-    groups: dict[str, list[UrlObservation]] = {}
     comments = (c for thread in build_threads(corpus) for c in thread.comments)
-    for o in _observations(comments, table):
-        group = groups.get(o.url)
-        if group is None:
-            group = groups[o.url] = []
-        group.append(o)
-    out: list[UrlObservation] = []
-    for _, url in sorted((group[0].domain, url) for url, group in groups.items()):
-        group = groups[url]
-        group.sort(key=_TS)
-        out += group
-    return out
+    return list(_observations(comments, table))
 
 
 def load_blacklist(path: str) -> Blacklist:
     """Read a key<TAB>category TSV into the join's index, in one pass.
 
-    Keys are stripped, lose an http(s):// scheme and are lowercased;
-    categories are case-insensitive. Blank lines are skipped. The
+    Keys are read as their ``url_key``; categories are case-insensitive. Blank lines are skipped. The
     blacklist is written by operators, not attackers, so a bad line
     (no tab, an unknown category, or a key that is empty once stripped)
     raises LabelError naming the line and aborts the run.
@@ -319,10 +312,7 @@ def _blacklist_entries(lines: Iterable[str]):
                 cat = cat.rstrip("\n")
                 raise LabelError(f"blacklist line {lineno}: unknown category {cat!r}")
             categories[cat] = category
-        key = key.strip()
-        if "://" in key:  # _SCHEME_RE matches nothing else
-            key = _strip_scheme(key)
-        key = key.lower()
+        key = url_key(key)
         if not key:
             raise LabelError(f"blacklist line {lineno}: empty key")
         yield key, category
@@ -332,8 +322,8 @@ def join_blacklist(observations: Iterable[UrlObservation],
                    blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
     """Match observations against the blacklist by keyed lookup.
 
-    An observation matches when its full URL without the scheme equals
-    a full-URL key or its domain equals a domain key. Output has one
+    An observation matches when the ``url_key`` of its URL equals a
+    full-URL key or its domain equals a domain key. Output has one
     label per (comment_id, category), sorted; its matched key is the
     smallest matching domain key, else the smallest matching full-URL
     key. The observations may be any iterable, read once, in any order;
@@ -352,9 +342,9 @@ def join_blacklist(observations: Iterable[UrlObservation],
     for url, domain, cid, _, _, _ in observations:
         hits = matches.get((url, domain))
         if hits is None:
-            url_key = _strip_scheme(url)
+            key = url_key(url)
             hits = [(c, (False, domain)) for c in domain_index.get(domain, ())]
-            hits += [(c, (True, url_key)) for c in url_index.get(url_key, ())]
+            hits += [(c, (True, key)) for c in url_index.get(key, ())]
             matches[url, domain] = hits
         for category, rank in hits:
             k = (cid, category)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Comment, Corpus, Page, Post, Region, _url_tokens
+from .corpus import Comment, Corpus, Page, Post, Region, url_tokens
 from .labeler import BlacklistEntry, Category, MaliciousLabel
 
 EARLY_STAGE = "EarlyStage"
@@ -283,7 +283,7 @@ def generate(config: GeneratorConfig) -> SynthResult:
         rows.sort(key=lambda r: r[0])
         for j, (ts, author, likes, text, url, strategy) in enumerate(rows):
             cid = f"c{i:05d}_{j:04d}"
-            comments[cid] = Comment(cid, post_id, author, ts, likes, _url_tokens(text))
+            comments[cid] = Comment(cid, post_id, author, ts, likes, url_tokens(text))
             texts[cid] = text
             if url is not None:
                 category = _category_of(url)

@@ -16,9 +16,8 @@ from threadwatch import features, learn, synthgen, temporal
 from threadwatch.cli import main
 from threadwatch.corpus import build_threads
 from threadwatch.labeler import (BlacklistEntry, Category, ShortenerTable,
-                                 UrlObservation, _strip_scheme,
-                                 collect_observations, join_blacklist,
-                                 label_threads)
+                                 UrlObservation, collect_observations,
+                                 join_blacklist, label_threads, url_key)
 
 CATEGORIES = list(Category)
 
@@ -44,7 +43,7 @@ def allpairs_oracle(observations, blacklist, block=500):
         return vocab.setdefault(s, len(vocab))
 
     dom = np.array([code(o.domain) for o in observations])
-    url = np.array([code(_strip_scheme(o.url)) for o in observations])
+    url = np.array([code(url_key(o.url)) for o in observations])
     keys = np.array([code(e.key) for e in blacklist])
     full = np.array(["/" in e.key for e in blacklist])
     out = set()

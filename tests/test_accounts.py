@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestCampaigns:
         labels = [MaliciousLabel("c0", Category.ADS, "bad.com"),
                   MaliciousLabel("c1", Category.ADS, "bad.com")]
         assert len(cluster_campaigns(labels, obs)) == 2
+
+    def test_clusters_ignore_observation_order(self, small_labels):
+        from threadwatch.labeler import UrlObservation
+        observations, labels = small_labels
+        # a comment whose tokens give /b before /a; its label's URL is the
+        # matching one with the smallest (domain, url)
+        observations = [*observations,
+                        UrlObservation("http://evil.com/b", "evil.com", "cx", "ux", 5),
+                        UrlObservation("http://evil.com/a", "evil.com", "cx", "ux", 5)]
+        labels = [*labels, MaliciousLabel("cx", Category.PHISHING, "evil.com")]
+        want = cluster_campaigns(labels, observations)
+        assert [c.url for c in want if "ux" in c.accounts] == ["http://evil.com/a"]
+        rng = random.Random(11)
+        for _ in range(5):
+            rng.shuffle(observations)
+            rng.shuffle(labels)
+            assert cluster_campaigns(labels, observations) == want
 
 
 class TestScatter:

@@ -677,8 +677,8 @@ class TestIdSharing:
         records[2]["like_count"] = 0.0
         records[4]["like_count"] = 0.0
         texts = []
-        tokenize = corpus_mod._url_tokens
-        monkeypatch.setattr(corpus_mod, "_url_tokens",
+        tokenize = corpus_mod.url_tokens
+        monkeypatch.setattr(corpus_mod, "url_tokens",
                             lambda text: texts.append(text) or tokenize(text))
         comments = ingest(_write(tmp_path, records)).corpus.comments
         assert texts == ["go a.co/x"]
@@ -723,7 +723,7 @@ class TestUrlTokens:
     @settings(max_examples=500, deadline=None)
     @given(_HOSTS_TEXT)
     def test_matches_the_oracle(self, text):
-        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+        assert corpus_mod.url_tokens(text) == oracle_tokens(text)
 
     @pytest.mark.parametrize("text", [
         "see a.co/x", "_a.co/x", "\u00e9a.co/x", "\u00b2a.co/x", "-a.co/x", ".a.co/x",
@@ -732,7 +732,7 @@ class TestUrlTokens:
         "httpS://a", "http\u017f://a b", "http://", "http:// a.co/", "\u212a.co/x",
         "a.\u0130\u0131/x", "(http://x.io/p?q=1)", "<a.co/b>c", "a.co/'b'", "a/b.co/c"])
     def test_examples_match_the_oracle(self, text):
-        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+        assert corpus_mod.url_tokens(text) == oracle_tokens(text)
 
     @pytest.mark.parametrize("host", [
         "a" * 300 + ".com", "ab." * 200 + "org", ("a" * 63 + ".") * 20 + "net",
@@ -741,15 +741,15 @@ class TestUrlTokens:
         # no such host resolves, but its token is kept all the same: it can
         # match only a blacklist key equal to it
         text = f"see {host}/path and http://{host}/x"
-        assert corpus_mod._url_tokens(text) == oracle_tokens(text)
+        assert corpus_mod.url_tokens(text) == oracle_tokens(text)
 
     def test_text_without_slash_has_none(self):
-        assert corpus_mod._url_tokens("visit example.com or http:x") == ()
+        assert corpus_mod.url_tokens("visit example.com or http:x") == ()
 
     @pytest.mark.parametrize("text, tokens", _hostile_texts())
     def test_hostile_comment_is_scanned_a_bounded_number_of_times(
             self, tokenizer_calls, text, tokens):
-        assert corpus_mod._url_tokens(text) == tokens
+        assert corpus_mod.url_tokens(text) == tokens
         # each call scans on from where the last one stopped; the oracle
         # would try the run once per label, half a million times
         assert 0 < len(tokenizer_calls) <= 4
@@ -766,13 +766,13 @@ class TestUrlTokens:
     def test_ingest_tokenizes_each_text_with_a_slash_once(self, small_synth,
                                                           small_synth_jsonl, monkeypatch):
         texts = []
-        tokenize = corpus_mod._url_tokens
+        tokenize = corpus_mod.url_tokens
 
         def counted(text):
             texts.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr(corpus_mod, "_url_tokens", counted)
+        monkeypatch.setattr(corpus_mod, "url_tokens", counted)
         ingest(small_synth_jsonl)
         want = {t for t in small_synth.comment_texts.values() if "/" in t}
         assert want and sorted(texts) == sorted(want)

@@ -1,5 +1,6 @@
 """Every name a threadwatch module or test module imports is referenced
-in that module, every public name a threadwatch module defines and every
+in that module, no threadwatch module imports a private name of another,
+every public name a threadwatch module defines and every
 record field is used by the program or its benchmark, not only by tests,
 every generator setting is set by some caller, and every third-party
 module the program imports is a declared dependency."""
@@ -60,6 +61,27 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names the module imports from a threadwatch module, by
+    a relative or an absolute ``from`` import."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "threadwatch")
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_scan_finds_private_imports():
+    source = ("from __future__ import annotations\nfrom ._x import _a, b\n"
+              "from . import _c, d\nfrom threadwatch.corpus import _e\n"
+              "from os import _exit\nimport threadwatch._f\n")
+    assert private_imports(source) == ["_a", "_c", "_e"]
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in SOURCES])
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _names(node: ast.AST) -> Counter:

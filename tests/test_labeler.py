@@ -1,19 +1,20 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threadwatch import cli, labeler, synthgen
-from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, _url_tokens,
-                                build_threads)
+from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, build_threads,
+                                url_tokens)
 from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
                                  LabelError, MaliciousLabel, ShortenerTable,
                                  UrlObservation, collect_observations,
                                  expand_url, extract_urls, join_blacklist,
-                                 label_threads, load_blacklist,
-                                 normalize_url, registrable_domain, _strip_scheme)
+                                 label_comments, label_threads, load_blacklist,
+                                 normalize_url, registrable_domain, url_key)
 from url_oracle import URL_RE
 
 
@@ -23,7 +24,7 @@ def brute_force_join(observations, blacklist):
     for o in observations:
         for e in blacklist:
             if "/" in e.key:
-                hit = _strip_scheme(o.url) == e.key
+                hit = url_key(o.url) == e.key
             else:
                 hit = o.domain == e.key
             if hit:
@@ -82,7 +83,7 @@ def reference_join(observations, blacklist):
     by_domain = [(o.domain, o) for o in observations]
     for o, entry in _merge_matches(by_domain, domain_entries):
         found.setdefault((o.comment_id, entry.category), entry.key)
-    by_url = sorted(((_strip_scheme(o.url), o) for o in observations),
+    by_url = sorted(((url_key(o.url), o) for o in observations),
                     key=lambda kv: kv[0])
     for o, entry in _merge_matches(by_url, url_entries):
         found.setdefault((o.comment_id, entry.category), entry.key)
@@ -110,7 +111,6 @@ def reference_collect_observations(corpus, table, texts):
                     ts=comment.created_ts,
                     flagged=flagged,
                 ))
-    out.sort(key=lambda o: (o.domain, o.url, o.ts))
     return out
 
 
@@ -243,11 +243,16 @@ class TestCollectObservations:
         result = collect_observations(corpus, ShortenerTable())
         assert len(result) == 2
 
-    def test_sorted_by_domain(self):
-        corpus = _tiny_corpus(["x http://b.com/x", "y http://a.com/y",
-                               "z http://a.com/z"])
+    def test_in_thread_order(self):
+        corpus = _tiny_corpus(["x http://b.com/x", "y http://a.com/y http://a.com/b",
+                               "z http://c.com/z", "w http://a.com/w"], n_posts=2)
         result = collect_observations(corpus, ShortenerTable())
-        assert [o.domain for o in result] == ["a.com", "a.com", "b.com"]
+        # post p0 holds c0 and c2, p1 holds c1 and c3; each comment's
+        # observations in token order
+        assert [(o.comment_id, o.url) for o in result] == [
+            ("c0", "http://b.com/x"), ("c2", "http://c.com/z"),
+            ("c1", "http://a.com/y"), ("c1", "http://a.com/b"),
+            ("c3", "http://a.com/w")]
 
 
 _JUNK = ".,;:!?)\"'’”]}>"
@@ -306,18 +311,9 @@ def _random_corpus(rng):
         text = rng.choice([" ", "\n", ", ", " see "]).join(words)
         cid = f"c{i}"
         comments[cid] = Comment(cid, f"p{rng.randrange(n_posts)}", f"u{rng.randint(0, 5)}",
-                                rng.randint(0, 60), 0, _url_tokens(text))
+                                rng.randint(0, 60), 0, url_tokens(text))
         texts[cid] = text
     return Corpus(pages=pages, posts=posts, comments=comments), texts
-
-
-def test_observation_order_reads_domain_url_ts(small_labels):
-    # groups are sorted by a positional key; a reordered record must fail here
-    observations, _ = small_labels
-    assert observations
-    assert [labeler._TS(o) for o in observations] == [o.ts for o in observations]
-    keys = [(o.domain, o.url, o.ts) for o in observations]
-    assert keys == sorted(keys)
 
 
 class TestCollectMatchesReference:
@@ -380,7 +376,7 @@ def _shuffled(corpus, rng):
 
 class TestLabelStageMatchesCollectedJoin:
     """The label stage joins a stream of observations in comment order;
-    its labels equal the join over the sorted, collected observations,
+    its labels equal the join over the collected observations,
     whatever the order of the comments dict."""
 
     @staticmethod
@@ -410,7 +406,7 @@ class TestLabelStageMatchesCollectedJoin:
             # keys the corpus can match, and one it cannot
             keys = ["d.com"]
             for o in collect_observations(corpus, table):
-                keys += [o.domain, _strip_scheme(o.url)]
+                keys += [o.domain, url_key(o.url)]
             blacklist = [BlacklistEntry(rng.choice(keys), rng.choice(categories))
                          for _ in range(rng.randint(0, 6))]
             labelled += bool(self._check(corpus, table, blacklist, tmp_path, rng))
@@ -423,9 +419,9 @@ class TestLabelStageMatchesCollectedJoin:
         random.Random(9).shuffle(shuffled)
         index = labeler._index(bench_synth.blacklist)
         calls = []
-        strip = labeler._strip_scheme
-        monkeypatch.setattr(labeler, "_strip_scheme",
-                            lambda url: calls.append(url) or strip(url))
+        key = labeler.url_key
+        monkeypatch.setattr(labeler, "url_key",
+                            lambda url: calls.append(url) or key(url))
         assert join_blacklist(iter(shuffled), index) == labels
         pairs = {(o.url, o.domain) for o in observations}
         assert len(pairs) < len(observations)
@@ -612,19 +608,22 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
         text = small_synth.comment_texts[lab.comment_id]
         urls = [expand_url(u, table)[0] for u in extract_urls(text)]
         assert any(registrable_domain(u) == lab.matched_key
-                   or _strip_scheme(u) == lab.matched_key for u in urls)
+                   or url_key(u) == lab.matched_key for u in urls)
 
 
 def reference_load(lines):
     """Entries of blacklist lines, one per line in file order, parsed
-    field by field: an oracle for the loader's one-pass index."""
+    field by field: an oracle for the loader's one-pass index. A key loses
+    its spaces and scheme, and only its host is lowercased."""
     entries = []
     for line in lines:
         line = line.rstrip("\n")
         if not line.strip():
             continue
         key, cat = line.split("\t", 1)
-        entries.append(BlacklistEntry(_strip_scheme(key.strip()).lower(),
+        key = re.sub(r"(?i)^https?://", "", key.strip())
+        host, slash, path = key.partition("/")
+        entries.append(BlacklistEntry(host.lower() + slash + path,
                                       Category(cat.strip().capitalize())))
     return entries
 
@@ -673,7 +672,8 @@ def test_bad_blacklist_line_names_the_line(tmp_path, line, message):
 
 
 _BL_KEYS = ["a.com", "A.Com", "www.a.com", "b.org", "B.ORG", "a.com/x", "A.com/X",
-            "b.org/x", "www.a.com/x", "a.com/go?u=http://b.org/x"]
+            "A.COM/x", "a.com/X", "b.org/x", "WWW.a.com/X", "www.a.com/x",
+            "a.com/go?u=http://b.org/x", "a.com/GO?u=http://B.org/x"]
 _BL_CATEGORIES = ["ads", "Ads", "ADS", "malware", "Malware", "phishing", "PHISHING",
                   "porn", "pOrN"]
 _PAD = st.sampled_from(["", " ", "  "])
@@ -686,7 +686,7 @@ _BL_LINE = st.one_of(
 _BL_OBSERVATIONS = [obs(f"{scheme}://{host}/{path}", f"c{i}", ts=i % 3)
                     for i, (scheme, host, path) in enumerate(itertools.product(
                         ("http", "https"), ("a.com", "www.a.com", "b.org", "c.net"),
-                        ("x", "X", "y", "go?u=http://b.org/x")))]
+                        ("x", "X", "y", "go?u=http://b.org/x", "GO?u=http://B.org/x")))]
 
 
 @settings(max_examples=300, deadline=None,
@@ -721,6 +721,67 @@ def test_shortener_map_empty_key_names_the_line(tmp_path, line):
     assert str(err.value) == "shortener map line 2: empty key"
 
 
+def test_shortener_map_fields_are_stripped(tmp_path):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    smap.write_text("sh.io/a\t http://evil.com/x\nsh.io/b\thttp://evil.com/y \n"
+                    " sh.io/c\thttp://evil.com/z\n")
+    hosts.write_text("sh.io\n")
+    table = ShortenerTable.load(str(smap), str(hosts))
+    assert [table.lookup(f"http://sh.io/{p}") for p in "abc"] == [
+        "http://evil.com/x", "http://evil.com/y", "http://evil.com/z"]
+    blacklist = [BlacklistEntry(f"evil.com/{p}", Category.MALWARE) for p in "xyz"]
+    corpus = _tiny_corpus(["see sh.io/a", "see http://sh.io/b", "see sh.io/c"])
+    labels = label_comments(corpus.comments.values(), table, blacklist)
+    assert [(lab.comment_id, lab.matched_key) for lab in labels] == [
+        ("c0", "evil.com/x"), ("c1", "evil.com/y"), ("c2", "evil.com/z")]
+
+
+def test_blacklist_key_keeps_its_path_case(tmp_path):
+    path = tmp_path / "bl.tsv"
+    path.write_text("evil.com/Phish\tphishing\n")
+    blacklist = load_blacklist(str(path))
+    observations = [obs("http://evil.com/Phish", "c1"), obs("HTTP://EVIL.COM/Phish", "c2"),
+                    obs("http://evil.com/phish", "c3")]
+    assert join_blacklist(observations, blacklist) == [
+        MaliciousLabel("c1", Category.PHISHING, "evil.com/Phish"),
+        MaliciousLabel("c2", Category.PHISHING, "evil.com/Phish")]
+
+
+def test_shortener_keys_keep_their_path_case(tmp_path):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    smap.write_text("sh.io/AbC\thttp://evil.com/1\nsh.io/abc\thttp://good.com/2\n")
+    hosts.write_text("sh.io\n")
+    table = ShortenerTable.load(str(smap), str(hosts))
+    assert table.lookup("http://sh.io/AbC") == "http://evil.com/1"
+    assert table.lookup("HTTPS://SH.IO/AbC") == "http://evil.com/1"
+    assert table.lookup("http://sh.io/abc") == "http://good.com/2"
+    assert table.lookup("http://sh.io/ABC") is None
+
+
+def _upper_scheme_and_host(url):
+    scheme, rest = url.split("://", 1)
+    host, slash, path = rest.partition("/")
+    return f"{scheme.upper()}://{host.upper()}{slash}{path}"
+
+
+_CASE_HOSTS = ["a.com", "www.a.com", "b.org"]
+_CASE_PATHS = ["x", "X", "go?u=http://b.org/x"]
+_CASE_KEYS = ["a.com", "b.org", *(f"{h}/{p}" for h in _CASE_HOSTS for p in _CASE_PATHS)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["http", "https"]), st.sampled_from(_CASE_HOSTS),
+                          st.sampled_from(_CASE_PATHS), st.integers(0, 5)), max_size=20),
+       st.lists(st.tuples(st.sampled_from(_CASE_KEYS), st.sampled_from(list(Category))),
+                max_size=10))
+def test_scheme_and_host_case_never_changes_labels(urls, keys):
+    observations = [obs(f"{scheme}://{host}/{path}", f"c{c}")
+                    for scheme, host, path, c in urls]
+    upper = [o._replace(url=_upper_scheme_and_host(o.url)) for o in observations]
+    blacklist = [BlacklistEntry(key, category) for key, category in keys]
+    assert join_blacklist(upper, blacklist) == join_blacklist(observations, blacklist)
+
+
 def _tiny_corpus(texts, n_posts=1):
     """One comment per text, with id c<i>, carrying the text's URL tokens."""
     pages = {"pg0": Page("pg0", "P", Region.ASIA)}
@@ -729,7 +790,7 @@ def _tiny_corpus(texts, n_posts=1):
     comments = {}
     for i, text in enumerate(texts):
         pid = f"p{i % n_posts}"
-        comments[f"c{i}"] = Comment(f"c{i}", pid, f"u{i}", 1000 + i, 0, _url_tokens(text))
+        comments[f"c{i}"] = Comment(f"c{i}", pid, f"u{i}", 1000 + i, 0, url_tokens(text))
     return Corpus(pages=pages, posts=posts, comments=comments)
 
 
