@@ -152,8 +152,7 @@ def campaign_stage(corpus: Corpus, table, labels, out: str):
     directory out. Clusters read only the observations of labelled
     comments, so only those comments are observed."""
     from . import accounts
-    labelled = Corpus(corpus.pages, corpus.posts,
-                      {lab.comment_id: corpus.comments[lab.comment_id] for lab in labels})
+    labelled = Corpus(corpus.pages, corpus.posts, labeler.labelled_comments(corpus, labels))
     clusters = accounts.cluster_campaigns(
         labels, labeler.collect_observations(labelled, table))
     accounts.write_scatter_csv(accounts.campaign_scatter(clusters),

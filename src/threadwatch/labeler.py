@@ -63,19 +63,13 @@ class UrlObservation(NamedTuple):
     domain: str
     comment_id: str
     account_id: str
-    ts: int
     flagged: bool = False  # expansion chain exceeded the hop bound or cycled
 
 
-class BlacklistEntry(NamedTuple):
-    key: str  # a url_key: a domain, or a full URL when it contains "/"
-    category: Category
-
-
 class Blacklist:
-    """Blacklist keys indexed for the join: domain keys and full-URL keys,
-    each mapped to its distinct categories in file order. len() is the
-    number of entries the index was built from."""
+    """Blacklist keys indexed for the join by their one reader,
+    ``load_blacklist``: domain keys and full-URL keys, each mapped to its
+    distinct categories in file order. len() is the number of entries read."""
 
     __slots__ = ("domains", "urls", "entries")
 
@@ -192,13 +186,12 @@ class ShortenerTable:
 
     @classmethod
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
-        hosts = set()
+        """A map line without a tab or with an empty key, or a key that a
+        later line maps to another target, raises LabelError naming the
+        lines; a repeat of a line's key and target is accepted."""
         with open(hosts_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    hosts.add(line.lower())
-        mapping = {}
+            table = cls({line.strip() for line in fh if line.strip()})
+        first: dict[str, int] = {}  # key -> the line that mapped it
         with open(map_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -208,10 +201,17 @@ class ShortenerTable:
                 except ValueError as exc:
                     raise LabelError(
                         f"shortener map line {lineno}: not short<TAB>target") from exc
-                if not url_key(short):
+                key = url_key(short)
+                if not key:
                     raise LabelError(f"shortener map line {lineno}: empty key")
-                mapping[short] = target.strip()
-        return cls(hosts, mapping)
+                target = normalize_url(target.strip())
+                seen = first.setdefault(key, lineno)
+                if seen != lineno and table.mapping.get(key) != target:
+                    raise LabelError(f"shortener map lines {seen} and {lineno}: "
+                                     f"two targets for {key}")
+                if target is not None:
+                    table.mapping[key] = target
+        return table
 
     def lookup(self, url: str) -> str | None:
         host = urlsplit(url).netloc.lower()
@@ -262,7 +262,7 @@ def _observations(comments: Iterable[Comment], table: ShortenerTable):
     for comment in comments:
         if not comment.url_tokens:
             continue
-        cid, _, author, ts, _, tokens = comment
+        cid, _, author, _, _, tokens = comment
         for token in tokens:
             try:
                 hit = memo[token]
@@ -270,7 +270,7 @@ def _observations(comments: Iterable[Comment], table: ShortenerTable):
                 hit = memo[token] = _resolve(token, table)
             if hit is not None:
                 resolved, domain, flagged = hit
-                yield new(UrlObservation, (resolved, domain, cid, author, ts, flagged))
+                yield new(UrlObservation, (resolved, domain, cid, author, flagged))
 
 
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
@@ -319,7 +319,7 @@ def _blacklist_entries(lines: Iterable[str]):
 
 
 def join_blacklist(observations: Iterable[UrlObservation],
-                   blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
+                   blacklist: Blacklist) -> list[MaliciousLabel]:
     """Match observations against the blacklist by keyed lookup.
 
     An observation matches when the ``url_key`` of its URL equals a
@@ -327,19 +327,15 @@ def join_blacklist(observations: Iterable[UrlObservation],
     label per (comment_id, category), sorted; its matched key is the
     smallest matching domain key, else the smallest matching full-URL
     key. The observations may be any iterable, read once, in any order;
-    the keys of each distinct (url, domain) pair are looked up once. A
-    blacklist given as entries rather than as a loaded Blacklist is
-    indexed here.
+    the keys of each distinct (url, domain) pair are looked up once.
     """
-    if not isinstance(blacklist, Blacklist):
-        blacklist = _index(blacklist)
     domain_index, url_index = blacklist.domains, blacklist.urls
 
     # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
     # (url, domain) -> the (category, rank) pairs it matches
     matches: dict[tuple[str, str], list[tuple[Category, tuple[bool, str]]]] = {}
-    for url, domain, cid, _, _, _ in observations:
+    for url, domain, cid, _, _ in observations:
         hits = matches.get((url, domain))
         if hits is None:
             key = url_key(url)
@@ -359,7 +355,7 @@ def join_blacklist(observations: Iterable[UrlObservation],
 
 
 def label_comments(comments: Iterable[Comment], table: ShortenerTable,
-                   blacklist: Blacklist | Iterable[BlacklistEntry]) -> list[MaliciousLabel]:
+                   blacklist: Blacklist) -> list[MaliciousLabel]:
     """The labels of the comments: ``join_blacklist`` over their
     observations, made one at a time and never kept. Equal, for the
     comments of a corpus in any order, to ``join_blacklist`` over
@@ -367,18 +363,25 @@ def label_comments(comments: Iterable[Comment], table: ShortenerTable,
     return join_blacklist(_observations(comments, table), blacklist)
 
 
+def labelled_comments(corpus: Corpus, labels: list[MaliciousLabel]) -> dict[str, Comment]:
+    """The comment of each label, by comment id, in label order. Labels
+    that name comments the corpus lacks raise one LabelError listing
+    every such id; each stage that reads labels checks them here."""
+    comments = corpus.comments
+    unknown = sorted({lab.comment_id for lab in labels
+                      if lab.comment_id not in comments})
+    if unknown:
+        raise LabelError(f"labels reference unknown comments: {unknown}")
+    return {lab.comment_id: comments[lab.comment_id] for lab in labels}
+
+
 def label_threads(corpus: Corpus, labels: list[MaliciousLabel]
                   ) -> tuple[dict[str, bool], set[str]]:
     """(is_target, attackers): whether each post of the corpus, by post
     id, has a labelled comment, and the authors of labelled comments."""
-    unknown = sorted({lab.comment_id for lab in labels
-                      if lab.comment_id not in corpus.comments})
-    if unknown:
-        raise LabelError(f"labels reference unknown comments: {unknown}")
     target_posts = set()
     attackers = set()
-    for lab in labels:
-        comment = corpus.comments[lab.comment_id]
+    for comment in labelled_comments(corpus, labels).values():
         target_posts.add(comment.post_id)
         attackers.add(comment.author_id)
     return {pid: pid in target_posts for pid in corpus.posts}, attackers

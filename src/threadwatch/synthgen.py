@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Comment, Corpus, Page, Post, Region, url_tokens
-from .labeler import BlacklistEntry, Category, MaliciousLabel
+from .labeler import Category, MaliciousLabel
 
 EARLY_STAGE = "EarlyStage"
 LATE_STAGE = "LateStage"
@@ -62,6 +63,11 @@ SIM_MINUTES = 600
 
 class ConfigError(ValueError):
     pass
+
+
+class BlacklistEntry(NamedTuple):  # a planted key, as write_blacklist_tsv writes it
+    key: str  # a domain, or a full URL when it contains "/"
+    category: Category
 
 
 @dataclass(frozen=True)
@@ -285,8 +291,7 @@ def generate(config: GeneratorConfig) -> SynthResult:
             cid = f"c{i:05d}_{j:04d}"
             comments[cid] = Comment(cid, post_id, author, ts, likes, url_tokens(text))
             texts[cid] = text
-            if url is not None:
-                category = _category_of(url)
+            if url is not None:  # an attack of this thread's category
                 planted.append(PlantedAttack(cid, category, strategy, author, url))
 
     corpus = Corpus(pages=pages, posts=posts, comments=comments)
@@ -295,14 +300,6 @@ def generate(config: GeneratorConfig) -> SynthResult:
                        shortener_hosts=[SHORTENER_HOST],
                        shortener_map=dict(sorted(shortener_map.items())),
                        planted=planted)
-
-
-def _category_of(url: str) -> str:
-    host = url.split("//", 1)[1].split("/", 1)[0]
-    for category in Category:
-        if host.startswith(category.value.lower()):
-            return category.value
-    raise ValueError(f"not a campaign URL: {url}")
 
 
 def profile_config(profile: str, **overrides) -> GeneratorConfig:

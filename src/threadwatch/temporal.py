@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .corpus import TIME_ORDER, Corpus, build_threads, rel_minutes
-from .labeler import Category, MaliciousLabel
+from .labeler import Category, MaliciousLabel, labelled_comments
 
 DAY_MINUTES = 1440.0
 
@@ -29,10 +29,6 @@ class AttackEvent:
     region: str
 
 
-class TemporalError(ValueError):
-    pass
-
-
 def ecdf(values: list[float]) -> Ecdf:
     """Standard empirical CDF with one point per distinct value."""
     xs = sorted(values)
@@ -48,13 +44,13 @@ def ecdf(values: list[float]) -> Ecdf:
 
 def attack_events(corpus: Corpus, labels: list[MaliciousLabel]) -> list[AttackEvent]:
     """One event per (labeled comment, category), with thread-relative
-    coordinates computed from the sorted comment order."""
+    coordinates computed from the sorted comment order; ``labelled_comments``
+    checks the labels first."""
+    comment_of = labelled_comments(corpus, labels)
     comments_of = {t.post.post_id: t.comments for t in build_threads(corpus)}
     events = []
     for lab in labels:
-        comment = corpus.comments.get(lab.comment_id)
-        if comment is None:
-            raise TemporalError(f"label references unknown comment {lab.comment_id}")
+        comment = comment_of[lab.comment_id]
         post = corpus.posts[comment.post_id]
         page = corpus.pages[post.page_id]
         # (created_ts, comment_id) is unique, so this is the comment's rank

@@ -1,6 +1,7 @@
 import pytest
 
 from threadwatch import corpus, labeler, synthgen
+from blacklist_reader import read_blacklist
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +21,7 @@ def small_labels(small_synth):
     table = labeler.ShortenerTable(set(small_synth.shortener_hosts),
                                    small_synth.shortener_map)
     observations = labeler.collect_observations(small_synth.corpus, table)
-    labels = labeler.join_blacklist(observations, small_synth.blacklist)
+    labels = labeler.join_blacklist(observations, read_blacklist(small_synth.blacklist))
     return observations, labels
 
 
@@ -29,7 +30,7 @@ def bench_labels(bench_synth):
     table = labeler.ShortenerTable(set(bench_synth.shortener_hosts),
                                    bench_synth.shortener_map)
     observations = labeler.collect_observations(bench_synth.corpus, table)
-    labels = labeler.join_blacklist(observations, bench_synth.blacklist)
+    labels = labeler.join_blacklist(observations, read_blacklist(bench_synth.blacklist))
     return observations, labels
 
 

@@ -15,9 +15,11 @@ import numpy as np
 from threadwatch import features, learn, synthgen, temporal
 from threadwatch.cli import main
 from threadwatch.corpus import build_threads
-from threadwatch.labeler import (BlacklistEntry, Category, ShortenerTable,
-                                 UrlObservation, collect_observations,
-                                 join_blacklist, label_threads, url_key)
+from threadwatch.labeler import (Category, ShortenerTable, UrlObservation,
+                                 collect_observations, join_blacklist, label_threads,
+                                 url_key)
+from threadwatch.synthgen import BlacklistEntry
+from blacklist_reader import read_blacklist, reference_key
 
 CATEGORIES = list(Category)
 
@@ -31,7 +33,8 @@ def report(number, name, ok, detail=""):
 
 
 def allpairs_oracle(observations, blacklist, block=500):
-    """Independent all-pairs join oracle.
+    """Independent all-pairs join oracle over (key, category) entries,
+    each key read by ``reference_key``.
 
     Every (observation, entry) pair is compared; strings are interned to
     integer codes first so the pairwise comparison can be vectorized
@@ -44,8 +47,9 @@ def allpairs_oracle(observations, blacklist, block=500):
 
     dom = np.array([code(o.domain) for o in observations])
     url = np.array([code(url_key(o.url)) for o in observations])
-    keys = np.array([code(e.key) for e in blacklist])
-    full = np.array(["/" in e.key for e in blacklist])
+    keys = [reference_key(e.key) for e in blacklist]
+    full = np.array(["/" in key for key in keys])
+    keys = np.array([code(key) for key in keys])
     out = set()
     for lo in range(0, len(observations), block):
         hi = lo + block
@@ -64,8 +68,8 @@ def random_instance(rng, m, n, domain_pool):
         d = f"d{rng.randint(0, domain_pool)}.com"
         observations.append(UrlObservation(
             url=f"http://{d}/p{rng.randint(0, 3)}", domain=d,
-            comment_id=f"c{i}", account_id="u", ts=rng.randint(0, 10 ** 6)))
-    observations.sort(key=lambda o: (o.domain, o.url, o.ts))
+            comment_id=f"c{i}", account_id="u"))
+    observations.sort(key=lambda o: (o.domain, o.url))
     blacklist = sorted(
         (BlacklistEntry(
             f"d{rng.randint(0, domain_pool)}.com"
@@ -84,7 +88,7 @@ def test_criterion_1_join_oracle_equivalence():
         m, n = rng.randint(1, 1000), rng.randint(1, 1000)
         observations, blacklist = random_instance(rng, m, n, domain_pool=400)
         got = {(lab.comment_id, lab.category)
-               for lab in join_blacklist(observations, blacklist)}
+               for lab in join_blacklist(observations, read_blacklist(blacklist))}
         if got != allpairs_oracle(observations, blacklist):
             mismatches += 1
     elapsed = time.time() - started
@@ -111,21 +115,20 @@ def test_criterion_2_labeling_at_scale():
 
     d_idx = rng.integers(0, pool, size=n_obs)
     p_idx = rng.integers(0, len(paths), size=n_obs)
-    ts = rng.integers(0, 10 ** 7, size=n_obs)
     observations = [
         UrlObservation(url="http://" + domains[d] + paths[p],
-                       domain=domains[d], comment_id=f"c{i}", account_id="u",
-                       ts=int(t))
-        for i, (d, p, t) in enumerate(zip(d_idx, p_idx, ts))]
-    observations.sort(key=lambda o: (o.domain, o.url, o.ts))
+                       domain=domains[d], comment_id=f"c{i}", account_id="u")
+        for i, (d, p) in enumerate(zip(d_idx, p_idx))]
+    observations.sort(key=lambda o: (o.domain, o.url))
 
-    started = time.time()
-    labels = join_blacklist(observations, blacklist)
+    started = time.time()  # the blacklist read as label reads it, and the join
+    index = read_blacklist(blacklist)
+    labels = join_blacklist(observations, index)
     elapsed = time.time() - started
 
     sub = observations[::100]  # sorted subsample of 10,000 rows
     sub_got = {(lab.comment_id, lab.category)
-               for lab in join_blacklist(sub, blacklist)}
+               for lab in join_blacklist(sub, index)}
     sub_want = allpairs_oracle(sub, blacklist)
     report(2, "labeling at scale",
            elapsed < 60.0 and sub_got == sub_want and len(labels) > 0,
@@ -177,7 +180,7 @@ def _profile_events(profile, seed, n_threads=400):
         synthgen.profile_config(profile, seed=seed, n_threads=n_threads))
     table = ShortenerTable(set(result.shortener_hosts), result.shortener_map)
     labels = join_blacklist(collect_observations(result.corpus, table),
-                            result.blacklist)
+                            read_blacklist(result.blacklist))
     return temporal.attack_events(result.corpus, labels)
 
 

@@ -225,7 +225,7 @@ class TestCampaigns:
         from threadwatch.labeler import UrlObservation, registrable_domain
         obs = []
         for i, url in enumerate(["http://bad.com/a", "http://bad.com/b"]):
-            obs.append(UrlObservation(url, registrable_domain(url), f"c{i}", "acct", i))
+            obs.append(UrlObservation(url, registrable_domain(url), f"c{i}", "acct"))
         labels = [MaliciousLabel("c0", Category.ADS, "bad.com"),
                   MaliciousLabel("c1", Category.ADS, "bad.com")]
         assert len(cluster_campaigns(labels, obs)) == 2
@@ -236,8 +236,8 @@ class TestCampaigns:
         # a comment whose tokens give /b before /a; its label's URL is the
         # matching one with the smallest (domain, url)
         observations = [*observations,
-                        UrlObservation("http://evil.com/b", "evil.com", "cx", "ux", 5),
-                        UrlObservation("http://evil.com/a", "evil.com", "cx", "ux", 5)]
+                        UrlObservation("http://evil.com/b", "evil.com", "cx", "ux"),
+                        UrlObservation("http://evil.com/a", "evil.com", "cx", "ux")]
         labels = [*labels, MaliciousLabel("cx", Category.PHISHING, "evil.com")]
         want = cluster_campaigns(labels, observations)
         assert [c.url for c in want if "ux" in c.accounts] == ["http://evil.com/a"]

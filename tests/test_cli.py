@@ -1,6 +1,8 @@
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -8,12 +10,23 @@ import threading
 import pytest
 
 import threadwatch
-from threadwatch import (accounts, cli, corpus, features, labeler, learn, models,
-                         synthgen, temporal)
+from threadwatch import accounts, cli, corpus, labeler, models, synthgen
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
 SYNTH_ARGS = ["--seed", "7", "--threads", "120", "--pages", "4"]
+
+
+def _error_classes():
+    """Every Exception subclass a threadwatch module defines, with
+    whether main should exit 1 on it: all but CorpusError."""
+    found = {}
+    for info in pkgutil.iter_modules(threadwatch.__path__):
+        module = importlib.import_module(f"threadwatch.{info.name}")
+        found.update((obj.__name__, obj) for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    return [(error, name != "CorpusError") for name, error in sorted(found.items())]
 
 
 def synth_inputs(root):
@@ -98,12 +111,7 @@ class TestBasics:
         assert self._label_with_broken_join(pipeline, tmp_path, monkeypatch, error) == 1
         assert "error: bad blacklist" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error, exits_one", [
-        (accounts.AccountError, True), (synthgen.ConfigError, True),
-        (features.FeatureConfigError, True), (labeler.LabelError, True),
-        (learn.LearnError, True), (models.ModelError, True),
-        (temporal.TemporalError, True), (corpus.CorpusError, False),
-    ])
+    @pytest.mark.parametrize("error, exits_one", _error_classes())
     def test_module_errors_are_value_errors(self, error, exits_one):
         # main maps ValueError to exit 1; an unreadable corpus exits 2
         assert issubclass(error, ValueError) is exits_one
@@ -145,6 +153,21 @@ FILE_FLAGS = {
     "sweep": ["labels", "out"],
     "temporal": ["labels", "out"],
 }
+
+
+@pytest.mark.parametrize("command", ["featurize", "sweep", "temporal", "accounts"])
+def test_unknown_label_comment_exits_one(pipeline, tmp_path, capsys, command):
+    # every command that reads labels checks them by one rule, and writes nothing
+    labels = tmp_path / "labels.tsv"
+    labels.write_bytes(read(pipeline["labels"]) + b"ghost1\tphishing\tevil.com\n")
+    files = {"labels": str(labels), "shortener-map": pipeline["map"],
+             "shortener-hosts": pipeline["hosts"], "out": str(tmp_path / "out")}
+    argv = [command, "--corpus", pipeline["corpus"]]
+    for flag in FILE_FLAGS[command]:
+        argv += [f"--{flag}", files[flag]]
+    assert main(argv) == 1
+    assert "error: labels reference unknown comments: ['ghost1']\n" in capsys.readouterr().err
+    assert not os.path.exists(files["out"])
 
 
 class TestOperatorFilesFirst:

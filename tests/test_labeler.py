@@ -1,6 +1,5 @@
 import itertools
 import random
-import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,36 +8,40 @@ from hypothesis import strategies as st
 from threadwatch import cli, labeler, synthgen
 from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, build_threads,
                                 url_tokens)
-from threadwatch.labeler import (MAX_EXPANSION_HOPS, BlacklistEntry, Category,
-                                 LabelError, MaliciousLabel, ShortenerTable,
-                                 UrlObservation, collect_observations,
-                                 expand_url, extract_urls, join_blacklist,
-                                 label_comments, label_threads, load_blacklist,
-                                 normalize_url, registrable_domain, url_key)
+from threadwatch.labeler import (MAX_EXPANSION_HOPS, Category, LabelError,
+                                 MaliciousLabel, ShortenerTable, UrlObservation,
+                                 collect_observations, expand_url, extract_urls,
+                                 join_blacklist, label_comments, label_threads,
+                                 load_blacklist, normalize_url, registrable_domain,
+                                 url_key)
+from threadwatch.synthgen import BlacklistEntry
+from blacklist_reader import read_blacklist, reference_key
 from url_oracle import URL_RE
 
 
 def brute_force_join(observations, blacklist):
-    """Independent all-pairs oracle for the join."""
+    """Independent all-pairs oracle for the join over (key, category)
+    entries."""
     out = {}
     for o in observations:
         for e in blacklist:
-            if "/" in e.key:
-                hit = url_key(o.url) == e.key
+            key = reference_key(e.key)
+            if "/" in key:
+                hit = url_key(o.url) == key
             else:
-                hit = o.domain == e.key
+                hit = o.domain == key
             if hit:
-                out.setdefault((o.comment_id, e.category), e.key)
+                out.setdefault((o.comment_id, e.category), key)
     return set(out)
 
 
-def obs(url, comment_id="c1", ts=0, account="u1"):
+def obs(url, comment_id="c1", account="u1"):
     return UrlObservation(url=url, domain=registrable_domain(url),
-                          comment_id=comment_id, account_id=account, ts=ts)
+                          comment_id=comment_id, account_id=account)
 
 
 def sort_obs(items):
-    return sorted(items, key=lambda o: (o.domain, o.url, o.ts))
+    return sorted(items, key=lambda o: (o.domain, o.url))
 
 
 def _check_sorted(keys, what):
@@ -73,10 +76,12 @@ def _merge_matches(obs_keyed, entries):
 
 def reference_join(observations, blacklist):
     """Sort-merge join, an oracle for full labels (matched key included).
-    Both inputs must be sorted: observations by (domain, url, ts), the
-    blacklist by key."""
-    _check_sorted([(o.domain, o.url, o.ts) for o in observations], "observations")
-    _check_sorted([e.key for e in blacklist], "blacklist")
+    The observations must be sorted by (domain, url); the (key, category)
+    entries of the blacklist are keyed by ``reference_key`` and sorted
+    here."""
+    _check_sorted([(o.domain, o.url) for o in observations], "observations")
+    blacklist = sort_blacklist(BlacklistEntry(reference_key(e.key), e.category)
+                               for e in blacklist)
     domain_entries = [e for e in blacklist if "/" not in e.key]
     url_entries = [e for e in blacklist if "/" in e.key]
     found = {}
@@ -108,7 +113,6 @@ def reference_collect_observations(corpus, table, texts):
                     domain=registrable_domain(resolved),
                     comment_id=comment.comment_id,
                     account_id=comment.author_id,
-                    ts=comment.created_ts,
                     flagged=flagged,
                 ))
     return out
@@ -121,11 +125,11 @@ def sort_blacklist(entries):
 def assert_matches_reference(observations, blacklist, rng):
     """The keyed join on shuffled input gives the reference's labels on
     sorted input, matched keys included."""
-    want = reference_join(sort_obs(observations), sort_blacklist(blacklist))
+    want = reference_join(sort_obs(observations), blacklist)
     observations, blacklist = list(observations), list(blacklist)
     rng.shuffle(observations)
     rng.shuffle(blacklist)
-    assert join_blacklist(observations, blacklist) == want
+    assert join_blacklist(observations, read_blacklist(blacklist)) == want
     return want
 
 
@@ -389,13 +393,13 @@ class TestLabelStageMatchesCollectedJoin:
 
     def test_small_synth(self, small_synth, tmp_path):
         table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
-        assert self._check(small_synth.corpus, table, small_synth.blacklist, tmp_path,
-                           random.Random(7))
+        assert self._check(small_synth.corpus, table, read_blacklist(small_synth.blacklist),
+                           tmp_path, random.Random(7))
 
     def test_bench(self, bench_synth, tmp_path):
         table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
-        assert self._check(bench_synth.corpus, table, bench_synth.blacklist, tmp_path,
-                           random.Random(8))
+        assert self._check(bench_synth.corpus, table, read_blacklist(bench_synth.blacklist),
+                           tmp_path, random.Random(8))
 
     def test_random_corpora(self, tmp_path):
         rng = random.Random(2025)
@@ -407,8 +411,8 @@ class TestLabelStageMatchesCollectedJoin:
             keys = ["d.com"]
             for o in collect_observations(corpus, table):
                 keys += [o.domain, url_key(o.url)]
-            blacklist = [BlacklistEntry(rng.choice(keys), rng.choice(categories))
-                         for _ in range(rng.randint(0, 6))]
+            blacklist = read_blacklist((rng.choice(keys), rng.choice(categories))
+                                       for _ in range(rng.randint(0, 6)))
             labelled += bool(self._check(corpus, table, blacklist, tmp_path, rng))
         assert labelled > 50
 
@@ -417,7 +421,7 @@ class TestLabelStageMatchesCollectedJoin:
         observations, labels = bench_labels
         shuffled = list(observations)
         random.Random(9).shuffle(shuffled)
-        index = labeler._index(bench_synth.blacklist)
+        index = read_blacklist(bench_synth.blacklist)
         calls = []
         key = labeler.url_key
         monkeypatch.setattr(labeler, "url_key",
@@ -430,27 +434,26 @@ class TestLabelStageMatchesCollectedJoin:
 
 class TestJoinBlacklist:
     def test_empty_blacklist(self):
-        assert join_blacklist(sort_obs([obs("http://a.com/x")]), []) == []
+        assert join_blacklist(sort_obs([obs("http://a.com/x")]), read_blacklist([])) == []
 
     def test_domain_match(self):
         observations = sort_obs([obs("http://a.com/x", "c1"),
                                  obs("http://b.com/y", "c2")])
         blacklist = [BlacklistEntry("b.com", Category.PHISHING)]
-        labels = join_blacklist(observations, blacklist)
+        labels = join_blacklist(observations, read_blacklist(blacklist))
         assert [(l.comment_id, l.category) for l in labels] == [("c2", Category.PHISHING)]
         assert brute_force_join(observations, blacklist) == {("c2", Category.PHISHING)}
 
     def test_full_url_key_matches_exact_url_only(self):
         observations = sort_obs([obs("http://a.com/x", "c1"),
                                  obs("http://a.com/y", "c2")])
-        blacklist = [BlacklistEntry("a.com/x", Category.MALWARE)]
+        blacklist = read_blacklist([("a.com/x", Category.MALWARE)])
         labels = join_blacklist(observations, blacklist)
         assert [(l.comment_id, l.matched_key) for l in labels] == [("c1", "a.com/x")]
 
     def test_unsorted_observations_give_sorted_labels(self):
         observations = [obs("http://b.com/x", "c1"), obs("http://a.com/x", "c2")]
-        blacklist = [BlacklistEntry("a.com", Category.ADS),
-                     BlacklistEntry("b.com", Category.ADS)]
+        blacklist = read_blacklist([("a.com", Category.ADS), ("b.com", Category.ADS)])
         labels = join_blacklist(observations, blacklist)
         assert labels == join_blacklist(sort_obs(observations), blacklist)
         assert [l.comment_id for l in labels] == ["c1", "c2"]
@@ -459,19 +462,20 @@ class TestJoinBlacklist:
         observations = [obs("http://a.com/x", "c1"), obs("http://b.com/x", "c2")]
         blacklist = [BlacklistEntry("b.com", Category.ADS),
                      BlacklistEntry("a.com", Category.ADS)]
-        labels = join_blacklist(observations, blacklist)
-        assert labels == join_blacklist(observations, sort_blacklist(blacklist))
+        labels = join_blacklist(observations, read_blacklist(blacklist))
+        assert labels == join_blacklist(observations,
+                                        read_blacklist(sort_blacklist(blacklist)))
         assert [l.comment_id for l in labels] == ["c1", "c2"]
 
     def test_each_observation_joined_on_its_own_domain(self):
         # the join looks keys up once per run of equal (url, domain); a
         # hand-built observation whose domain is not its URL's still
         # matches by the domain it carries
-        observations = [UrlObservation("http://a.com/x", "a.com", "c1", "u1", 0),
-                        UrlObservation("http://a.com/x", "b.com", "c2", "u1", 0),
-                        UrlObservation("http://a.com/x", "a.com", "c3", "u1", 0)]
+        observations = [UrlObservation("http://a.com/x", "a.com", "c1", "u1"),
+                        UrlObservation("http://a.com/x", "b.com", "c2", "u1"),
+                        UrlObservation("http://a.com/x", "a.com", "c3", "u1")]
         blacklist = [BlacklistEntry("b.com", Category.ADS)]
-        labels = join_blacklist(observations, blacklist)
+        labels = join_blacklist(observations, read_blacklist(blacklist))
         assert labels == [MaliciousLabel("c2", Category.ADS, "b.com")]
         assert brute_force_join(observations, blacklist) == {("c2", Category.ADS)}
 
@@ -482,7 +486,7 @@ class TestJoinBlacklist:
             n = rng.randint(1, 40)
             domains = [f"d{rng.randint(0, 25)}.com" for _ in range(m)]
             observations = sort_obs([
-                obs(f"http://{d}/p{rng.randint(0, 3)}", f"c{i}", ts=rng.randint(0, 99))
+                obs(f"http://{d}/p{rng.randint(0, 3)}", f"c{i}")
                 for i, d in enumerate(domains)])
             blacklist = sorted(
                 (BlacklistEntry(
@@ -490,7 +494,8 @@ class TestJoinBlacklist:
                     rng.choice(list(Category)))
                  for _ in range(n)),
                 key=lambda e: e.key)
-            got = {(l.comment_id, l.category) for l in join_blacklist(observations, blacklist)}
+            got = {(l.comment_id, l.category)
+                   for l in join_blacklist(observations, read_blacklist(blacklist))}
             assert got == brute_force_join(observations, blacklist), f"trial {trial}"
 
     def test_shuffling_input_never_changes_labels(self):
@@ -500,11 +505,11 @@ class TestJoinBlacklist:
                      BlacklistEntry("d3.com", Category.PORN),
                      BlacklistEntry("d3.com/x", Category.PORN),
                      BlacklistEntry("d5.com/x", Category.ADS)]
-        expected = join_blacklist(sort_obs(items), sort_blacklist(blacklist))
+        expected = join_blacklist(sort_obs(items), read_blacklist(sort_blacklist(blacklist)))
         for _ in range(5):
             rng.shuffle(items)
             rng.shuffle(blacklist)
-            assert join_blacklist(items, blacklist) == expected
+            assert join_blacklist(items, read_blacklist(blacklist)) == expected
 
 
 class TestJoinMatchesReference:
@@ -517,7 +522,7 @@ class TestJoinMatchesReference:
             observations = [
                 obs(f"{rng.choice(['http', 'https'])}://"
                     f"{rng.choice(['', 'www.'])}d{rng.randint(0, 6)}.com/p{rng.randint(0, 2)}",
-                    f"c{rng.randint(0, 15)}", ts=rng.randint(0, 9))
+                    f"c{rng.randint(0, 15)}")
                 for _ in range(rng.randint(0, 40))]
             blacklist = [
                 BlacklistEntry(f"{rng.choice(['', 'www.'])}d{rng.randint(0, 6)}.com"
@@ -613,17 +618,15 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
 
 def reference_load(lines):
     """Entries of blacklist lines, one per line in file order, parsed
-    field by field: an oracle for the loader's one-pass index. A key loses
-    its spaces and scheme, and only its host is lowercased."""
+    field by field: an oracle for the loader's one-pass index. Each key
+    is read by ``reference_key``."""
     entries = []
     for line in lines:
         line = line.rstrip("\n")
         if not line.strip():
             continue
         key, cat = line.split("\t", 1)
-        key = re.sub(r"(?i)^https?://", "", key.strip())
-        host, slash, path = key.partition("/")
-        entries.append(BlacklistEntry(host.lower() + slash + path,
+        entries.append(BlacklistEntry(reference_key(key),
                                       Category(cat.strip().capitalize())))
     return entries
 
@@ -683,7 +686,7 @@ _BL_LINE = st.one_of(
               st.sampled_from(_BL_CATEGORIES), _PAD).map("".join),
     st.sampled_from(["", " ", "  \t ", "\t"]))
 
-_BL_OBSERVATIONS = [obs(f"{scheme}://{host}/{path}", f"c{i}", ts=i % 3)
+_BL_OBSERVATIONS = [obs(f"{scheme}://{host}/{path}", f"c{i}")
                     for i, (scheme, host, path) in enumerate(itertools.product(
                         ("http", "https"), ("a.com", "www.a.com", "b.org", "c.net"),
                         ("x", "X", "y", "go?u=http://b.org/x", "GO?u=http://B.org/x")))]
@@ -699,7 +702,7 @@ def test_loaded_index_joins_as_reference(tmp_path, lines, final_newline):
     blacklist = load_blacklist(str(path))
     assert len(blacklist) == len(entries)
     assert join_blacklist(_BL_OBSERVATIONS, blacklist) == reference_join(
-        sort_obs(_BL_OBSERVATIONS), sort_blacklist(entries))
+        sort_obs(_BL_OBSERVATIONS), entries)
 
 
 def test_shortener_map_line_without_tab_names_the_line(tmp_path):
@@ -721,6 +724,19 @@ def test_shortener_map_empty_key_names_the_line(tmp_path, line):
     assert str(err.value) == "shortener map line 2: empty key"
 
 
+def test_shortener_map_key_with_two_targets_names_both_lines(tmp_path):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    hosts.write_text("sh.io\n")
+    # a line that repeats a key and its target, as read, is accepted
+    smap.write_text("sh.io/a\thttp://x.com/1\nHTTP://SH.IO/a\t http://x.com/1\n")
+    assert ShortenerTable.load(str(smap), str(hosts)).mapping == {"sh.io/a": "http://x.com/1"}
+    smap.write_text("sh.io/a\thttp://x.com/1\nsh.io/b\thttp://x.com/2\n"
+                    "HTTP://SH.IO/a\thttp://y.com/2\n")
+    with pytest.raises(LabelError) as err:
+        ShortenerTable.load(str(smap), str(hosts))
+    assert str(err.value) == "shortener map lines 1 and 3: two targets for sh.io/a"
+
+
 def test_shortener_map_fields_are_stripped(tmp_path):
     smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
     smap.write_text("sh.io/a\t http://evil.com/x\nsh.io/b\thttp://evil.com/y \n"
@@ -729,7 +745,7 @@ def test_shortener_map_fields_are_stripped(tmp_path):
     table = ShortenerTable.load(str(smap), str(hosts))
     assert [table.lookup(f"http://sh.io/{p}") for p in "abc"] == [
         "http://evil.com/x", "http://evil.com/y", "http://evil.com/z"]
-    blacklist = [BlacklistEntry(f"evil.com/{p}", Category.MALWARE) for p in "xyz"]
+    blacklist = read_blacklist((f"evil.com/{p}", Category.MALWARE) for p in "xyz")
     corpus = _tiny_corpus(["see sh.io/a", "see http://sh.io/b", "see sh.io/c"])
     labels = label_comments(corpus.comments.values(), table, blacklist)
     assert [(lab.comment_id, lab.matched_key) for lab in labels] == [
@@ -778,7 +794,7 @@ def test_scheme_and_host_case_never_changes_labels(urls, keys):
     observations = [obs(f"{scheme}://{host}/{path}", f"c{c}")
                     for scheme, host, path, c in urls]
     upper = [o._replace(url=_upper_scheme_and_host(o.url)) for o in observations]
-    blacklist = [BlacklistEntry(key, category) for key, category in keys]
+    blacklist = read_blacklist(keys)
     assert join_blacklist(upper, blacklist) == join_blacklist(observations, blacklist)
 
 

@@ -7,13 +7,14 @@ from threadwatch.labeler import (ShortenerTable, collect_observations,
                                  join_blacklist)
 from threadwatch.synthgen import (ConfigError, GeneratorConfig, generate,
                                   intensity, profile_config, verify_planted)
+from blacklist_reader import read_blacklist
 
 
 def run_labeler(result, blacklist=None):
     table = ShortenerTable(set(result.shortener_hosts), result.shortener_map)
     observations = collect_observations(result.corpus, table)
-    return join_blacklist(observations,
-                          blacklist if blacklist is not None else result.blacklist)
+    return join_blacklist(observations, read_blacklist(
+        blacklist if blacklist is not None else result.blacklist))
 
 
 class TestConfig:

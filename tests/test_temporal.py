@@ -2,7 +2,7 @@ import pytest
 
 from threadwatch.corpus import (Comment, Corpus, Page, Post, Region,
                                 build_threads)
-from threadwatch.labeler import Category, MaliciousLabel
+from threadwatch.labeler import Category, LabelError, MaliciousLabel
 from threadwatch.temporal import (attack_events, ecdf, inter_attack_intervals,
                                   monthly_heatmap, page_gaps,
                                   relative_positions, time_since_post)
@@ -53,6 +53,14 @@ def reference_positions(corpus):
         for rank, c in enumerate(t.comments):
             positions[c.comment_id] = rank / (n - 1) if n > 1 else 0.0
     return positions
+
+
+def test_unknown_label_is_the_labeler_error():
+    # the message every stage that reads labels gives
+    corpus, labels = build_corpus([0, 1], ["c0", "ghost2", "c1", "ghost1"])
+    with pytest.raises(LabelError) as err:
+        attack_events(corpus, labels)
+    assert str(err.value) == "labels reference unknown comments: ['ghost1', 'ghost2']"
 
 
 class TestRelativePositions:
