@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import labeler
-from .corpus import Corpus, CorpusError, IngestResult, build_threads, ingest
+from .corpus import Corpus, CorpusError, IngestResult, at_line, build_threads, ingest
 
 # the names of models.ALGORITHMS, here so that parsing loads no models
 ALGORITHMS = ("adaboost", "decision_tree", "naive_bayes")
@@ -39,7 +39,7 @@ def _load_config(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key = value")
+                raise ValueError(at_line(path, "expected key = value", lineno))
             key, value = line.split("=", 1)
             config[key.strip().replace("-", "_")] = value.strip()
     return config

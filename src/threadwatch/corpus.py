@@ -102,6 +102,13 @@ class CorpusError(Exception):
     pass
 
 
+def at_line(path: str, message: str, *linenos: int) -> str:
+    """The error text of a reader: ``<path> line N: message``, or
+    ``<path> lines N and M: message`` for a fault that two lines make."""
+    where = " and ".join(map(str, linenos))
+    return f"{path} {'lines' if len(linenos) > 1 else 'line'} {where}: {message}"
+
+
 def rel_seconds(post: Post, comment: Comment) -> int:
     """Seconds between a comment and its post, clamped at zero for clock skew."""
     return max(0, comment.created_ts - post.created_ts)

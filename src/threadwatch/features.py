@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PostThread
+from .corpus import PostThread, at_line
 
 MacroMode = str  # "full" | "censored"
 
@@ -154,13 +154,12 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
         ids, rows, labels = [], [], []
         for rec in reader:
             if len(rec) != len(header):
-                raise FeatureConfigError(
-                    f"{path} line {reader.line_num}: expected {len(header)} "
-                    f"columns as in the header, got {len(rec)}")
+                raise FeatureConfigError(at_line(
+                    path, f"expected {len(header)} columns as in the header, "
+                    f"got {len(rec)}", reader.line_num))
             if rec[1] not in ("0", "1"):
-                raise FeatureConfigError(
-                    f"{path} line {reader.line_num}: is_target must be 0 or 1, "
-                    f"got {rec[1]!r}")
+                raise FeatureConfigError(at_line(
+                    path, f"is_target must be 0 or 1, got {rec[1]!r}", reader.line_num))
             try:
                 row = [float(x) for x in rec[2:]]
             except ValueError:
@@ -168,14 +167,14 @@ def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool
                     try:
                         float(rec[col])
                     except ValueError:
-                        raise FeatureConfigError(
-                            f"{path} line {reader.line_num}: non-numeric value "
-                            f"{rec[col]!r} in column {header[col]}") from None
+                        raise FeatureConfigError(at_line(
+                            path, f"non-numeric value {rec[col]!r} in column "
+                            f"{header[col]}", reader.line_num)) from None
             if not all(map(math.isfinite, row)):
                 col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
-                raise FeatureConfigError(
-                    f"{path} line {reader.line_num}: non-finite value "
-                    f"{rec[col]!r} in column {header[col]}")
+                raise FeatureConfigError(at_line(
+                    path, f"non-finite value {rec[col]!r} in column {header[col]}",
+                    reader.line_num))
             ids.append(rec[0])
             labels.append(rec[1] == "1")
             rows.append(row)

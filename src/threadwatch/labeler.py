@@ -18,11 +18,11 @@ label's matched key is the smallest matching domain key, or, when no
 domain key matches, the smallest matching full-URL key.
 
 Each piece of work is done once per distinct key: the blacklist is
-indexed by key as it is read, each distinct raw URL token of a corpus is
-resolved once, and each distinct (URL, domain) pair's keys are looked up
-once. ``label_comments`` joins the observations of the comments as they
-are made, one at a time, and keeps none of them; ``collect_observations``
-keeps them, in thread order, for the campaign stage and the tests.
+indexed by key in one loop as it is read, and each distinct raw URL token
+of a corpus is resolved and checked against the keys once. A token that
+matches no key is remembered as None, so ``label_comments`` makes only the
+observations that match, one at a time, and the join sees no other.
+``collect_observations`` keeps every observation, in thread order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
-from .corpus import Comment, Corpus, build_threads, url_tokens
+from .corpus import Comment, Corpus, at_line, build_threads, url_tokens
 
 MAX_EXPANSION_HOPS = 5
 
@@ -81,22 +81,6 @@ class Blacklist:
 
     def __len__(self) -> int:
         return self.entries
-
-
-def _index(entries: Iterable[tuple[str, Category]]) -> Blacklist:
-    """Index (key, category) pairs: keys with "/" are full-URL keys."""
-    domains: dict[str, tuple[Category, ...]] = {}
-    urls: dict[str, tuple[Category, ...]] = {}
-    n = 0
-    for key, category in entries:
-        n += 1
-        index = urls if "/" in key else domains
-        categories = index.get(key)
-        if categories is None:
-            index[key] = _ONE_CATEGORY[category]
-        elif category not in categories:
-            index[key] = categories + (category,)
-    return Blacklist(domains, urls, n)
 
 
 class MaliciousLabel(NamedTuple):
@@ -188,7 +172,7 @@ class ShortenerTable:
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
         """A map line without a tab or with an empty key, or a key that a
         later line maps to another target, raises LabelError naming the
-        lines; a repeat of a line's key and target is accepted."""
+        file and lines; a repeat of a line's key and target is accepted."""
         with open(hosts_path, encoding="utf-8") as fh:
             table = cls({line.strip() for line in fh if line.strip()})
         first: dict[str, int] = {}  # key -> the line that mapped it
@@ -199,16 +183,16 @@ class ShortenerTable:
                 try:
                     short, target = line.split("\t", 1)
                 except ValueError as exc:
-                    raise LabelError(
-                        f"shortener map line {lineno}: not short<TAB>target") from exc
+                    raise LabelError(at_line(map_path, "not short<TAB>target",
+                                             lineno)) from exc
                 key = url_key(short)
                 if not key:
-                    raise LabelError(f"shortener map line {lineno}: empty key")
+                    raise LabelError(at_line(map_path, "empty key", lineno))
                 target = normalize_url(target.strip())
                 seen = first.setdefault(key, lineno)
                 if seen != lineno and table.mapping.get(key) != target:
-                    raise LabelError(f"shortener map lines {seen} and {lineno}: "
-                                     f"two targets for {key}")
+                    raise LabelError(at_line(map_path, f"two targets for {key}",
+                                             seen, lineno))
                 if target is not None:
                     table.mapping[key] = target
         return table
@@ -240,22 +224,29 @@ def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:
     return current, table.lookup(current) is not None
 
 
-def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
-    """(resolved URL, domain, flagged) of one raw token, or None if unusable."""
+def _resolve(token: str, table: ShortenerTable, blacklist: Blacklist | None
+             ) -> tuple[str, str, bool] | None:
+    """(resolved URL, domain, flagged) of one raw token, or None if it is
+    unusable or, given a blacklist, matches none of its keys."""
     url = normalize_url(token)
     if url is None:
         return None
     resolved, flagged = expand_url(url, table)
-    return resolved, registrable_domain(resolved), flagged
+    domain = registrable_domain(resolved)
+    if (blacklist is not None and domain not in blacklist.domains
+            and url_key(resolved) not in blacklist.urls):
+        return None
+    return resolved, domain, flagged
 
 
-def _observations(comments: Iterable[Comment], table: ShortenerTable):
+def _observations(comments: Iterable[Comment], table: ShortenerTable,
+                  blacklist: Blacklist | None = None):
     """One observation per (comment, URL token that normalizes) pair after
     expansion, yielded in the order of the comments given, each comment's
-    in token order.
-
-    Campaigns repeat their links, so each distinct raw token is resolved
-    once per call; the memo ends with the call, as it holds for one table.
+    in token order; given a blacklist, only those that match one of its
+    keys. Campaigns repeat their links, so each distinct raw token is
+    resolved and checked against the keys once per call, and a token that
+    matches none is remembered as None; the memo ends with the call.
     """
     memo: dict[str, tuple[str, str, bool] | None] = {}
     new = tuple.__new__
@@ -267,7 +258,7 @@ def _observations(comments: Iterable[Comment], table: ShortenerTable):
             try:
                 hit = memo[token]
             except KeyError:
-                hit = memo[token] = _resolve(token, table)
+                hit = memo[token] = _resolve(token, table, blacklist)
             if hit is not None:
                 resolved, domain, flagged = hit
                 yield new(UrlObservation, (resolved, domain, cid, author, flagged))
@@ -287,18 +278,21 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
 def load_blacklist(path: str) -> Blacklist:
     """Read a key<TAB>category TSV into the join's index, in one pass.
 
-    Keys are read as their ``url_key``; categories are case-insensitive. Blank lines are skipped. The
-    blacklist is written by operators, not attackers, so a bad line
-    (no tab, an unknown category, or a key that is empty once stripped)
-    raises LabelError naming the line and aborts the run.
+    Keys are read as their ``url_key``; categories are case-insensitive.
+    Blank lines are skipped. Operators, not attackers, write the blacklist,
+    so a bad line (no tab, an unknown category, or a key that is empty once
+    stripped) raises LabelError naming the file and line and aborts the run.
     """
     with open(path, encoding="utf-8") as fh:
-        return _index(_blacklist_entries(fh))
+        return _read_blacklist(fh, path)
 
 
-def _blacklist_entries(lines: Iterable[str]):
-    """The (key, category) pair of each entry line, in file order."""
+def _read_blacklist(lines: Iterable[str], path: str) -> Blacklist:
+    """The ``Blacklist`` of the lines of the file at path, read in one loop."""
+    domains: dict[str, tuple[Category, ...]] = {}
+    urls: dict[str, tuple[Category, ...]] = {}
     categories: dict[str, Category] = {}  # raw category field -> category
+    n = 0
     for lineno, line in enumerate(lines, start=1):
         key, tab, cat = line.partition("\t")
         category = categories.get(cat)
@@ -306,16 +300,21 @@ def _blacklist_entries(lines: Iterable[str]):
             if not line.strip():
                 continue
             if not tab:
-                raise LabelError(f"blacklist line {lineno}: not key<TAB>category")
+                raise LabelError(at_line(path, "not key<TAB>category", lineno))
             category = _CATEGORY_LOOKUP.get(cat.strip().lower())
             if category is None:
                 cat = cat.rstrip("\n")
-                raise LabelError(f"blacklist line {lineno}: unknown category {cat!r}")
+                raise LabelError(at_line(path, f"unknown category {cat!r}", lineno))
             categories[cat] = category
         key = url_key(key)
         if not key:
-            raise LabelError(f"blacklist line {lineno}: empty key")
-        yield key, category
+            raise LabelError(at_line(path, "empty key", lineno))
+        n += 1
+        index = urls if "/" in key else domains
+        known = index.get(key, ())
+        if category not in known:
+            index[key] = known + (category,) if known else _ONE_CATEGORY[category]
+    return Blacklist(domains, urls, n)
 
 
 def join_blacklist(observations: Iterable[UrlObservation],
@@ -356,11 +355,11 @@ def join_blacklist(observations: Iterable[UrlObservation],
 
 def label_comments(comments: Iterable[Comment], table: ShortenerTable,
                    blacklist: Blacklist) -> list[MaliciousLabel]:
-    """The labels of the comments: ``join_blacklist`` over their
-    observations, made one at a time and never kept. Equal, for the
-    comments of a corpus in any order, to ``join_blacklist`` over
-    ``collect_observations`` of that corpus."""
-    return join_blacklist(_observations(comments, table), blacklist)
+    """The labels of the comments: ``join_blacklist`` over only those of
+    their observations that match a key, made one at a time and never kept.
+    Equal, for the comments of a corpus in any order, to ``join_blacklist``
+    over ``collect_observations`` of that corpus."""
+    return join_blacklist(_observations(comments, table, blacklist), blacklist)
 
 
 def labelled_comments(corpus: Corpus, labels: list[MaliciousLabel]) -> dict[str, Comment]:
@@ -403,9 +402,9 @@ def read_labels(path: str) -> list[MaliciousLabel]:
             try:
                 cid, cat, key = line.split("\t")
             except ValueError as exc:
-                raise LabelError(f"labels line {lineno}: bad row") from exc
+                raise LabelError(at_line(path, "bad row", lineno)) from exc
             category = _CATEGORY_LOOKUP.get(cat.lower())
             if category is None:
-                raise LabelError(f"labels line {lineno}: unknown category {cat!r}")
+                raise LabelError(at_line(path, f"unknown category {cat!r}", lineno))
             labels.append(MaliciousLabel(cid, category, key))
     return labels

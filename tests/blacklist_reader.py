@@ -4,15 +4,15 @@ file by, and the independent key rule the join oracles apply to the
 
 import re
 
-from threadwatch.labeler import _blacklist_entries, _index
+from threadwatch.labeler import _read_blacklist
 
 
 def read_blacklist(entries):
     """The Blacklist ``load_blacklist`` gives for a file of the (key,
     category) entries in order, one line each, as
     ``synthgen.write_blacklist_tsv`` writes them."""
-    return _index(_blacklist_entries(f"{key}\t{category.value.lower()}\n"
-                                     for key, category in entries))
+    return _read_blacklist((f"{key}\t{category.value.lower()}\n"
+                            for key, category in entries), "<entries>")
 
 
 def reference_key(key):

@@ -136,13 +136,13 @@ def _refuse_ingest(monkeypatch):
     monkeypatch.setattr(cli, "ingest", refused)
 
 
-# a file with a bad line 2, and the error it gives, per flag
+# a file with a bad line 2, and the error it gives after the file's path,
+# per flag
 BAD_LINES = {
-    "blacklist": ("evil.com/a\tphishing\nhttp://\tphishing\n",
-                  "blacklist line 2: empty key"),
+    "blacklist": ("evil.com/a\tphishing\nhttp://\tphishing\n", "line 2: empty key"),
     "shortener-map": ("bit.ly/a\thttp://evil.com/a\nbit.ly/b\n",
-                      "shortener map line 2: not short<TAB>target"),
-    "labels": ("c1\tphishing\tevil.com\nc2\tphishing\n", "labels line 2: bad row"),
+                      "line 2: not short<TAB>target"),
+    "labels": ("c1\tphishing\tevil.com\nc2\tphishing\n", "line 2: bad row"),
 }
 # the file flags besides --corpus of each command that reads a corpus
 FILE_FLAGS = {
@@ -191,7 +191,7 @@ class TestOperatorFilesFirst:
         for flag in FILE_FLAGS[command]:
             argv += [f"--{flag}", files[flag]]
         assert main(argv) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {files[bad]} {message}\n" in capsys.readouterr().err
 
     def test_bad_algorithm_in_config_aborts_sweep_before_ingest(
             self, pipeline, tmp_path, monkeypatch, capsys):
@@ -638,11 +638,12 @@ class TestConfigFile:
         assert read(os.path.join(out_c, "corpus.jsonl")) != \
             read(os.path.join(out_a, "corpus.jsonl"))
 
-    def test_malformed_config_exit_one(self, tmp_path):
+    def test_malformed_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just words\n")
+        cfg.write_text("# a comment\n\njust words\n")
         assert main(["--config", str(cfg), "synth",
                      "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {cfg} line 3: expected key = value\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,message", [
         ("profile = bogus", "invalid choice: 'bogus'"),

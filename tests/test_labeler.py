@@ -431,6 +431,36 @@ class TestLabelStageMatchesCollectedJoin:
         assert len(pairs) < len(observations)
         assert sorted(calls) == sorted(url for url, _ in pairs)
 
+    def test_label_resolves_each_token_once_and_joins_only_matches(
+            self, bench_synth, monkeypatch):
+        corpus = bench_synth.corpus
+        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        index = read_blacklist(bench_synth.blacklist)
+        collected = collect_observations(corpus, table)
+        hit = {pair: bool(join_blacklist([UrlObservation(*pair, "c", "u")], index))
+               for pair in {(o.url, o.domain) for o in collected}}
+        matching = [o for o in collected if hit[o.url, o.domain]]
+        resolved, joined = [], []
+        resolve, join = labeler._resolve, labeler.join_blacklist
+
+        def resolve_spy(token, *rest):
+            resolved.append(token)
+            return resolve(token, *rest)
+
+        def join_spy(observations, blacklist):
+            joined.extend(observations)
+            return join(joined, blacklist)
+
+        monkeypatch.setattr(labeler, "_resolve", resolve_spy)
+        monkeypatch.setattr(labeler, "join_blacklist", join_spy)
+        labels = label_comments(corpus.comments.values(), table, index)
+        tokens = [t for c in corpus.comments.values() for t in c.url_tokens]
+        assert len(set(tokens)) < len(tokens)
+        assert sorted(resolved) == sorted(set(tokens))
+        assert 0 < len(matching) < len(collected)
+        assert sorted(joined) == sorted(matching)
+        assert labels == join(collected, index)
+
 
 class TestJoinBlacklist:
     def test_empty_blacklist(self):
@@ -616,19 +646,37 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
                    or url_key(u) == lab.matched_key for u in urls)
 
 
-def reference_load(lines):
+def reference_load(lines, path="bl.tsv"):
     """Entries of blacklist lines, one per line in file order, parsed
     field by field: an oracle for the loader's one-pass index. Each key
-    is read by ``reference_key``."""
+    is read by ``reference_key``. The first bad line raises the loader's
+    LabelError, naming path and the line."""
+    names = {c.value.lower(): c for c in Category}
     entries = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue
+        if "\t" not in line:
+            raise LabelError(f"{path} line {lineno}: not key<TAB>category")
         key, cat = line.split("\t", 1)
-        entries.append(BlacklistEntry(reference_key(key),
-                                      Category(cat.strip().capitalize())))
+        if cat.strip().lower() not in names:
+            raise LabelError(f"{path} line {lineno}: unknown category {cat!r}")
+        if not reference_key(key):
+            raise LabelError(f"{path} line {lineno}: empty key")
+        entries.append(BlacklistEntry(reference_key(key), names[cat.strip().lower()]))
     return entries
+
+
+def reference_index(entries):
+    """(domain keys, full-URL keys) of blacklist entries, each key mapped
+    to its distinct categories in entry order."""
+    domains, urls = {}, {}
+    for key, category in entries:
+        index = urls if "/" in key else domains
+        if category not in index.setdefault(key, ()):
+            index[key] += (category,)
+    return domains, urls
 
 
 def test_load_blacklist_case_insensitive_categories(tmp_path):
@@ -666,11 +714,12 @@ def test_key_listed_once_shares_one_category_tuple(tmp_path, small_synth):
     ("evil.com", "blacklist line 2: not key<TAB>category"),
     ("evil.com\tspam", "blacklist line 2: unknown category 'spam'"),
 ])
-def test_bad_blacklist_line_names_the_line(tmp_path, line, message):
-    path = tmp_path / "bl.tsv"
-    path.write_text(f"ok.com\tads\n{line}\nlater.com\tads\n")
+def test_bad_blacklist_line_names_the_line(tmp_path, monkeypatch, line, message):
+    # the file's path is "blacklist", the text each message starts with
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blacklist").write_text(f"ok.com\tads\n{line}\nlater.com\tads\n")
     with pytest.raises(LabelError) as err:
-        load_blacklist(str(path))
+        load_blacklist("blacklist")
     assert str(err.value) == message
 
 
@@ -705,12 +754,64 @@ def test_loaded_index_joins_as_reference(tmp_path, lines, final_newline):
         sort_obs(_BL_OBSERVATIONS), entries)
 
 
+# lines the reader rejects: no tab, an unknown category, an empty key,
+# or any text at all
+_BAD_BL_LINE = st.one_of(
+    st.sampled_from(["evil.com", "evil.com ads", "evil.com\tspam", "evil.com\t",
+                     "evil.com\tads\tads", "\tads", "http://\tphishing",
+                     "  HTTPS://  \tPorn"]),
+    st.text(st.characters(exclude_characters="\n"), max_size=20))
+# lines it accepts: _BL_LINE's blank lines, repeated keys and scheme and
+# host-case variants, and arbitrary keys
+_GOOD_BL_LINE = st.one_of(
+    _BL_LINE, _BL_LINE,
+    st.tuples(st.text(st.characters(exclude_characters="\n\t"), min_size=1,
+                      max_size=12),
+              st.just("\t"), st.sampled_from(_BL_CATEGORIES)).map("".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_GOOD_BL_LINE, max_size=30),
+       st.one_of(st.none(), st.tuples(st.integers(0, 30), _BAD_BL_LINE)),
+       st.booleans())
+def test_reader_builds_the_reference_index(lines, bad, final_newline):
+    if bad is not None:
+        lines.insert(bad[0], bad[1])
+    lines = [line + "\n" for line in lines]
+    if lines and not final_newline:
+        lines[-1] = lines[-1][:-1]
+    try:
+        entries = reference_load(lines)
+    except LabelError as exc:
+        with pytest.raises(LabelError) as err:
+            labeler._read_blacklist(lines, "bl.tsv")
+        assert str(err.value) == str(exc)
+        return
+    blacklist = labeler._read_blacklist(lines, "bl.tsv")
+    assert (blacklist.domains, blacklist.urls) == reference_index(entries)
+    assert len(blacklist) == len(entries)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c2\tphishing", "line 2: bad row"),
+    ("c2\tphishing\tevil.com\tx", "line 2: bad row"),
+    ("c2\tspam\tevil.com", "line 2: unknown category 'spam'"),
+])
+def test_bad_labels_line_names_the_file_and_line(tmp_path, line, message):
+    path = tmp_path / "labels.tsv"
+    path.write_text(f"c1\tphishing\tevil.com\n{line}\n")
+    with pytest.raises(LabelError) as err:
+        labeler.read_labels(str(path))
+    assert str(err.value) == f"{path} {message}"
+
+
 def test_shortener_map_line_without_tab_names_the_line(tmp_path):
     smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
     smap.write_text("sh-url.io/a\thttp://evil.com/1\n\nsh-url.io/zz\n")
     hosts.write_text("sh-url.io\n")
-    with pytest.raises(LabelError, match="shortener map line 3: not short<TAB>target"):
+    with pytest.raises(LabelError) as err:
         ShortenerTable.load(str(smap), str(hosts))
+    assert str(err.value) == f"{smap} line 3: not short<TAB>target"
 
 
 @pytest.mark.parametrize("line", [
@@ -721,7 +822,7 @@ def test_shortener_map_empty_key_names_the_line(tmp_path, line):
     hosts.write_text("sh-url.io\n")
     with pytest.raises(LabelError) as err:
         ShortenerTable.load(str(smap), str(hosts))
-    assert str(err.value) == "shortener map line 2: empty key"
+    assert str(err.value) == f"{smap} line 2: empty key"
 
 
 def test_shortener_map_key_with_two_targets_names_both_lines(tmp_path):
@@ -734,7 +835,7 @@ def test_shortener_map_key_with_two_targets_names_both_lines(tmp_path):
                     "HTTP://SH.IO/a\thttp://y.com/2\n")
     with pytest.raises(LabelError) as err:
         ShortenerTable.load(str(smap), str(hosts))
-    assert str(err.value) == "shortener map lines 1 and 3: two targets for sh.io/a"
+    assert str(err.value) == f"{smap} lines 1 and 3: two targets for sh.io/a"
 
 
 def test_shortener_map_fields_are_stripped(tmp_path):
