@@ -82,7 +82,7 @@ def _say(line: str) -> None:
 def _ingest(path: str) -> IngestResult:
     result = ingest(path)
     for lineno, msg in result.line_errors:
-        print(f"warning: line {lineno}: {msg}", file=sys.stderr)
+        print(f"warning: {at_line(path, msg, lineno)}", file=sys.stderr)
     if result.dropped:
         print(f"warning: dropped {result.dropped} records", file=sys.stderr)
     return result
@@ -103,13 +103,16 @@ def label_stage(corpus: Corpus, table, blacklist, path: str):
 
 
 def featurize_stage(corpus: Corpus, labels, path: str, **options):
-    """One feature vector per thread; writes the feature CSV."""
+    """One feature row and one label per thread; writes the feature CSV
+    and returns the rows and the labels."""
     from . import features
-    vectors = features.featurize_threads(
-        build_threads(corpus), labeler.label_threads(corpus, labels)[0],
-        **options)
-    features.write_feature_csv(vectors, path)
-    return vectors
+    threads = build_threads(corpus)
+    is_target = labeler.label_threads(corpus, labels)[0]
+    post_ids = [thread.post.post_id for thread in threads]
+    rows = features.featurize_threads(threads, **options)
+    targets = [is_target.get(post_id, False) for post_id in post_ids]
+    features.write_feature_csv(post_ids, rows, targets, path)
+    return rows, targets
 
 
 def metrics_stage(dataset, algorithms: list[str], path: str | None, **split):
@@ -197,10 +200,10 @@ def cmd_featurize(args) -> tuple[int, int]:
     from . import features
     labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
-    vectors = featurize_stage(corpus, labels, args.out,
+    rows, _ = featurize_stage(corpus, labels, args.out,
                               window_minutes=args.window, t_final_minutes=args.t_final,
                               macro_mode=args.macro_mode)
-    return len(corpus.posts), len(vectors)
+    return len(corpus.posts), len(rows)
 
 
 def _load_dataset(path: str):
@@ -280,8 +283,8 @@ def cmd_report(args) -> tuple[int, int]:
     blacklist = labeler.load_blacklist(args.blacklist)
     corpus = _ingest(args.corpus).corpus
     labels = label_stage(corpus, table, blacklist, os.path.join(args.out, "labels.tsv"))
-    vectors = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
-    metrics_stage(learn.Dataset.from_vectors(vectors), sorted(models.ALGORITHMS),
+    rows, targets = featurize_stage(corpus, labels, os.path.join(args.out, "features.csv"))
+    metrics_stage(learn.Dataset(rows, targets), sorted(models.ALGORITHMS),
                   os.path.join(args.out, "metrics.csv"), seed=args.seed)
     temporal_stage(corpus, labels, args.out)
     campaign_stage(corpus, table, labels, args.out)

@@ -1,6 +1,6 @@
 """Thread feature extraction: five macro popularity statistics and the
 fixed-length vector of per-window comment counts (the discussion
-atmosphere vector, DAV), plus time-censoring and min-max scaling.
+atmosphere vector, DAV), plus min-max scaling.
 
 A feature row is a list of floats: the macro statistics in
 MACRO_COLUMNS order, then the DAV bins dav_1..dav_k. The feature CSV
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,6 @@ MacroMode = str  # "full" | "censored"
 
 MACRO_COLUMNS = ("span_days", "n_comments", "n_participants", "post_likes",
                  "comment_likes")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    post_id: str
-    label: bool
-    values: list[float]  # macro statistics, then DAV bins
 
 
 class FeatureConfigError(ValueError):
@@ -45,13 +37,16 @@ def _n_bins(window_minutes: int, t_final_minutes: int) -> int:
     return t_final_minutes // window_minutes
 
 
-def _row(thread: PostThread, window_s: int, final_s: int, n_bins: int) -> list[float]:
+def _row(thread: PostThread, window_s: int, final_s: int, n_bins: int,
+         censored: bool) -> list[float]:
     """The thread's feature row, from one pass over its comments: the
     macro statistics in MACRO_COLUMNS order, then the DAV.
 
     DAV bin i (1-based) counts the comments whose offset from the post,
     clamped at zero for clock skew, lies in [(i-1)*window_s, i*window_s)
-    seconds; a comment exactly at final_s is excluded.
+    seconds; a comment exactly at final_s is excluded. When censored, a
+    comment at or after final_s adds to no macro statistic either,
+    whatever its place in the list.
     """
     post = thread.post
     t0 = post.created_ts
@@ -60,27 +55,19 @@ def _row(thread: PostThread, window_s: int, final_s: int, n_bins: int) -> list[f
     likes = 0
     counts = [0] * n_bins
     for _, _, author, ts, like, _ in thread.comments:
+        offset = ts - t0
+        if offset < final_s:
+            counts[offset // window_s if offset > 0 else 0] += 1
+        elif censored:
+            continue
         authors.add(author)
         likes += like
         if ts > last:
             last = ts
-        offset = ts - t0
-        if offset < final_s:
-            counts[offset // window_s if offset > 0 else 0] += 1
-    return [(last - t0) / 86400.0, float(len(thread.comments)), float(len(authors)),
+    # the counts hold exactly the comments before final_s
+    n_comments = sum(counts) if censored else len(thread.comments)
+    return [(last - t0) / 86400.0, float(n_comments), float(len(authors)),
             float(post.like_count), float(likes), *map(float, counts)]
-
-
-def censor_thread(thread: PostThread, horizon_minutes: float) -> PostThread:
-    """Copy of the thread keeping only comments before the horizon."""
-    if horizon_minutes <= 0:
-        raise FeatureConfigError("horizon must be positive")
-    horizon_s = horizon_minutes * 60
-    t0 = thread.post.created_ts
-    # the horizon is positive, so a comment before its post (offset
-    # clamped to zero) is kept either way
-    kept = [c for c in thread.comments if c.created_ts - t0 < horizon_s]
-    return PostThread(thread.post, kept)
 
 
 def fit_minmax(rows) -> np.ndarray:
@@ -101,44 +88,38 @@ def apply_minmax(rows, stats: np.ndarray) -> np.ndarray:
     return np.where(constant, 0.0, np.clip(scaled, 0.0, 1.0))
 
 
-def featurize_threads(threads: list[PostThread], is_target: dict[str, bool],
-                      window_minutes: int = 5, t_final_minutes: int = 60,
-                      macro_mode: MacroMode = "full") -> list[FeatureVector]:
-    """Feature vectors for a thread list.
+def featurize_threads(threads: list[PostThread], window_minutes: int = 5,
+                      t_final_minutes: int = 60,
+                      macro_mode: MacroMode = "full") -> list[list[float]]:
+    """One feature row per thread, in thread order.
 
-    macro_mode "censored" computes the macro statistics on the thread
-    censored at t_final, which is the honest near-real-time setting;
-    "full" uses the whole thread life.
+    macro_mode "censored" computes the macro statistics on the comments
+    before t_final, which is the honest near-real-time setting; "full"
+    uses the whole thread life.
     """
     if macro_mode not in ("full", "censored"):
         raise FeatureConfigError(f"unknown macro mode {macro_mode!r}")
     n_bins = _n_bins(window_minutes, t_final_minutes)
     window_s, final_s = window_minutes * 60, t_final_minutes * 60
     censored = macro_mode == "censored"
-    out = []
-    for thread in threads:
-        pid = thread.post.post_id
-        # censoring at t_final keeps exactly the comments the DAV counts,
-        # so one pass over the censored thread gives both parts of its row
-        src = censor_thread(thread, t_final_minutes) if censored else thread
-        out.append(FeatureVector(pid, bool(is_target.get(pid, False)),
-                                 _row(src, window_s, final_s, n_bins)))
-    return out
+    return [_row(thread, window_s, final_s, n_bins, censored) for thread in threads]
 
 
-def write_feature_csv(vectors: list[FeatureVector], path: str) -> None:
-    """Write the vectors under the header post_id, is_target,
-    MACRO_COLUMNS, dav_1..dav_k."""
-    if not vectors:
-        raise FeatureConfigError("no feature vectors to write")
-    k = len(vectors[0].values) - len(MACRO_COLUMNS)
+def write_feature_csv(post_ids: list[str], rows: list[list[float]],
+                      labels: list[bool], path: str) -> None:
+    """Write one line per post id, with its label and row, under the
+    header post_id, is_target, MACRO_COLUMNS, dav_1..dav_k: what
+    read_feature_csv reads."""
+    if not rows:
+        raise FeatureConfigError("no feature rows to write")
+    k = len(rows[0]) - len(MACRO_COLUMNS)
     header = ["post_id", "is_target", *MACRO_COLUMNS]
     header += [f"dav_{i}" for i in range(1, k + 1)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for v in vectors:
-            writer.writerow([v.post_id, int(v.label), *map(repr, v.values)])
+        for post_id, row, label in zip(post_ids, rows, labels):
+            writer.writerow([post_id, int(label), *map(repr, row)])
 
 
 def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool]]:

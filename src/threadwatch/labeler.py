@@ -153,55 +153,55 @@ def url_key(text: str) -> str:
 class ShortenerTable:
     """Offline stand-in for live shortener resolution.
 
-    Holds the set of shortener hosts and a map from short URL (its
-    ``url_key``) to target URL, normalized once. A target that
-    normalize_url rejects is left out, so its short link resolves to
-    itself: whoever makes a short link chooses its target.
+    Holds the set of shortener hosts, lowercased, and a map from short URL
+    (its ``url_key``) to target URL, normalized, as ``load`` reads them. A
+    target that normalize_url rejects is left out, so its short link
+    resolves to itself: whoever makes a short link chooses its target.
     """
 
-    def __init__(self, hosts: set[str] | None = None,
-                 mapping: dict[str, str] | None = None):
-        self.hosts = {h.lower() for h in (hosts or set())}
-        self.mapping = {}
-        for short, target in (mapping or {}).items():
-            target = normalize_url(target)
-            if target is not None:
-                self.mapping[url_key(short)] = target
+    def __init__(self, hosts: set[str], mapping: dict[str, str]):
+        self.hosts = hosts
+        self.mapping = mapping
 
     @classmethod
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
         """A map line without a tab or with an empty key, or a key that a
         later line maps to another target, raises LabelError naming the
         file and lines; a repeat of a line's key and target is accepted."""
-        with open(hosts_path, encoding="utf-8") as fh:
-            table = cls({line.strip() for line in fh if line.strip()})
-        first: dict[str, int] = {}  # key -> the line that mapped it
-        with open(map_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    short, target = line.split("\t", 1)
-                except ValueError as exc:
-                    raise LabelError(at_line(map_path, "not short<TAB>target",
-                                             lineno)) from exc
-                key = url_key(short)
-                if not key:
-                    raise LabelError(at_line(map_path, "empty key", lineno))
-                target = normalize_url(target.strip())
-                seen = first.setdefault(key, lineno)
-                if seen != lineno and table.mapping.get(key) != target:
-                    raise LabelError(at_line(map_path, f"two targets for {key}",
-                                             seen, lineno))
-                if target is not None:
-                    table.mapping[key] = target
-        return table
+        with open(hosts_path, encoding="utf-8") as hosts, \
+                open(map_path, encoding="utf-8") as lines:
+            return _read_shortener_table(hosts, lines, map_path)
 
     def lookup(self, url: str) -> str | None:
         host = urlsplit(url).netloc.lower()
         if host not in self.hosts:
             return None
         return self.mapping.get(url_key(url))
+
+
+def _read_shortener_table(hosts: Iterable[str], lines: Iterable[str],
+                          path: str) -> ShortenerTable:
+    """The ``ShortenerTable`` of the host lines and of the lines of the map
+    file at path, each map line read in one loop."""
+    mapping: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> the line that mapped it
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            short, target = line.split("\t", 1)
+        except ValueError as exc:
+            raise LabelError(at_line(path, "not short<TAB>target", lineno)) from exc
+        key = url_key(short)
+        if not key:
+            raise LabelError(at_line(path, "empty key", lineno))
+        target = normalize_url(target.strip())
+        seen = first.setdefault(key, lineno)
+        if seen != lineno and mapping.get(key) != target:
+            raise LabelError(at_line(path, f"two targets for {key}", seen, lineno))
+        if target is not None:
+            mapping[key] = target
+    return ShortenerTable({h.strip().lower() for h in hosts if h.strip()}, mapping)
 
 
 def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:

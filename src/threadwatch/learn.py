@@ -12,8 +12,7 @@ import numpy as np
 
 from . import models
 from .corpus import Corpus, build_threads
-from .features import (MACRO_COLUMNS, FeatureVector, apply_minmax,
-                       featurize_threads, fit_minmax)
+from .features import MACRO_COLUMNS, apply_minmax, featurize_threads, fit_minmax
 
 
 class LearnError(ValueError):
@@ -30,12 +29,6 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=bool)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise LearnError("X and y shapes are inconsistent")
-
-    @classmethod
-    def from_vectors(cls, vectors: list[FeatureVector]) -> Dataset:
-        """One row and one label per feature vector, in order."""
-        return cls(np.array([v.values for v in vectors]),
-                   np.array([v.label for v in vectors]))
 
 
 @dataclass
@@ -191,9 +184,12 @@ def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
     The threads are featurized once, with 5-minute windows up to 60
     minutes; the counts up to a horizon h are the first h // 5 of them.
     Each horizon uses an independently derived seed (seed + horizon) so
-    results do not depend on evaluation order.
+    results do not depend on evaluation order. A post missing from
+    is_target is not a target.
     """
-    data = Dataset.from_vectors(featurize_threads(build_threads(corpus), is_target))
+    threads = build_threads(corpus)
+    data = Dataset(featurize_threads(threads),
+                   [is_target.get(t.post.post_id, False) for t in threads])
     counts = data.X[:, len(MACRO_COLUMNS):]
     results = []
     for horizon in range(5, 65, 5):

@@ -2,6 +2,7 @@ import pytest
 
 from threadwatch import corpus, labeler, synthgen
 from blacklist_reader import read_blacklist
+from shortener_reader import shortener_table
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +19,7 @@ def bench_synth():
 
 @pytest.fixture(scope="session")
 def small_labels(small_synth):
-    table = labeler.ShortenerTable(set(small_synth.shortener_hosts),
+    table = shortener_table(set(small_synth.shortener_hosts),
                                    small_synth.shortener_map)
     observations = labeler.collect_observations(small_synth.corpus, table)
     labels = labeler.join_blacklist(observations, read_blacklist(small_synth.blacklist))
@@ -27,7 +28,7 @@ def small_labels(small_synth):
 
 @pytest.fixture(scope="session")
 def bench_labels(bench_synth):
-    table = labeler.ShortenerTable(set(bench_synth.shortener_hosts),
+    table = shortener_table(set(bench_synth.shortener_hosts),
                                    bench_synth.shortener_map)
     observations = labeler.collect_observations(bench_synth.corpus, table)
     labels = labeler.join_blacklist(observations, read_blacklist(bench_synth.blacklist))

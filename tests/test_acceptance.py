@@ -15,11 +15,12 @@ import numpy as np
 from threadwatch import features, learn, synthgen, temporal
 from threadwatch.cli import main
 from threadwatch.corpus import build_threads
-from threadwatch.labeler import (Category, ShortenerTable, UrlObservation,
+from threadwatch.labeler import (Category, UrlObservation,
                                  collect_observations, join_blacklist, label_threads,
                                  url_key)
 from threadwatch.synthgen import BlacklistEntry
 from blacklist_reader import read_blacklist, reference_key
+from shortener_reader import shortener_table
 
 CATEGORIES = list(Category)
 
@@ -148,9 +149,9 @@ def test_criterion_3_planted_truth_recovery(bench_synth, bench_labels):
 def _benchmark_dataset(bench_synth, bench_labels, **kwargs):
     _, labels = bench_labels
     is_target, _ = label_threads(bench_synth.corpus, labels)
-    vectors = features.featurize_threads(build_threads(bench_synth.corpus),
-                                         is_target, **kwargs)
-    return learn.Dataset.from_vectors(vectors)
+    threads = build_threads(bench_synth.corpus)
+    return learn.Dataset(features.featurize_threads(threads, **kwargs),
+                         [is_target[t.post.post_id] for t in threads])
 
 
 def test_criterion_4_classifier_ordering(bench_synth, bench_labels):
@@ -178,7 +179,7 @@ def test_criterion_5_horizon_sweep(bench_synth, bench_labels):
 def _profile_events(profile, seed, n_threads=400):
     result = synthgen.generate(
         synthgen.profile_config(profile, seed=seed, n_threads=n_threads))
-    table = ShortenerTable(set(result.shortener_hosts), result.shortener_map)
+    table = shortener_table(set(result.shortener_hosts), result.shortener_map)
     labels = join_blacklist(collect_observations(result.corpus, table),
                             read_blacklist(result.blacklist))
     return temporal.attack_events(result.corpus, labels)
@@ -311,9 +312,10 @@ def test_criterion_8_unit_exactness(bench_synth, bench_labels):
     rng = random.Random(0)
     for thread in rng.sample(threads, 1000):
         horizon = rng.choice(range(5, 65, 5))
-        [vector] = features.featurize_threads([thread], {}, 5, horizon)
-        total = sum(vector.values[len(features.MACRO_COLUMNS):])
-        censored = len(features.censor_thread(thread, horizon).comments)
+        [row] = features.featurize_threads([thread], 5, horizon)
+        total = sum(row[len(features.MACRO_COLUMNS):])
+        censored = sum(1 for c in thread.comments
+                       if c.created_ts - thread.post.created_ts < horizon * 60)
         if total != censored:
             problems.append(f"dav sum {total} != censored {censored}")
             break

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 import threadwatch
-from threadwatch import accounts, cli, corpus, labeler, models, synthgen
+from threadwatch import accounts, cli, corpus, features, labeler, models, synthgen
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
@@ -76,6 +76,14 @@ class TestBasics:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_bad_corpus_line_warning_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "pg0", "kind": "page", "name": "P", "region": "Asia"}\n'
+                        '{"id": "pg1", "kind": "page", "name": "Q", "region": "Mars"}\n')
+        assert main(["ingest", "--corpus", str(path)]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"warning: {path} line 2: unknown region 'Mars'")
 
     def test_collector_left_as_found(self, pipeline, tmp_path):
         # main pauses the collector for the command and freezes nothing; an
@@ -475,6 +483,13 @@ class TestFeaturize:
         assert lines[0].startswith("post_id,is_target,span_days")
         assert len(lines) - 1 == 120
         assert lines[0].count("dav_") == 12
+        # the rows follow the threads, each labelled by whether its post
+        # has a labelled comment
+        corp = corpus.ingest(pipeline["corpus"]).corpus
+        is_target, _ = labeler.label_threads(corp, labeler.read_labels(pipeline["labels"]))
+        ids, _, labels = features.read_feature_csv(pipeline["features"])
+        assert ids == [thread.post.post_id for thread in corpus.build_threads(corp)]
+        assert labels == [is_target[post_id] for post_id in ids] and any(labels)
 
 
 class TestTrainEval:

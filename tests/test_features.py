@@ -5,8 +5,7 @@ import pytest
 
 from threadwatch.corpus import Comment, Post, PostThread, rel_seconds
 from threadwatch.features import (MACRO_COLUMNS, FeatureConfigError,
-                                  apply_minmax, censor_thread,
-                                  featurize_threads, fit_minmax,
+                                  apply_minmax, featurize_threads, fit_minmax,
                                   read_feature_csv)
 
 T0 = 1_400_000_000
@@ -24,9 +23,9 @@ def make_thread(offsets_s, likes=None, authors=None, post_likes=7):
 
 def row_of(thread, window_minutes=5, t_final_minutes=60, macro_mode="full"):
     """The thread's feature row, featurized on its own."""
-    [vector] = featurize_threads([thread], {}, window_minutes, t_final_minutes,
-                                 macro_mode=macro_mode)
-    return vector.values
+    [row] = featurize_threads([thread], window_minutes, t_final_minutes,
+                              macro_mode=macro_mode)
+    return row
 
 
 def macro_of(thread):
@@ -68,13 +67,19 @@ class RefDavVector:
 
 @dataclass(frozen=True)
 class RefFeatureVector:
-    post_id: str
     macro: RefMacroFeatures
     dav: RefDavVector
-    label: bool
 
     def values(self):
         return self.macro.as_list() + self.dav.as_list()
+
+
+def censor_thread(thread, horizon_minutes):
+    """Copy of the thread keeping only comments before the horizon, as the
+    censored macro statistics were once computed from."""
+    t0 = thread.post.created_ts
+    return PostThread(thread.post, [c for c in thread.comments
+                                    if c.created_ts - t0 < horizon_minutes * 60])
 
 
 def ref_macro_features(thread):
@@ -102,15 +107,12 @@ def ref_dav(thread, window_minutes, t_final_minutes):
     return RefDavVector(window_minutes, t_final_minutes, tuple(counts))
 
 
-def ref_featurize_threads(threads, is_target, window_minutes, t_final_minutes,
-                          macro_mode):
+def ref_featurize_threads(threads, window_minutes, t_final_minutes, macro_mode):
     out = []
     for thread in threads:
         src = thread if macro_mode == "full" else censor_thread(thread, t_final_minutes)
-        macro = ref_macro_features(src)
-        out.append(RefFeatureVector(thread.post.post_id, macro,
-                                    ref_dav(thread, window_minutes, t_final_minutes),
-                                    bool(is_target.get(thread.post.post_id, False))))
+        out.append(RefFeatureVector(ref_macro_features(src),
+                                    ref_dav(thread, window_minutes, t_final_minutes)))
     return out
 
 
@@ -139,16 +141,17 @@ class TestRowsMatchReference:
     def test_rows_equal_reference(self, window, t_final, macro_mode):
         rng = random.Random(window * 1000 + t_final)
         threads = [random_thread(rng, f"p{i}") for i in range(60)]
-        is_target = {t.post.post_id: rng.random() < 0.3 for t in threads}
-        got = featurize_threads(threads, is_target, window, t_final,
-                                macro_mode=macro_mode)
-        want = ref_featurize_threads(threads, is_target, window, t_final, macro_mode)
-        assert [(v.post_id, v.label, v.values) for v in got] == \
-               [(r.post_id, r.label, r.values()) for r in want]
+        got = featurize_threads(threads, window, t_final, macro_mode=macro_mode)
+        want = ref_featurize_threads(threads, window, t_final, macro_mode)
+        assert got == [r.values() for r in want]
         # floats, not ints: the CSV writes each value with repr
-        assert all(type(x) is float for v in got for x in v.values)
+        assert all(type(x) is float for row in got for x in row)
         width = len(MACRO_COLUMNS) + t_final // window
-        assert all(len(v.values) == width for v in got)
+        assert all(len(row) == width for row in got)
+        # the horizon is read from each comment's offset, not its place
+        shuffled = [PostThread(t.post, rng.sample(t.comments, len(t.comments)))
+                    for t in threads]
+        assert featurize_threads(shuffled, window, t_final, macro_mode=macro_mode) == got
 
 
 class TestMacroFeatures:
@@ -171,11 +174,11 @@ class TestMacroFeatures:
         assert m["n_comments"] == 1
 
     def test_order_invariance(self):
-        offsets = [300, 60, 1200, 60, 900]
-        base = macro_of(make_thread(offsets))
-        shuffled = offsets[:]
+        thread = make_thread([300, 60, 1200, 60, 900])
+        shuffled = thread.comments[:]
         random.Random(3).shuffle(shuffled)
-        assert macro_of(make_thread(shuffled)) == base
+        assert shuffled != thread.comments
+        assert macro_of(PostThread(thread.post, shuffled)) == macro_of(thread)
 
 
 class TestDav:
@@ -231,42 +234,34 @@ class TestWindowCheck:
     @pytest.mark.parametrize("macro_mode", ["full", "censored"])
     def test_checked_without_any_thread(self, window, t_final, macro_mode):
         with pytest.raises(FeatureConfigError):
-            featurize_threads([], {}, window_minutes=window, t_final_minutes=t_final,
+            featurize_threads([], window_minutes=window, t_final_minutes=t_final,
                               macro_mode=macro_mode)
 
     def test_unknown_macro_mode(self):
         with pytest.raises(FeatureConfigError, match="unknown macro mode"):
-            featurize_threads([], {}, macro_mode="partial")
+            featurize_threads([], macro_mode="partial")
 
 
 class TestCensor:
+    N_COMMENTS = MACRO_COLUMNS.index("n_comments")
+
     def test_everything_kept_within_horizon(self):
         thread = make_thread([10, 20, 50])
-        assert censor_thread(thread, 60).comments == thread.comments
+        censored = row_of(thread, macro_mode="censored")
+        assert censored[self.N_COMMENTS] == 3
+        assert censored == row_of(thread)
 
     def test_half_open_boundary(self):
         thread = make_thread([60, 540, 600, 3000])  # minutes 1, 9, 10, 50
-        kept = censor_thread(thread, 10).comments
-        assert [c.created_ts - T0 for c in kept] == [60, 540]
+        censored = row_of(thread, 5, 10, macro_mode="censored")
+        assert censored[self.N_COMMENTS] == 2
+        assert censored[MACRO_COLUMNS.index("span_days")] == 540 / 86400
 
     def test_censor_then_dav_consistent(self):
         thread = make_thread([60, 540, 600, 3000])
-        censored = censor_thread(thread, 10)
-        assert sum(dav_of(censored, 5, 10)) == 2
-
-    def test_composition_is_min(self):
-        rng = random.Random(11)
-        offsets = [rng.randint(0, 7200) for _ in range(30)]
-        thread = make_thread(offsets)
-        a = censor_thread(censor_thread(thread, 40), 15)
-        b = censor_thread(censor_thread(thread, 15), 40)
-        c = censor_thread(thread, 15)
-        assert a.comments == b.comments == c.comments
-
-    def test_original_untouched(self):
-        thread = make_thread([60, 6000])
-        censor_thread(thread, 10)
-        assert len(thread.comments) == 2
+        censored = row_of(thread, 5, 10, macro_mode="censored")
+        assert censored[len(MACRO_COLUMNS):] == [1.0, 1.0]
+        assert censored[self.N_COMMENTS] == 2
 
 
 class TestNormalize:

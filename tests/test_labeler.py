@@ -16,6 +16,7 @@ from threadwatch.labeler import (MAX_EXPANSION_HOPS, Category, LabelError,
                                  url_key)
 from threadwatch.synthgen import BlacklistEntry
 from blacklist_reader import read_blacklist, reference_key
+from shortener_reader import shortener_table
 from url_oracle import URL_RE
 
 
@@ -178,7 +179,7 @@ class TestExtractUrls:
            st.integers(1, 1000))
     def test_extraction_never_raises(self, text, repeat):
         text *= repeat
-        observations = collect_observations(_tiny_corpus([text]), ShortenerTable())
+        observations = collect_observations(_tiny_corpus([text]), shortener_table())
         assert len(observations) == len(extract_urls(text))
 
     @pytest.mark.parametrize("shape, end", [("a.", " /"), ("a-", " /"), ("a-a.", " /"),
@@ -206,32 +207,32 @@ class TestRegistrableDomain:
 
 class TestExpandUrl:
     def test_identity_for_non_shortener(self):
-        table = ShortenerTable({"bit.ly"}, {})
+        table = shortener_table({"bit.ly"}, {})
         assert expand_url("http://example.com/a", table) == ("http://example.com/a", False)
 
     def test_table_lookup(self):
-        table = ShortenerTable({"bit.ly"}, {"bit.ly/abc": "http://evil.com/p"})
+        table = shortener_table({"bit.ly"}, {"bit.ly/abc": "http://evil.com/p"})
         assert expand_url("http://bit.ly/abc", table) == ("http://evil.com/p", False)
 
     @pytest.mark.parametrize("target", ["http://[x/y", "http://LOCALHOST/X", "not a url"])
     def test_rejected_target_left_unmapped(self, target):
-        table = ShortenerTable({"bit.ly"}, {"bit.ly/a": target})
+        table = shortener_table({"bit.ly"}, {"bit.ly/a": target})
         assert expand_url("http://bit.ly/a", table) == ("http://bit.ly/a", False)
 
     def test_self_loop_flagged(self):
-        table = ShortenerTable({"t.co"}, {"t.co/1": "http://t.co/1"})
+        table = shortener_table({"t.co"}, {"t.co/1": "http://t.co/1"})
         url, flagged = expand_url("http://t.co/1", table)
         assert url == "http://t.co/1"
         assert flagged
 
     def test_chain_followed(self):
-        table = ShortenerTable({"s.io"}, {"s.io/a": "http://s.io/b",
+        table = shortener_table({"s.io"}, {"s.io/a": "http://s.io/b",
                                           "s.io/b": "http://real.com/x"})
         assert expand_url("http://s.io/a", table) == ("http://real.com/x", False)
 
     def test_chain_bound(self):
         mapping = {f"s.io/{i}": f"http://s.io/{i+1}" for i in range(10)}
-        table = ShortenerTable({"s.io"}, mapping)
+        table = shortener_table({"s.io"}, mapping)
         url, flagged = expand_url("http://s.io/0", table)
         assert flagged
         assert url == "http://s.io/5"
@@ -240,17 +241,17 @@ class TestExpandUrl:
 class TestCollectObservations:
     def test_empty_for_urlless_corpus(self):
         corpus = _tiny_corpus(["no links here", "none here either"])
-        assert collect_observations(corpus, ShortenerTable()) == []
+        assert collect_observations(corpus, shortener_table()) == []
 
     def test_two_urls_two_observations(self):
         corpus = _tiny_corpus(["see http://a.com/1 and http://b.com/2"])
-        result = collect_observations(corpus, ShortenerTable())
+        result = collect_observations(corpus, shortener_table())
         assert len(result) == 2
 
     def test_in_thread_order(self):
         corpus = _tiny_corpus(["x http://b.com/x", "y http://a.com/y http://a.com/b",
                                "z http://c.com/z", "w http://a.com/w"], n_posts=2)
-        result = collect_observations(corpus, ShortenerTable())
+        result = collect_observations(corpus, shortener_table())
         # post p0 holds c0 and c2, p1 holds c1 and c3; each comment's
         # observations in token order
         assert [(o.comment_id, o.url) for o in result] == [
@@ -297,7 +298,7 @@ def _random_table(rng):
     for i in range(chain):
         mapping[f"http://t.ly/p{i}"] = f"http://t.ly/p{i + 1}"
     mapping[f"t.ly/p{chain}"] = "http://news.c.co.uk/end"
-    return ShortenerTable({"s.io", "T.LY"}, mapping)
+    return shortener_table({"s.io", "T.LY"}, mapping)
 
 
 def _random_corpus(rng):
@@ -325,13 +326,13 @@ class TestCollectMatchesReference:
     per-occurrence loop."""
 
     def test_small_synth(self, small_synth, small_labels):
-        table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
+        table = shortener_table(set(small_synth.shortener_hosts), small_synth.shortener_map)
         observations, _ = small_labels
         assert observations == reference_collect_observations(
             small_synth.corpus, table, small_synth.comment_texts)
 
     def test_bench(self, bench_synth, bench_labels):
-        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        table = shortener_table(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
         observations, _ = bench_labels
         assert observations == reference_collect_observations(
             bench_synth.corpus, table, bench_synth.comment_texts)
@@ -349,9 +350,9 @@ class TestCollectMatchesReference:
     def test_memo_lasts_one_call(self):
         texts = ["go s.io/a now", "http://s.io/a again", "plain http://b.com/1"]
         corpus = _tiny_corpus(texts)
-        for table in (ShortenerTable({"s.io"}, {"s.io/a": "http://good.com/1"}),
-                      ShortenerTable({"s.io"}, {"s.io/a": "http://evil.com/1"}),
-                      ShortenerTable()):
+        for table in (shortener_table({"s.io"}, {"s.io/a": "http://good.com/1"}),
+                      shortener_table({"s.io"}, {"s.io/a": "http://evil.com/1"}),
+                      shortener_table()):
             want = reference_collect_observations(corpus, table, _by_id(texts))
             assert collect_observations(corpus, table) == want
 
@@ -364,7 +365,7 @@ class TestCollectMatchesReference:
                                "http://a.com/x again, http://localhost/y",
                                "HTTP://A.com/x",
                                "http://localhost/y, http://a.com/x"])
-        observations = collect_observations(corpus, ShortenerTable())
+        observations = collect_observations(corpus, shortener_table())
         # the memo is keyed by the raw token, trailing junk included
         assert sorted(calls) == ["HTTP://A.com/x", "http://a.com/x",
                                  "http://localhost/y", "http://localhost/y,"]
@@ -392,12 +393,12 @@ class TestLabelStageMatchesCollectedJoin:
         return want
 
     def test_small_synth(self, small_synth, tmp_path):
-        table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
+        table = shortener_table(set(small_synth.shortener_hosts), small_synth.shortener_map)
         assert self._check(small_synth.corpus, table, read_blacklist(small_synth.blacklist),
                            tmp_path, random.Random(7))
 
     def test_bench(self, bench_synth, tmp_path):
-        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        table = shortener_table(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
         assert self._check(bench_synth.corpus, table, read_blacklist(bench_synth.blacklist),
                            tmp_path, random.Random(8))
 
@@ -434,7 +435,7 @@ class TestLabelStageMatchesCollectedJoin:
     def test_label_resolves_each_token_once_and_joins_only_matches(
             self, bench_synth, monkeypatch):
         corpus = bench_synth.corpus
-        table = ShortenerTable(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
+        table = shortener_table(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
         index = read_blacklist(bench_synth.blacklist)
         collected = collect_observations(corpus, table)
         hit = {pair: bool(join_blacklist([UrlObservation(*pair, "c", "u")], index))
@@ -638,7 +639,7 @@ def test_labels_reproducible_from_text(small_synth, small_labels):
     # every label's comment re-run through extract+expand yields a URL
     # matching the recorded key
     _, labels = small_labels
-    table = ShortenerTable(set(small_synth.shortener_hosts), small_synth.shortener_map)
+    table = shortener_table(set(small_synth.shortener_hosts), small_synth.shortener_map)
     for lab in labels:
         text = small_synth.comment_texts[lab.comment_id]
         urls = [expand_url(u, table)[0] for u in extract_urls(text)]

@@ -425,8 +425,9 @@ def test_shared_cut_scan_matches_reference_learners_on_bench(
         bench_synth, bench_labels, monkeypatch):
     # the seed-42 training split of the 2k benchmark, after SMOTE
     is_target, _ = label_threads(bench_synth.corpus, bench_labels[1])
-    dataset = Dataset.from_vectors(features.featurize_threads(
-        build_threads(bench_synth.corpus), is_target))
+    threads = build_threads(bench_synth.corpus)
+    dataset = Dataset(features.featurize_threads(threads),
+                      [is_target[t.post.post_id] for t in threads])
     algorithms = ["adaboost", "decision_tree"]
     fitted = []
     real_train = learn.train
@@ -491,7 +492,7 @@ def test_sweep_matches_per_horizon_featurization(small_synth, small_labels):
     y = [is_target.get(t.post.post_id, False) for t in threads]
     want = []
     for horizon in range(5, 65, 5):
-        data = Dataset([v.values[len(features.MACRO_COLUMNS):]
-                        for v in features.featurize_threads(threads, {}, 5, horizon)], y)
+        data = Dataset([row[len(features.MACRO_COLUMNS):]
+                        for row in features.featurize_threads(threads, 5, horizon)], y)
         want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
     assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want

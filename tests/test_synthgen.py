@@ -3,15 +3,15 @@ import pytest
 
 from threadwatch import synthgen
 from threadwatch.corpus import build_threads, rel_minutes
-from threadwatch.labeler import (ShortenerTable, collect_observations,
-                                 join_blacklist)
+from threadwatch.labeler import collect_observations, join_blacklist
 from threadwatch.synthgen import (ConfigError, GeneratorConfig, generate,
                                   intensity, profile_config, verify_planted)
 from blacklist_reader import read_blacklist
+from shortener_reader import shortener_table
 
 
 def run_labeler(result, blacklist=None):
-    table = ShortenerTable(set(result.shortener_hosts), result.shortener_map)
+    table = shortener_table(set(result.shortener_hosts), result.shortener_map)
     observations = collect_observations(result.corpus, table)
     return join_blacklist(observations, read_blacklist(
         blacklist if blacklist is not None else result.blacklist))
