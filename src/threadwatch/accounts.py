@@ -4,13 +4,12 @@ response-time statistics, and campaign clustering by exact URL.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import random
 from dataclasses import dataclass
 
-from .corpus import TIME_ORDER, Comment, Corpus, rel_minutes
+from .corpus import TIME_ORDER, Comment, Corpus, rel_minutes, write_csv
 from .labeler import MaliciousLabel, UrlObservation, url_key
 
 SCATTER_THRESHOLD = 10
@@ -183,30 +182,18 @@ def campaign_scatter(clusters: list[CampaignCluster]
 
 
 def write_footprint_csv(groups: dict[str, list[AccountFootprint]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account_id", "group", "n_pages", "n_posts",
-                         "n_comments", "n_likes"])
-        for group in sorted(groups):
-            for f in groups[group]:
-                writer.writerow([f.account_id, group, f.n_pages, f.n_posts,
-                                 f.n_comments, f.n_likes])
+    write_csv(path, ["account_id", "group", "n_pages", "n_posts", "n_comments", "n_likes"],
+              ([f.account_id, group, f.n_pages, f.n_posts, f.n_comments, f.n_likes]
+               for group in sorted(groups) for f in groups[group]))
 
 
 def write_scatter_csv(points: list[tuple[str, int, int, str]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url_hash", "n_accounts", "occurrences", "flag"])
-        for url, n_accounts, occurrences, flag in points:
-            digest = hashlib.sha256(url.encode("utf-8")).hexdigest()[:16]
-            writer.writerow([digest, n_accounts, occurrences, flag])
+    write_csv(path, ["url_hash", "n_accounts", "occurrences", "flag"],
+              ([hashlib.sha256(url.encode("utf-8")).hexdigest()[:16], n_accounts,
+                occurrences, flag] for url, n_accounts, occurrences, flag in points))
 
 
 def write_response_csv(stats: dict[str, list[ResponseStats]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account_id", "group", "n", "mean_min", "std_min"])
-        for group in sorted(stats):
-            for s in stats[group]:
-                writer.writerow([s.account_id, group, len(s.times),
-                                 f"{s.mean:.4f}", f"{s.std:.4f}"])
+    write_csv(path, ["account_id", "group", "n", "mean_min", "std_min"],
+              ([s.account_id, group, len(s.times), f"{s.mean:.4f}", f"{s.std:.4f}"]
+               for group in sorted(stats) for s in stats[group]))

@@ -25,7 +25,8 @@ import sys
 import time
 
 from . import labeler
-from .corpus import Corpus, CorpusError, IngestResult, at_line, build_threads, ingest
+from .corpus import (Corpus, CorpusError, IngestResult, at_line, build_threads, ingest,
+                     open_text, write_lines)
 
 # the names of models.ALGORITHMS, here so that parsing loads no models
 ALGORITHMS = ("adaboost", "decision_tree", "naive_bayes")
@@ -33,7 +34,7 @@ ALGORITHMS = ("adaboost", "decision_tree", "naive_bayes")
 
 def _load_config(path: str) -> dict[str, str]:
     config = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -121,10 +122,9 @@ def metrics_stage(dataset, algorithms: list[str], path: str | None, **split):
     from . import learn
     results = learn.evaluate_split(dataset, algorithms, **split)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("algorithm,precision,recall,f1\n")
-            for algorithm, m in zip(algorithms, results):
-                fh.write(f"{algorithm},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}\n")
+        write_lines(path, ["algorithm,precision,recall,f1"] + [
+            f"{algorithm},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f}"
+            for algorithm, m in zip(algorithms, results)])
     return results
 
 
@@ -138,10 +138,8 @@ def temporal_stage(corpus: Corpus, labels, out: str):
                             os.path.join(out, "relative_positions.csv"))
     tables, within_day = temporal.time_since_post(events)
     temporal.write_ecdf_csv(tables, os.path.join(out, "time_since_post.csv"))
-    with open(os.path.join(out, "within_one_day.csv"), "w", encoding="utf-8") as fh:
-        fh.write("group,fraction_within_day\n")
-        for group in sorted(within_day):
-            fh.write(f"{group},{within_day[group]:.6f}\n")
+    write_lines(os.path.join(out, "within_one_day.csv"), ["group,fraction_within_day"] + [
+        f"{group},{within_day[group]:.6f}" for group in sorted(within_day)])
     temporal.write_ecdf_csv(temporal.inter_attack_intervals(events),
                             os.path.join(out, "inter_attack_intervals.csv"))
     pages, months, matrix = temporal.monthly_heatmap(events, corpus)

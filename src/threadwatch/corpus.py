@@ -25,12 +25,19 @@ post and author ids share one string per distinct value, so a comment's
 ``post_id`` is the very object its post holds, and equal token tuples
 share one tuple. The sharing table is local to the call and freed with
 it; nothing is interned process-wide.
+
+Every output file is written as UTF-8 by one of two writers: ``write_csv``
+for tables (``csv.writer``, lines end in CRLF) and ``write_lines`` for line
+files (lines end in LF on every platform). ``open_text`` opens an operator
+file to read and names the line of a byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -107,6 +114,41 @@ def at_line(path: str, message: str, *linenos: int) -> str:
     ``<path> lines N and M: message`` for a fault that two lines make."""
     where = " and ".join(map(str, linenos))
     return f"{path} {'lines' if len(linenos) > 1 else 'line'} {where}: {message}"
+
+
+@contextmanager
+def open_text(path: str, error: type[ValueError], newline: str | None = None):
+    """The file at path, open to read as UTF-8 text. A byte that is not
+    UTF-8 raises ``error`` with the ``at_line`` text of the first line
+    that holds one; the lines are decoded one by one only then."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(at_line(path, str(exc), lineno)) from None
+        raise  # another file's byte, read while this one was open
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write the header and then the rows through ``csv.writer``, as UTF-8;
+    each line ends in CRLF."""
+    import csv  # loaded only by the commands that write a table
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line followed by LF, as UTF-8, with no newline
+    translation."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def rel_seconds(post: Post, comment: Comment) -> int:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .corpus import PostThread, at_line
+from .corpus import PostThread, at_line, open_text, write_csv
 
 MacroMode = str  # "full" | "censored"
 
@@ -115,48 +115,52 @@ def write_feature_csv(post_ids: list[str], rows: list[list[float]],
     k = len(rows[0]) - len(MACRO_COLUMNS)
     header = ["post_id", "is_target", *MACRO_COLUMNS]
     header += [f"dav_{i}" for i in range(1, k + 1)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for post_id, row, label in zip(post_ids, rows, labels):
-            writer.writerow([post_id, int(label), *map(repr, row)])
+    write_csv(path, header, ([post_id, int(label), *map(repr, row)]
+                             for post_id, row, label in zip(post_ids, rows, labels)))
 
 
 def read_feature_csv(path: str) -> tuple[list[str], list[list[float]], list[bool]]:
-    """Returns (post_ids, feature rows, labels). A row whose is_target is
-    not 0 or 1, or whose width differs from the header's, or that holds a
-    non-numeric or non-finite value, raises FeatureConfigError naming the
-    line (and for a bad value, its column)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Returns (post_ids, feature rows, labels). A file with no rows, or a
+    row that csv cannot read, whose is_target is not 0 or 1, whose width
+    differs from the header's, or that holds a non-numeric or non-finite
+    value, raises FeatureConfigError naming the file, and the line and
+    column of the fault."""
+    with open_text(path, FeatureConfigError, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["post_id", "is_target"]:
-            raise FeatureConfigError(f"unexpected feature CSV header in {path}")
-        ids, rows, labels = [], [], []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise FeatureConfigError(at_line(
-                    path, f"expected {len(header)} columns as in the header, "
-                    f"got {len(rec)}", reader.line_num))
-            if rec[1] not in ("0", "1"):
-                raise FeatureConfigError(at_line(
-                    path, f"is_target must be 0 or 1, got {rec[1]!r}", reader.line_num))
-            try:
-                row = [float(x) for x in rec[2:]]
-            except ValueError:
-                for col in range(2, len(rec)):
-                    try:
-                        float(rec[col])
-                    except ValueError:
-                        raise FeatureConfigError(at_line(
-                            path, f"non-numeric value {rec[col]!r} in column "
-                            f"{header[col]}", reader.line_num)) from None
-            if not all(map(math.isfinite, row)):
-                col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
-                raise FeatureConfigError(at_line(
-                    path, f"non-finite value {rec[col]!r} in column {header[col]}",
-                    reader.line_num))
-            ids.append(rec[0])
-            labels.append(rec[1] == "1")
-            rows.append(row)
+        try:
+            header = next(reader, [])
+            if header[:2] != ["post_id", "is_target"]:
+                raise FeatureConfigError(f"unexpected feature CSV header in {path}")
+            ids, rows, labels = [], [], []
+            for rec in reader:
+                if len(rec) != len(header):
+                    raise FeatureConfigError(at_line(
+                        path, f"expected {len(header)} columns as in the header, "
+                        f"got {len(rec)}", reader.line_num))
+                if rec[1] not in ("0", "1"):
+                    raise FeatureConfigError(at_line(
+                        path, f"is_target must be 0 or 1, got {rec[1]!r}",
+                        reader.line_num))
+                try:
+                    row = [float(x) for x in rec[2:]]
+                except ValueError:
+                    for col in range(2, len(rec)):
+                        try:
+                            float(rec[col])
+                        except ValueError:
+                            raise FeatureConfigError(at_line(
+                                path, f"non-numeric value {rec[col]!r} in column "
+                                f"{header[col]}", reader.line_num)) from None
+                if not all(map(math.isfinite, row)):
+                    col = next(j for j, v in enumerate(row, 2) if not math.isfinite(v))
+                    raise FeatureConfigError(at_line(
+                        path, f"non-finite value {rec[col]!r} in column {header[col]}",
+                        reader.line_num))
+                ids.append(rec[0])
+                labels.append(rec[1] == "1")
+                rows.append(row)
+        except csv.Error as exc:
+            raise FeatureConfigError(at_line(path, str(exc), reader.line_num)) from None
+    if not ids:
+        raise FeatureConfigError(f"no feature rows in {path}")
     return ids, rows, labels

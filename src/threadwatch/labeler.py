@@ -33,7 +33,8 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
-from .corpus import Comment, Corpus, at_line, build_threads, url_tokens
+from .corpus import (Comment, Corpus, at_line, build_threads, open_text, url_tokens,
+                     write_lines)
 
 MAX_EXPANSION_HOPS = 5
 
@@ -168,8 +169,8 @@ class ShortenerTable:
         """A map line without a tab or with an empty key, or a key that a
         later line maps to another target, raises LabelError naming the
         file and lines; a repeat of a line's key and target is accepted."""
-        with open(hosts_path, encoding="utf-8") as hosts, \
-                open(map_path, encoding="utf-8") as lines:
+        with open_text(hosts_path, LabelError) as hosts, \
+                open_text(map_path, LabelError) as lines:
             return _read_shortener_table(hosts, lines, map_path)
 
     def lookup(self, url: str) -> str | None:
@@ -283,7 +284,7 @@ def load_blacklist(path: str) -> Blacklist:
     so a bad line (no tab, an unknown category, or a key that is empty once
     stripped) raises LabelError naming the file and line and aborts the run.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, LabelError) as fh:
         return _read_blacklist(fh, path)
 
 
@@ -387,14 +388,13 @@ def label_threads(corpus: Corpus, labels: list[MaliciousLabel]
 
 
 def write_labels(labels: list[MaliciousLabel], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(f"{lab.comment_id}\t{lab.category.value.lower()}\t{lab.matched_key}\n")
+    write_lines(path, (f"{lab.comment_id}\t{lab.category.value.lower()}\t{lab.matched_key}"
+                       for lab in labels))
 
 
 def read_labels(path: str) -> list[MaliciousLabel]:
     labels = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, LabelError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

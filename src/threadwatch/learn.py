@@ -4,14 +4,13 @@ weighted precision/recall/F1, and the F1-vs-horizon sweep.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .corpus import Corpus, build_threads
+from .corpus import Corpus, build_threads, write_csv
 from .features import MACRO_COLUMNS, apply_minmax, featurize_threads, fit_minmax
 
 
@@ -200,9 +199,6 @@ def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
 
 
 def write_sweep_csv(results: list[tuple[int, Metrics]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon_min", "precision", "recall", "f1"])
-        for horizon, m in results:
-            writer.writerow([horizon, f"{m.precision:.6f}",
-                             f"{m.recall:.6f}", f"{m.f1:.6f}"])
+    write_csv(path, ["horizon_min", "precision", "recall", "f1"],
+              ([horizon, f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}"]
+               for horizon, m in results))

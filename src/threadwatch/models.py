@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .corpus import write_lines
+
 VARIANCE_FLOOR = 1e-9
 
 
@@ -289,6 +291,5 @@ ALGORITHMS = {
 def save_model(model, path: str, scaling: list) -> None:
     """Write the model's JSON with the min-max scaling of its training
     features under ``scaling``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**model.to_dict(), "scaling": scaling}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps({**model.to_dict(), "scaling": scaling},
+                                  indent=2, sort_keys=True)])

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Comment, Corpus, Page, Post, Region, url_tokens
+from .corpus import Comment, Corpus, Page, Post, Region, url_tokens, write_lines
 from .labeler import Category, MaliciousLabel
 
 EARLY_STAGE = "EarlyStage"
@@ -343,47 +343,35 @@ def verify_planted(labels: list[MaliciousLabel],
 
 def write_corpus_jsonl(result: SynthResult, path: str) -> None:
     corpus = result.corpus
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid in sorted(corpus.pages):
-            p = corpus.pages[pid]
-            fh.write(json.dumps({"kind": "page", "id": p.page_id, "name": p.name,
-                                 "region": p.region.value}, sort_keys=True) + "\n")
-        for pid in sorted(corpus.posts):
-            p = corpus.posts[pid]
-            fh.write(json.dumps({"kind": "post", "id": p.post_id, "page_id": p.page_id,
-                                 "author_id": p.author_id, "created_ts": p.created_ts,
-                                 "like_count": p.like_count, "text": p.raw_text},
-                                sort_keys=True) + "\n")
-        for cid in sorted(corpus.comments):
-            c = corpus.comments[cid]
-            fh.write(json.dumps({"kind": "comment", "id": c.comment_id,
-                                 "post_id": c.post_id, "author_id": c.author_id,
-                                 "created_ts": c.created_ts, "like_count": c.like_count,
-                                 "text": result.comment_texts[cid]},
-                                sort_keys=True) + "\n")
+    pages = ({"kind": "page", "id": p.page_id, "name": p.name, "region": p.region.value}
+             for p in map(corpus.pages.get, sorted(corpus.pages)))
+    posts = ({"kind": "post", "id": p.post_id, "page_id": p.page_id,
+              "author_id": p.author_id, "created_ts": p.created_ts,
+              "like_count": p.like_count, "text": p.raw_text}
+             for p in map(corpus.posts.get, sorted(corpus.posts)))
+    comments = ({"kind": "comment", "id": c.comment_id, "post_id": c.post_id,
+                 "author_id": c.author_id, "created_ts": c.created_ts,
+                 "like_count": c.like_count, "text": result.comment_texts[c.comment_id]}
+                for c in map(corpus.comments.get, sorted(corpus.comments)))
+    write_lines(path, (json.dumps(record, sort_keys=True)
+                       for records in (pages, posts, comments) for record in records))
 
 
 def write_blacklist_tsv(result: SynthResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in result.blacklist:
-            fh.write(f"{e.key}\t{e.category.value.lower()}\n")
+    write_lines(path, (f"{e.key}\t{e.category.value.lower()}" for e in result.blacklist))
 
 
 def write_shortener_files(result: SynthResult, map_path: str, hosts_path: str) -> None:
-    with open(map_path, "w", encoding="utf-8") as fh:
-        for short, target in result.shortener_map.items():
-            fh.write(f"{short}\t{target}\n")
-    with open(hosts_path, "w", encoding="utf-8") as fh:
-        for host in result.shortener_hosts:
-            fh.write(host + "\n")
+    write_lines(map_path, (f"{short}\t{target}"
+                           for short, target in result.shortener_map.items()))
+    write_lines(hosts_path, result.shortener_hosts)
 
 
 def write_planted_jsonl(result: SynthResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in result.planted:
-            fh.write(json.dumps({"comment_id": p.comment_id, "category": p.category,
-                                 "strategy": p.strategy, "account_id": p.account_id,
-                                 "url": p.url}, sort_keys=True) + "\n")
+    write_lines(path, (json.dumps({"comment_id": p.comment_id, "category": p.category,
+                                   "strategy": p.strategy, "account_id": p.account_id,
+                                   "url": p.url}, sort_keys=True)
+                       for p in result.planted))
 
 
 def read_planted_jsonl(path: str) -> list[PlantedAttack]:

@@ -5,12 +5,11 @@ inter-attack gaps, plus a month-by-page heatmap.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .corpus import TIME_ORDER, Corpus, build_threads, rel_minutes
+from .corpus import TIME_ORDER, Corpus, build_threads, rel_minutes, write_csv
 from .labeler import Category, MaliciousLabel, labelled_comments
 
 DAY_MINUTES = 1440.0
@@ -136,20 +135,10 @@ def page_gaps(events: list[AttackEvent]) -> dict[str, list[float]]:
             for pid, ts in per_page.items()}
 
 
-def _month(ts: int) -> tuple[int, int]:
+def _month(ts: int) -> int:
+    """The UTC calendar month of a timestamp, as year * 12 + month - 1."""
     dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return dt.year, dt.month
-
-
-def _month_range(lo: tuple[int, int], hi: tuple[int, int]) -> list[tuple[int, int]]:
-    out = []
-    y, m = lo
-    while (y, m) <= hi:
-        out.append((y, m))
-        m += 1
-        if m > 12:
-            y, m = y + 1, 1
-    return out
+    return dt.year * 12 + dt.month - 1
 
 
 def monthly_heatmap(events: list[AttackEvent], corpus: Corpus
@@ -166,36 +155,29 @@ def monthly_heatmap(events: list[AttackEvent], corpus: Corpus
     events = list(unique.values())
     if events:
         months = [_month(e.ts) for e in events]
-        span = _month_range(min(months), max(months))
+        span = range(min(months), max(months) + 1)
     elif corpus.posts:
         all_ts = [p.created_ts for p in corpus.posts.values()]
         all_ts += [c.created_ts for c in corpus.comments.values()]
-        span = _month_range(_month(min(all_ts)), _month(max(all_ts)))
+        span = range(_month(min(all_ts)), _month(max(all_ts)) + 1)
     else:
-        span = []
+        span = range(0)
     pages = sorted(corpus.pages.values(), key=lambda p: p.page_id)
-    col_index = {ym: j for j, ym in enumerate(span)}
     row_index = {p.page_id: i for i, p in enumerate(pages)}
     matrix = [[0] * len(span) for _ in pages]
     for e in events:
-        matrix[row_index[e.page_id]][col_index[_month(e.ts)]] += 1
-    labels = [f"{y:04d}-{m:02d}" for y, m in span]
+        matrix[row_index[e.page_id]][_month(e.ts) - span.start] += 1
+    labels = [f"{m // 12:04d}-{m % 12 + 1:02d}" for m in span]
     return [p.name for p in pages], labels, matrix
 
 
 def write_ecdf_csv(tables: dict[str, Ecdf], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "x", "F"])
-        for name in sorted(tables):
-            for x, f in tables[name]:
-                writer.writerow([name, repr(float(x)), f"{f:.6f}"])
+    write_csv(path, ["group", "x", "F"],
+              ([name, repr(float(x)), f"{f:.6f}"]
+               for name in sorted(tables) for x, f in tables[name]))
 
 
 def write_heatmap_csv(pages: list[str], months: list[str],
                       matrix: list[list[int]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["page"] + months)
-        for name, row in zip(pages, matrix):
-            writer.writerow([name] + row)
+    write_csv(path, ["page", *months],
+              ([name, *row] for name, row in zip(pages, matrix)))

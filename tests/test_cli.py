@@ -211,6 +211,46 @@ class TestOperatorFilesFirst:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# per operator file, by the flag that names it: a command that reads it
+# and a well-formed first line
+NOT_UTF8 = {
+    "blacklist": ("label", b"evil.com\tphishing\n"),
+    "shortener-map": ("label", b"bit.ly/a\thttp://evil.com/a\n"),
+    "shortener-hosts": ("label", b"bit.ly\n"),
+    "labels": ("temporal", b"c1\tphishing\tevil.com\n"),
+    "features": ("eval", b"post_id,is_target,span_days\n"),
+    "config": ("ingest", b"# settings\n"),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8)
+def test_operator_file_not_utf8_names_the_line(pipeline, tmp_path, monkeypatch, capsys,
+                                               bad):
+    command, first = NOT_UTF8[bad]
+    files = {"blacklist": pipeline["blacklist"], "shortener-map": pipeline["map"],
+             "shortener-hosts": pipeline["hosts"], "labels": pipeline["labels"],
+             "out": str(tmp_path / "out")}
+    files[bad] = str(tmp_path / "bad.txt")
+    with open(files[bad], "wb") as fh:
+        fh.write(first + b"bad\xff line\n" + first)
+    _refuse_ingest(monkeypatch)
+    if command == "eval":
+        argv = ["eval", "--features", files[bad], "--algorithm", "decision_tree",
+                "--out", files["out"]]
+    elif command == "ingest":
+        argv = ["--config", files[bad], "ingest", "--corpus", pipeline["corpus"]]
+    else:
+        argv = [command, "--corpus", pipeline["corpus"]]
+        for flag in FILE_FLAGS[command]:
+            argv += [f"--{flag}", files[flag]]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == (f"error: {files[bad]} line 2: 'utf-8' codec can't decode byte 0xff "
+                   "in position 3: invalid start byte\n")
+    assert out == ""
+    assert not os.path.exists(files["out"])
+
+
 # Run in a fresh interpreter: parses each subcommand's argv (a JSON list
 # of lists) or runs main on it, then prints the names of the loaded modules.
 _PROBE = """\

@@ -306,3 +306,18 @@ class TestReadFeatureCsv:
             read_feature_csv(str(path))
         assert str(err.value) == (f"{path} line 3: non-numeric value {value!r} "
                                   "in column dav_1")
+
+    def test_oversized_field_names_the_line(self, tmp_path):
+        # csv.reader refuses a field over its limit with csv.Error, not a ValueError
+        path = tmp_path / "features.csv"
+        path.write_text("post_id,is_target,span_days\np1,1," + "9" * 131_073 + "\n")
+        with pytest.raises(FeatureConfigError) as err:
+            read_feature_csv(str(path))
+        assert str(err.value) == f"{path} line 2: field larger than field limit (131072)"
+
+    def test_header_without_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("post_id,is_target,span_days\n")
+        with pytest.raises(FeatureConfigError) as err:
+            read_feature_csv(str(path))
+        assert str(err.value) == f"no feature rows in {path}"

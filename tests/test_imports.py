@@ -2,8 +2,9 @@
 in that module, no threadwatch module imports a private name of another,
 every public name a threadwatch module defines and every
 record field is used by the program or its benchmark, not only by tests,
-every generator setting is set by some caller, and every third-party
-module the program imports is a declared dependency."""
+every generator setting is set by some caller, every third-party
+module the program imports is a declared dependency, and only the
+corpus module's two writers open a file to write."""
 
 import ast
 import pathlib
@@ -82,6 +83,39 @@ def test_scan_finds_private_imports():
 @pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in SOURCES])
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def file_writes(source: str) -> list[int]:
+    """The lines of the calls that open a file to write: ``csv.writer``,
+    and the builtin ``open`` with a mode that is not a literal read mode."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                lines.append(node.lineno)
+        elif (isinstance(func, ast.Attribute) and func.attr == "writer"
+              and isinstance(func.value, ast.Name) and func.value.id == "csv"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_file_writes():
+    source = ("import csv, os\nopen(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\n"
+              "open(p, \"w\")\nopen(p, mode='a', newline='')\nopen(p, m)\n"
+              "os.open(p, os.O_WRONLY)\nw = csv.writer(fh)\ncsv.reader(fh)\n")
+    assert file_writes(source) == [5, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in SOURCES
+                                  if p.name != "corpus.py"])
+def test_only_the_corpus_writers_open_files_to_write(path):
+    assert file_writes(path.read_text(encoding="utf-8")) == []
 
 
 def _names(node: ast.AST) -> Counter:
