@@ -7,13 +7,13 @@ order. Records with unknown parents or duplicate ids are dropped and
 counted; orphans are deleted from the tables in place, and survivors
 keep their input order.
 
-Comment lines, nearly all of a corpus, take one fused path: orjson
-reads the line, and the record is built at once when its ids, author
-and text are strings, its timestamp and like count are ints and the like
-count is not negative. Every other line takes the general path, where
-orjson reads each line and ``json.loads`` decides every line that orjson
-rejects or may read differently. Both paths accept the same values and
-report the same line errors, those of ``json.loads``.
+Every line takes one path. orjson reads it once, and one check takes
+its values as they are when the ids, name, region and text are strings
+and the numbers of a post or a comment are ints; orjson reads a string
+or an int only where ``json.loads`` reads the same value. ``json.loads``
+decides every other line (``_line_fields``), so line errors are those of
+``json.loads``. One builder then checks the region or the like count and
+makes the record of each kind.
 
 A comment keeps the raw URL tokens of its text, not the text: labelling
 reads nothing else of it, and texts are a large part of a corpus's memory.
@@ -229,34 +229,24 @@ _FIELDS = {kind: itemgetter(*names) for kind, names in _REQUIRED.items()}
 
 
 def _int_field(value: object, name: str) -> int:
-    """A number field that is not an int: a float with no fractional part
-    as an int; anything else is an error."""
+    """A number field as an int: a float with no fractional part as an
+    int; anything else but an int is an error."""
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# orjson gives a str or an int only where json.loads gives the same value
-_EXACT = frozenset((str, int))
-
-
 def _line_fields(line: bytes) -> tuple[str, tuple] | None:
-    """The kind of one corpus line and the field values its record is
-    built from, or None for a blank line.
+    """The kind of a corpus line that orjson rejects or reads into other
+    types, and its field values as the record holds them: ids, name and
+    text as str, numbers as int, the region as read; None for a blank line.
 
-    orjson reads the line when every value taken from it is a str or an
-    int. Any other line goes to json.loads, which decides it: orjson
-    rejects NaN, ``1e400``, lone surrogates and nesting past 1024 levels,
-    and reads an integer beyond 64 bits as a float.
+    json.loads decides the line: orjson rejects NaN, ``1e400``, lone
+    surrogates and nesting past 1024 levels, and reads an integer beyond
+    64 bits as a float.
     """
-    try:
-        obj = orjson.loads(line)
-        kind = obj["kind"]
-        values = _FIELDS[kind](obj)
-        if _EXACT.issuperset(map(type, values)):
-            return kind, values
-    except (orjson.JSONDecodeError, KeyError, TypeError):
-        pass
     # a bad byte is a ValueError
     text = line.removesuffix(b"\n").decode("utf-8")
     if not text.strip():
@@ -268,53 +258,17 @@ def _line_fields(line: bytes) -> tuple[str, tuple] | None:
     if kind not in _REQUIRED:
         raise ValueError(f"unknown kind {kind!r}")
     try:
-        return kind, _FIELDS[kind](obj)
+        values = _FIELDS[kind](obj)
     except KeyError:
         missing = [f for f in _REQUIRED[kind] if f not in obj]
         raise ValueError(f"{kind} record missing fields {missing}") from None
-
-
-def _text_tokens(text: str, by_text: dict, share) -> tuple[str, ...]:
-    """The URL tokens of a comment text that holds a "/". Each distinct
-    text is tokenized once, its tokens kept in ``by_text`` and shared
-    through ``share``."""
-    tokens = by_text.get(text)
-    if tokens is None:
-        tokens = url_tokens(text)
-        tokens = by_text[text] = share(tokens, tokens)
-    return tokens
-
-
-def _make_record(kind: str, values: tuple, shared: dict,
-                 by_text: dict) -> tuple[str, tuple]:
-    """The id and record of one line's field values; page, post and
-    author ids and comment token tuples are replaced by their first-seen
-    equal in ``shared``, and comment texts are tokenized through
-    ``by_text`` (see ``_text_tokens``)."""
-    rid = str(values[0])
-    share = shared.setdefault
     if kind == "page":
-        _, name, region_name = values
-        region = _REGION_LOOKUP.get(str(region_name).lower())
-        if region is None:
-            raise ValueError(f"unknown region {region_name!r}")
-        rid = share(rid, rid)
-        return rid, tuple.__new__(Page, (rid, str(name), region))
-    _, parent, author, ts, like, text = values
-    if type(like) is not int:
-        like = _int_field(like, "like_count")
-    if type(ts) is not int:
-        ts = _int_field(ts, "created_ts")
-    if like < 0:
-        raise ValueError("like_count must be >= 0")
-    parent, author = str(parent), str(author)
-    parent, author = share(parent, parent), share(author, author)
-    text = str(text)
-    if kind == "post":
-        rid = share(rid, rid)
-        return rid, tuple.__new__(Post, (rid, parent, author, ts, like, text))
-    tokens = _text_tokens(text, by_text, share) if "/" in text else ()
-    return rid, tuple.__new__(Comment, (rid, parent, author, ts, like, tokens))
+        rid, name, region = values
+        return kind, (str(rid), str(name), region)
+    rid, parent, author, ts, like, text = values
+    like = _int_field(like, "like_count")
+    ts = _int_field(ts, "created_ts")
+    return kind, (str(rid), str(parent), str(author), ts, like, str(text))
 
 
 def ingest(path: str) -> IngestResult:
@@ -329,9 +283,9 @@ def ingest(path: str) -> IngestResult:
     # token tuple; both are attacker written, so the table lives and dies
     # with this call (no sys.intern)
     shared: dict = {}
-    # the token tuple of each distinct comment text that holds a "/",
-    # on both paths: campaigns repeat their texts, so each is tokenized
-    # once; the texts are freed when this call returns
+    # the token tuple of each distinct comment text that holds a "/":
+    # campaigns repeat their texts, so each is tokenized once; the texts
+    # are freed when this call returns
     by_text: dict[str, tuple[str, ...]] = {}
     pages: dict[str, Page] = {}
     posts: dict[str, Post] = {}
@@ -340,47 +294,66 @@ def ingest(path: str) -> IngestResult:
     errors: list[tuple[int, str]] = []
     dropped = 0
 
-    loads, comment_values, share = orjson.loads, _FIELDS["comment"], shared.setdefault
-    text_tokens = _text_tokens
+    loads, share = orjson.loads, shared.setdefault
+    # each kind's field reader and table
+    kinds = {kind: (_FIELDS[kind], table) for kind, table in tables.items()}
 
     try:
         with open(path, "rb") as fh:
             # binary iteration splits on b"\n" only, one line in memory at a time
             for lineno, line in enumerate(fh, start=1):
-                # the fused comment path: it takes a line only when the
-                # general path below would build the same record from it
                 try:
                     obj = loads(line)
-                    if obj["kind"] == "comment":
-                        cid, parent, author, ts, like, text = comment_values(obj)
-                        # chained: each of the four types is str, both of the two int
-                        if (type(cid) is type(parent) is type(author) is type(text) is str
-                                and type(ts) is type(like) is int and like >= 0):
-                            if cid in comments:
-                                dropped += 1
-                            else:
-                                tokens = (text_tokens(text, by_text, share)
-                                          if "/" in text else ())
-                                comments[cid] = tuple.__new__(Comment, (
-                                    cid, share(parent, parent), share(author, author),
-                                    ts, like, tokens))
-                            continue
+                    fields, table = kinds[obj["kind"]]
+                    values = fields(obj)
+                    # the fast check, one for every kind: the ids, name,
+                    # region and text are str, and the numbers of a post or
+                    # a comment are int
+                    exact = (type(values[0]) is type(values[1]) is type(values[2]) is str
+                             and (table is pages
+                                  or type(values[5]) is str
+                                  and type(values[3]) is type(values[4]) is int))
                 except (orjson.JSONDecodeError, KeyError, TypeError):
-                    pass
+                    exact = False
                 try:
-                    fields = _line_fields(line)
-                    if fields is None:
-                        continue
-                    kind, values = fields
-                    rid, rec = _make_record(kind, values, shared, by_text)
+                    if not exact:
+                        parsed = _line_fields(line)
+                        if parsed is None:
+                            continue
+                        kind, values = parsed
+                        table = tables[kind]
+                    # checked before the id, so a repeat with a bad field
+                    # is a line error
+                    if table is pages:
+                        rid, name, region_name = values
+                        region = _REGION_LOOKUP.get(str(region_name).lower())
+                        if region is None:
+                            raise ValueError(f"unknown region {region_name!r}")
+                    else:
+                        rid, parent, author, ts, like, text = values
+                        if like < 0:
+                            raise ValueError("like_count must be >= 0")
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue
-                table = tables[kind]
                 if rid in table:
                     dropped += 1
+                elif table is comments:
+                    tokens = ()
+                    if "/" in text:
+                        tokens = by_text.get(text)
+                        if tokens is None:
+                            tokens = url_tokens(text)
+                            tokens = by_text[text] = share(tokens, tokens)
+                    comments[rid] = tuple.__new__(Comment, (
+                        rid, share(parent, parent), share(author, author), ts, like, tokens))
+                elif table is posts:
+                    rid = share(rid, rid)
+                    posts[rid] = tuple.__new__(Post, (
+                        rid, share(parent, parent), share(author, author), ts, like, text))
                 else:
-                    table[rid] = rec
+                    rid = share(rid, rid)
+                    pages[rid] = tuple.__new__(Page, (rid, name, region))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 

@@ -393,7 +393,11 @@ def write_labels(labels: list[MaliciousLabel], path: str) -> None:
 
 
 def read_labels(path: str) -> list[MaliciousLabel]:
-    labels = []
+    """The labels of a labels file, one per (comment, category), in file
+    order. A repeat of a line's label is read once; the same comment and
+    category with another key raises LabelError naming both lines."""
+    # (comment, category) -> (key, the line that labelled it)
+    found: dict[tuple[str, Category], tuple[str, int]] = {}
     with open_text(path, LabelError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -406,5 +410,9 @@ def read_labels(path: str) -> list[MaliciousLabel]:
             category = _CATEGORY_LOOKUP.get(cat.lower())
             if category is None:
                 raise LabelError(at_line(path, f"unknown category {cat!r}", lineno))
-            labels.append(MaliciousLabel(cid, category, key))
-    return labels
+            seen_key, seen = found.setdefault((cid, category), (key, lineno))
+            if seen_key != key:
+                raise LabelError(at_line(
+                    path, f"two keys for comment {cid}, category {category.value.lower()}",
+                    seen, lineno))
+    return [MaliciousLabel(cid, category, key) for (cid, category), (key, _) in found.items()]

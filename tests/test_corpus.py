@@ -484,35 +484,62 @@ def mixed_jsonl(small_synth_jsonl, tmp_path_factory):
 
 _MISSING = object()  # a field to delete
 
-# (field, value) changes to a comment record, each breaking one condition
-# of ingest's fused comment path
-_FAST_PATH_EXITS = st.one_of(
-    # 7 names post "7" as an int
-    st.tuples(st.sampled_from(["id", "post_id", "author_id"]),
-              st.just(7) | st.integers()),
-    st.tuples(st.sampled_from(["created_ts", "like_count"]),
-              st.sampled_from([1030.0, 1030.5, 0.0, -0.0, True, False, 1e20])
-              | st.floats()),
-    st.tuples(st.just("like_count"), st.integers(max_value=-1)),
-    st.tuples(st.just("text"), _JSON_VALUES.filter(lambda v: not isinstance(v, str))),
-    st.tuples(st.sampled_from(["kind", *_REF_REQUIRED["comment"]]), st.just(_MISSING)),
-    st.tuples(st.just("kind"), _JSON_VALUES.filter(lambda v: not isinstance(v, str))),
-)
+_NOT_STR = _JSON_VALUES.filter(lambda v: not isinstance(v, str))
 
-# changes the fused path accepts but must treat as the general path does
-_FAST_PATH_KEEPS = st.one_of(
-    st.tuples(st.sampled_from(["extra", "Kind", "ID"]), _JSON_VALUES),  # an extra field
-    st.tuples(st.just("id"), st.sampled_from(["c1", "c2", "x0"])),  # a repeated id
-)
+
+def _fast_check_exits(kind):
+    """(field, value) changes to a record of kind, each taking it off
+    ingest's fast check or failing its builder's check."""
+    names = _REF_REQUIRED[kind]
+    exits = [
+        # 7 names post or page "7" as an int
+        st.tuples(st.sampled_from([f for f in names if f not in ("created_ts", "like_count")]),
+                  st.just(7) | _NOT_STR),
+        st.tuples(st.sampled_from(["kind", *names]), st.just(_MISSING)),
+        st.tuples(st.just("kind"), _NOT_STR),
+    ]
+    if kind != "page":
+        exits += [
+            st.tuples(st.sampled_from(["created_ts", "like_count"]),
+                      st.sampled_from([1030.0, 1030.5, 0.0, -0.0, True, False, 1e20])
+                      | st.floats()),
+            st.tuples(st.just("like_count"), st.integers(max_value=-1)),
+        ]
+    return st.one_of(exits)
+
+
+# (the ids of the edge records, the parents and regions they may name,
+# ids they may repeat)
+_EDGE_RECORDS = {
+    "comment": (["x0", "x1", "x2"], ["p1", "7"], ["c1", "c2", "x0"]),
+    "post": (["y0", "y1", "y2"], ["pg0", "7"], ["p1", "p2", "y0"]),
+    "page": (["z0", "z1", "z2"], ["Asia", "usnews", "Other"], ["pg0", "7", "z0"]),
+}
+
+
+def _fast_check_keeps(kind):
+    """Changes the fast check accepts but that ingest must treat as
+    json.loads reads them: an extra field, or a repeated id."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["extra", "Kind", "ID"]), _JSON_VALUES),
+        st.tuples(st.just("id"), st.sampled_from(_EDGE_RECORDS[kind][2])))
 
 
 @st.composite
 def _fast_path_edge_line(draw):
-    """A comment line under p1 or post "7" with one change from
-    _FAST_PATH_EXITS or _FAST_PATH_KEEPS."""
-    rec = _comment(draw(st.sampled_from(["x0", "x1", "x2"])),
-                   draw(st.sampled_from(["p1", "7"])), 1030, likes=2)
-    field, value = draw(_FAST_PATH_EXITS | _FAST_PATH_KEEPS)
+    """A comment, post or page line with one change from
+    _fast_check_exits or _fast_check_keeps; a comment names post p1 or
+    "7", a post page pg0 or "7"."""
+    kind = draw(st.sampled_from(sorted(_EDGE_RECORDS)))
+    ids, refs, _ = _EDGE_RECORDS[kind]
+    rid, ref = draw(st.sampled_from(ids)), draw(st.sampled_from(refs))
+    if kind == "comment":
+        rec = _comment(rid, ref, 1030, likes=2)
+    elif kind == "post":
+        rec = _post(rid, page=ref, ts=1010, likes=2)
+    else:
+        rec = _page(rid, region=ref)
+    field, value = draw(_fast_check_exits(kind) | _fast_check_keeps(kind))
     if value is _MISSING:
         del rec[field]
     else:
@@ -557,7 +584,7 @@ class TestIngestMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edge=st.lists(_fast_path_edge_line(), min_size=1, max_size=8), data=st.data())
     def test_fast_path_edges(self, tmp_path, edge, data):
-        valid = _VALID + [_post("7", ts=1005), _comment("c3", "7", 1040)]
+        valid = _VALID + [_page("7"), _post("7", ts=1005), _comment("c3", "7", 1040)]
         lines = data.draw(st.permutations([json.dumps(r).encode() for r in valid] + edge))
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
@@ -589,10 +616,23 @@ class TestOrjsonCarriesTheLoad:
         # a blank line is skipped before json.loads
         assert sorted(texts) == sorted(line.decode() for line in _NON_RECORD_LINES if line)
 
+    def test_one_orjson_parse_per_line(self, small_synth_jsonl, monkeypatch):
+        lines = []
+        loads = corpus_mod.orjson.loads
 
-class TestCommentFastPath:
-    def _general_path_lines(self, monkeypatch):
-        """The lines that reach the general path, from now on."""
+        def counted(line):
+            lines.append(line)
+            return loads(line)
+
+        monkeypatch.setattr(corpus_mod.orjson, "loads", counted)
+        ingest(small_synth_jsonl)
+        with open(small_synth_jsonl, "rb") as fh:
+            assert lines == fh.readlines()
+
+
+class TestFastCheck:
+    def _fallback_lines(self, monkeypatch):
+        """The lines that reach _line_fields, from now on."""
         lines = []
         line_fields = corpus_mod._line_fields
 
@@ -603,20 +643,18 @@ class TestCommentFastPath:
         monkeypatch.setattr(corpus_mod, "_line_fields", counted)
         return lines
 
-    def test_no_comment_line_of_a_clean_corpus_leaves_it(self, small_synth_jsonl,
-                                                         monkeypatch):
-        lines = self._general_path_lines(monkeypatch)
+    def test_no_line_of_a_clean_corpus_reaches_line_fields(self, small_synth_jsonl,
+                                                          monkeypatch):
+        lines = self._fallback_lines(monkeypatch)
         corpus = ingest(small_synth_jsonl).corpus
-        assert len(corpus.comments) > 10_000
-        assert sorted(json.loads(line)["kind"] for line in lines) == sorted(
-            ["page"] * len(corpus.pages) + ["post"] * len(corpus.posts))
+        assert len(corpus.comments) > 10_000 and corpus.pages and corpus.posts
+        assert lines == []
 
-    def test_orphan_and_repeated_comments_stay_on_it(self, mixed_jsonl, monkeypatch):
-        lines = self._general_path_lines(monkeypatch)
+    def test_only_non_record_lines_reach_line_fields(self, mixed_jsonl, monkeypatch):
+        # orphans, repeated ids and clock skew stay on the fast check
+        lines = self._fallback_lines(monkeypatch)
         ingest(mixed_jsonl)
-        kinds = [json.loads(line).get("kind") if line.startswith(b"{") else None
-                 for line in lines]
-        assert "comment" not in kinds and kinds.count(None) == len(_NON_RECORD_LINES)
+        assert sorted(line.removesuffix(b"\n") for line in lines) == sorted(_NON_RECORD_LINES)
 
 
 class TestIdSharing:
@@ -659,7 +697,7 @@ class TestIdSharing:
         assert len(first) < len(with_tokens)  # campaigns repeat their links
 
     def test_both_paths_share_one_token_tuple(self, tmp_path):
-        # a float number sends a comment line to the general path
+        # a float number sends a comment line to json.loads
         records = [_page(), _post("p1"),
                    *(_comment(f"c{i}", "p1", 1010, text="go a.co/x") for i in range(3))]
         records[3]["created_ts"] = 1010.0
@@ -670,8 +708,8 @@ class TestIdSharing:
         assert comments["c1"].url_tokens is one and comments["c2"].url_tokens is one
 
     def test_both_paths_tokenize_a_text_once(self, tmp_path, monkeypatch):
-        # the general path sees the text first, then the fused path, then
-        # the general path again
+        # json.loads reads the text first, then orjson, then json.loads
+        # again
         records = [_page(), _post("p1"),
                    *(_comment(f"c{i}", "p1", 1010, text="go a.co/x") for i in range(3))]
         records[2]["like_count"] = 0.0

@@ -806,6 +806,25 @@ def test_bad_labels_line_names_the_file_and_line(tmp_path, line, message):
     assert str(err.value) == f"{path} {message}"
 
 
+def test_repeated_labels_line_is_read_once(tmp_path):
+    # a repeat would make temporal count one attack twice
+    path = tmp_path / "labels.tsv"
+    path.write_text("c1\tphishing\tevil.com\nc2\tads\tb.com\nc1\tPhishing\tevil.com\n"
+                    "c1\tads\tevil.com\n")
+    assert labeler.read_labels(str(path)) == [
+        MaliciousLabel("c1", Category.PHISHING, "evil.com"),
+        MaliciousLabel("c2", Category.ADS, "b.com"),
+        MaliciousLabel("c1", Category.ADS, "evil.com")]
+
+
+def test_labels_line_with_another_key_names_both_lines(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("c1\tphishing\tevil.com\nc2\tads\tb.com\n\nc1\tphishing\tevil.com/x\n")
+    with pytest.raises(LabelError) as err:
+        labeler.read_labels(str(path))
+    assert str(err.value) == f"{path} lines 1 and 4: two keys for comment c1, category phishing"
+
+
 def test_shortener_map_line_without_tab_names_the_line(tmp_path):
     smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
     smap.write_text("sh-url.io/a\thttp://evil.com/1\n\nsh-url.io/zz\n")

@@ -490,9 +490,11 @@ def test_sweep_matches_per_horizon_featurization(small_synth, small_labels):
     is_target, _ = label_threads(small_synth.corpus, small_labels[1])
     threads = build_threads(small_synth.corpus)
     y = [is_target.get(t.post.post_id, False) for t in threads]
-    want = []
-    for horizon in range(5, 65, 5):
-        data = Dataset([row[len(features.MACRO_COLUMNS):]
-                        for row in features.featurize_threads(threads, 5, horizon)], y)
-        want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
-    assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want
+    # the tree predicts no positives at some horizon on this corpus
+    with pytest.warns(UserWarning, match="precision undefined for class True"):
+        want = []
+        for horizon in range(5, 65, 5):
+            data = Dataset([row[len(features.MACRO_COLUMNS):]
+                            for row in features.featurize_threads(threads, 5, horizon)], y)
+            want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
+        assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want
