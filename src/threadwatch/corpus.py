@@ -227,6 +227,10 @@ _REQUIRED = {
 }
 _FIELDS = {kind: itemgetter(*names) for kind, names in _REQUIRED.items()}
 
+# the created_ts range that datetime holds in UTC: 0001-01-01T00:00:00Z to
+# 9999-12-31T23:59:59Z
+MIN_TS, MAX_TS = -62135596800, 253402300799
+
 
 def _int_field(value: object, name: str) -> int:
     """A number field as an int: a float with no fractional part as an
@@ -249,7 +253,7 @@ def _line_fields(line: bytes) -> tuple[str, tuple] | None:
     """
     # a bad byte is a ValueError
     text = line.removesuffix(b"\n").decode("utf-8")
-    if not text.strip():
+    if not text.strip(" \t\r\n"):  # JSON whitespace only
         return None
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -275,9 +279,11 @@ def ingest(path: str) -> IngestResult:
     """Load and validate a corpus file.
 
     Malformed lines (invalid UTF-8, bad JSON, non-objects, bad fields or
-    numbers) are reported with their line number and skipped; an
-    unreadable file raises CorpusError. Records referencing unknown
-    parents, and later records repeating an id, are dropped.
+    numbers, a ``created_ts`` outside ``MIN_TS``..``MAX_TS``) are reported
+    with their line number and skipped; a line of JSON whitespace alone is
+    skipped silently; an unreadable file raises CorpusError. Records
+    referencing unknown parents, and later records repeating an id, are
+    dropped.
     """
     # one object per distinct page, post and author id and per distinct
     # token tuple; both are attacker written, so the table lives and dies
@@ -333,6 +339,8 @@ def ingest(path: str) -> IngestResult:
                         rid, parent, author, ts, like, text = values
                         if like < 0:
                             raise ValueError("like_count must be >= 0")
+                        if not MIN_TS <= ts <= MAX_TS:
+                            raise ValueError("created_ts out of range")
                 except (ValueError, TypeError, RecursionError) as exc:
                     errors.append((lineno, str(exc)))
                     continue

@@ -17,19 +17,30 @@ domain keys. A comment gets one label per category it matches; the
 label's matched key is the smallest matching domain key, or, when no
 domain key matches, the smallest matching full-URL key.
 
-Each piece of work is done once per distinct key: the blacklist is
-indexed by key in one loop as it is read, and each distinct raw URL token
-of a corpus is resolved and checked against the keys once. A token that
-matches no key is remembered as None, so ``label_comments`` makes only the
-observations that match, one at a time, and the join sees no other.
+A blacklist is read twice, each time in one loop. ``load_blacklist``
+checks and counts every line before the corpus is read, and indexes
+nothing. ``label_comments`` then resolves each distinct raw URL token of
+the corpus once, keeping only the ``url_key`` and the domain of its URL,
+and reads the file again to index only the keys those can match. A
+blacklist is far larger than the part of it one corpus reaches, so the
+join's hash table is built on its small side (Shapiro, ACM TODS 11(3),
+1986). The second read must find the same file (device, inode, size and
+modification time) with the same number of entries; a file that cannot
+be read twice, such as a pipe, is indexed whole at the first read. Each token is checked against that index once;
+only the few that match are resolved again and make observations, one at
+a time, and the join sees no other.
 ``collect_observations`` keeps every observation, in thread order.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from collections.abc import Iterable
+import stat
+from collections.abc import Collection, Iterable
 from enum import Enum
+from itertools import chain, compress
+from operator import itemgetter
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
@@ -69,7 +80,7 @@ class UrlObservation(NamedTuple):
 
 class Blacklist:
     """Blacklist keys indexed for the join by their one reader,
-    ``load_blacklist``: domain keys and full-URL keys, each mapped to its
+    ``_read_blacklist``: domain keys and full-URL keys, each mapped to its
     distinct categories in file order. len() is the number of entries read."""
 
     __slots__ = ("domains", "urls", "entries")
@@ -82,6 +93,38 @@ class Blacklist:
 
     def __len__(self) -> int:
         return self.entries
+
+    def indexed(self, wanted: Collection[str] | None = None) -> "Blacklist":
+        """This index, whatever is wanted: a key no observation reaches
+        changes no join."""
+        return self
+
+
+class BlacklistFile:
+    """A regular blacklist file as ``load_blacklist`` checked it: its path,
+    its identity (``_identity``) and the number of entries it held (len())."""
+
+    __slots__ = ("path", "identity", "entries")
+
+    def __init__(self, path: str, identity: tuple[int, ...], entries: int):
+        self.path = path
+        self.identity = identity
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return self.entries
+
+    def indexed(self, wanted: Collection[str] | None = None) -> Blacklist:
+        """The join's index of the file's keys in wanted (every key when
+        None), read from the file again. A file that is not the one checked
+        (another file, size or modification time, or another number of
+        entries) raises LabelError naming it."""
+        with open_text(self.path, LabelError) as fh:
+            same = _identity(fh) == self.identity
+            index = _read_blacklist(fh, self.path, wanted) if same else None
+        if index is None or len(index) != self.entries:
+            raise LabelError(f"{self.path}: changed between its two reads")
+        return index
 
 
 class MaliciousLabel(NamedTuple):
@@ -225,74 +268,92 @@ def expand_url(url: str, table: ShortenerTable) -> tuple[str, bool]:
     return current, table.lookup(current) is not None
 
 
-def _resolve(token: str, table: ShortenerTable, blacklist: Blacklist | None
-             ) -> tuple[str, str, bool] | None:
+def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
     """(resolved URL, domain, flagged) of one raw token, or None if it is
-    unusable or, given a blacklist, matches none of its keys."""
+    unusable."""
     url = normalize_url(token)
     if url is None:
         return None
     resolved, flagged = expand_url(url, table)
-    domain = registrable_domain(resolved)
-    if (blacklist is not None and domain not in blacklist.domains
-            and url_key(resolved) not in blacklist.urls):
-        return None
-    return resolved, domain, flagged
+    return resolved, registrable_domain(resolved), flagged
 
 
-def _observations(comments: Iterable[Comment], table: ShortenerTable,
-                  blacklist: Blacklist | None = None):
-    """One observation per (comment, URL token that normalizes) pair after
-    expansion, yielded in the order of the comments given, each comment's
-    in token order; given a blacklist, only those that match one of its
-    keys. Campaigns repeat their links, so each distinct raw token is
-    resolved and checked against the keys once per call, and a token that
-    matches none is remembered as None; the memo ends with the call.
-    """
-    memo: dict[str, tuple[str, str, bool] | None] = {}
+def _observations(comments: Iterable[Comment], hits: dict[str, tuple[str, str, bool]]):
+    """One observation per (comment, URL token in hits) pair, yielded in
+    the order of the comments given, each comment's in token order; hits
+    maps a token to the (resolved URL, domain, flagged) of its URL."""
     new = tuple.__new__
+    get = hits.get
     for comment in comments:
         if not comment.url_tokens:
             continue
         cid, _, author, _, _, tokens = comment
         for token in tokens:
-            try:
-                hit = memo[token]
-            except KeyError:
-                hit = memo[token] = _resolve(token, table, blacklist)
+            hit = get(token)
             if hit is not None:
                 resolved, domain, flagged = hit
                 yield new(UrlObservation, (resolved, domain, cid, author, flagged))
 
 
+# a Comment's url_tokens, by field position
+_URL_TOKENS = itemgetter(5)
+
+
 def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObservation]:
     """The observations of the corpus's comments, in thread order: threads
     as ``build_threads`` orders them, the comments of each in time order,
-    each comment's observations in token order. The campaign stage reads
-    these for the labelled comments; labelling itself keeps no
-    observation (``label_comments``).
+    each comment's observations in token order. Each distinct URL token is
+    resolved once. The campaign stage reads these for the labelled
+    comments; labelling itself keeps no observation (``label_comments``).
     """
+    hits = {}
+    for token in set(chain.from_iterable(map(_URL_TOKENS, corpus.comments.values()))):
+        hit = _resolve(token, table)
+        if hit is not None:
+            hits[token] = hit
     comments = (c for thread in build_threads(corpus) for c in thread.comments)
-    return list(_observations(comments, table))
+    return list(_observations(comments, hits))
 
 
-def load_blacklist(path: str) -> Blacklist:
-    """Read a key<TAB>category TSV into the join's index, in one pass.
+def load_blacklist(path: str) -> BlacklistFile | Blacklist:
+    """Check a key<TAB>category TSV line by line, in one pass, and count
+    its entries; its keys are indexed later, by ``BlacklistFile.indexed``.
 
     Keys are read as their ``url_key``; categories are case-insensitive.
     Blank lines are skipped. Operators, not attackers, write the blacklist,
     so a bad line (no tab, an unknown category, or a key that is empty once
     stripped) raises LabelError naming the file and line and aborts the run.
+    A file that is not a regular file, such as a pipe, cannot be read
+    again, so its whole index is returned.
     """
     with open_text(path, LabelError) as fh:
-        return _read_blacklist(fh, path)
+        identity = _identity(fh)
+        if identity is None:
+            return _read_blacklist(fh, path)
+        entries = len(_read_blacklist(fh, path, ()))
+    return BlacklistFile(path, identity, entries)
 
 
-def _read_blacklist(lines: Iterable[str], path: str) -> Blacklist:
-    """The ``Blacklist`` of the lines of the file at path, read in one loop."""
+def _identity(fh) -> tuple[int, ...] | None:
+    """The device, inode, size and modification time of an open regular
+    file; None for any other file."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_blacklist(lines: Iterable[str], path: str,
+                    wanted: Collection[str] | None = None) -> Blacklist:
+    """The ``Blacklist`` of the lines of the file at path, read in one
+    loop: every line is checked and counted, and the index holds the keys
+    in wanted, or every key when wanted is None. With nothing wanted, a
+    key's ``url_key`` is taken only when it holds "://", since any other
+    key's is empty exactly when the stripped key is."""
     domains: dict[str, tuple[Category, ...]] = {}
     urls: dict[str, tuple[Category, ...]] = {}
     categories: dict[str, Category] = {}  # raw category field -> category
+    check_only = wanted is not None and not wanted
     n = 0
     for lineno, line in enumerate(lines, start=1):
         key, tab, cat = line.partition("\t")
@@ -307,10 +368,17 @@ def _read_blacklist(lines: Iterable[str], path: str) -> Blacklist:
                 cat = cat.rstrip("\n")
                 raise LabelError(at_line(path, f"unknown category {cat!r}", lineno))
             categories[cat] = category
+        if check_only:
+            if not key.strip() or "://" in key and not url_key(key):
+                raise LabelError(at_line(path, "empty key", lineno))
+            n += 1
+            continue
         key = url_key(key)
         if not key:
             raise LabelError(at_line(path, "empty key", lineno))
         n += 1
+        if wanted is not None and key not in wanted:
+            continue
         index = urls if "/" in key else domains
         known = index.get(key, ())
         if category not in known:
@@ -319,7 +387,7 @@ def _read_blacklist(lines: Iterable[str], path: str) -> Blacklist:
 
 
 def join_blacklist(observations: Iterable[UrlObservation],
-                   blacklist: Blacklist) -> list[MaliciousLabel]:
+                   blacklist: Blacklist | BlacklistFile) -> list[MaliciousLabel]:
     """Match observations against the blacklist by keyed lookup.
 
     An observation matches when the ``url_key`` of its URL equals a
@@ -327,9 +395,11 @@ def join_blacklist(observations: Iterable[UrlObservation],
     label per (comment_id, category), sorted; its matched key is the
     smallest matching domain key, else the smallest matching full-URL
     key. The observations may be any iterable, read once, in any order;
-    the keys of each distinct (url, domain) pair are looked up once.
+    the keys of each distinct (url, domain) pair are looked up once. A
+    blacklist file is indexed whole.
     """
-    domain_index, url_index = blacklist.domains, blacklist.urls
+    index = blacklist.indexed()
+    domain_index, url_index = index.domains, index.urls
 
     # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
@@ -354,13 +424,48 @@ def join_blacklist(observations: Iterable[UrlObservation],
     return labels
 
 
-def label_comments(comments: Iterable[Comment], table: ShortenerTable,
-                   blacklist: Blacklist) -> list[MaliciousLabel]:
+def label_comments(comments: Collection[Comment], table: ShortenerTable,
+                   blacklist: Blacklist | BlacklistFile) -> list[MaliciousLabel]:
     """The labels of the comments: ``join_blacklist`` over only those of
     their observations that match a key, made one at a time and never kept.
     Equal, for the comments of a corpus in any order, to ``join_blacklist``
-    over ``collect_observations`` of that corpus."""
-    return join_blacklist(_observations(comments, table, blacklist), blacklist)
+    over ``collect_observations`` of that corpus.
+
+    No Python loop runs over every comment. Those that hold a URL token
+    are picked out once, and their distinct token tuples are few: ingest
+    shares equal tuples, and campaigns repeat their links. The tokens that
+    match a key (``_matching_tokens``) are resolved again, so only their
+    hits are ever kept, and only the comments holding one make
+    observations.
+    """
+    linked = list(filter(_URL_TOKENS, comments))  # the comments holding a token
+    token_tuples = set(map(_URL_TOKENS, linked))
+    matching, index = _matching_tokens(set(chain.from_iterable(token_tuples)), table,
+                                       blacklist)
+    hits = {token: _resolve(token, table) for token in matching}
+    hit_tuples = {tokens for tokens in token_tuples if not matching.isdisjoint(tokens)}
+    hit_comments = compress(linked, map(hit_tuples.__contains__, map(_URL_TOKENS, linked)))
+    return join_blacklist(_observations(hit_comments, hits), index)
+
+
+def _matching_tokens(tokens: Iterable[str], table: ShortenerTable,
+                     blacklist: Blacklist | BlacklistFile) -> tuple[set[str], Blacklist]:
+    """The distinct URL tokens whose URLs match a key, and the join's index
+    of the blacklist's keys those URLs can reach. Each token is resolved
+    once, and only the ``url_key`` and the domain of its URL are kept; each
+    is checked against that index once."""
+    url_keys: dict[str, str] = {}  # each token that normalizes -> its URL's url_key
+    by_domain: dict[str, list[str]] = {}  # each domain of those URLs -> its tokens
+    for token in tokens:
+        hit = _resolve(token, table)
+        if hit is not None:
+            url_keys[token] = url_key(hit[0])
+            by_domain.setdefault(hit[1], []).append(token)
+    index = blacklist.indexed({*url_keys.values(), *by_domain})
+    matching = {token for token, key in url_keys.items() if key in index.urls}
+    for domain in by_domain.keys() & index.domains.keys():
+        matching.update(by_domain[domain])
+    return matching, index
 
 
 def labelled_comments(corpus: Corpus, labels: list[MaliciousLabel]) -> dict[str, Comment]:

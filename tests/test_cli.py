@@ -478,6 +478,73 @@ class TestLabel:
         assert read(out) == read(pipeline["labels"])
 
 
+class TestBlacklistReadTwice:
+    """label checks the blacklist before the ingest and indexes the keys
+    the corpus reaches after it. A file that changed in between exits 1
+    naming it; one that cannot be read twice labels as a regular file
+    does; neither ever labels from an empty second read."""
+
+    @staticmethod
+    def _label(pipeline, tmp_path, blacklist):
+        out = tmp_path / "labels.tsv"
+        code = main(["label", "--corpus", pipeline["corpus"], "--blacklist", blacklist,
+                     "--shortener-map", pipeline["map"],
+                     "--shortener-hosts", pipeline["hosts"], "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("change", ["appended", "replaced", "same size and time"])
+    def test_changed_file_exits_one(self, pipeline, tmp_path, monkeypatch, capsys, change):
+        path = tmp_path / "blacklist.tsv"
+        text = read(pipeline["blacklist"])
+        path.write_bytes(text)
+        ingest = cli.ingest
+
+        def changing(corpus_path):
+            if change == "appended":
+                with open(path, "ab") as fh:
+                    fh.write(b"late.com\tads\n")
+            elif change == "replaced":  # the same text in a new file
+                other = tmp_path / "other.tsv"
+                other.write_bytes(text)
+                os.replace(other, path)
+            else:  # one entry fewer, on the same inode, size and mtime
+                before = os.stat(path)
+                first, rest = text.split(b"\n", 1)
+                path.write_bytes(b" " * len(first) + b"\n" + rest)
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return ingest(corpus_path)
+        monkeypatch.setattr(cli, "ingest", changing)
+        code, out = self._label(pipeline, tmp_path, str(path))
+        assert code == 1
+        assert f"error: {path}: changed between its two reads\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_labels_as_a_file(self, pipeline, tmp_path):
+        fifo = tmp_path / "blacklist.fifo"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def writer():
+            # the first reader gets the blacklist, any later one nothing
+            text = read(pipeline["blacklist"])
+            while not done.is_set():
+                with open(fifo, "wb") as fh:  # waits for a reader
+                    fh.write(text)
+                text = b""
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            code, out = self._label(pipeline, tmp_path, str(fifo))
+        finally:
+            done.set()
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a waiting writer
+            thread.join(10)
+        assert not thread.is_alive()
+        assert code == 0
+        assert read(out) == read(pipeline["labels"])
+
+
 class TestObservations:
     """label joins a stream of observations and keeps none; report and
     accounts collect observations once, for the labelled comments only."""
@@ -674,6 +741,48 @@ class TestAnalyses:
         with open(os.path.join(out, "footprints.csv"), encoding="utf-8") as fh:
             listed = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
         assert sorted(grouped) == sorted(listed)
+
+
+class TestTimestampRange:
+    """A created_ts that datetime cannot hold in UTC is a line error at
+    ingest, so temporal never aborts on one without naming its line."""
+
+    def test_labelled_comment_out_of_range(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--out", data, "--seed", "5", "--threads", "80",
+                     "--pages", "3"]) == 0
+        flags = ["--blacklist", os.path.join(data, "blacklist.tsv"),
+                 "--shortener-map", os.path.join(data, "shorteners.tsv"),
+                 "--shortener-hosts", os.path.join(data, "shortener_hosts.txt")]
+        labels = str(tmp_path / "labels.tsv")
+        assert main(["label", "--corpus", os.path.join(data, "corpus.jsonl"), *flags,
+                     "--out", labels]) == 0
+        target = labeler.read_labels(labels)[0].comment_id
+        with open(os.path.join(data, "corpus.jsonl"), encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        lineno = next(i for i, r in enumerate(records, start=1)
+                      if r["kind"] == "comment" and r["id"] == target)
+        records[lineno - 1]["created_ts"] = -10**12
+        corpus = str(tmp_path / "skewed.jsonl")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        warning = f"warning: {corpus} line {lineno}: created_ts out of range\n"
+        capsys.readouterr()
+
+        # the labels of the unchanged corpus name a comment ingest refused
+        assert main(["temporal", "--corpus", corpus, "--labels", labels,
+                     "--out", str(tmp_path / "t0")]) == 1
+        err = capsys.readouterr().err
+        assert warning in err
+        assert f"error: labels reference unknown comments: ['{target}']\n" in err
+
+        relabelled = str(tmp_path / "relabelled.tsv")
+        assert main(["label", "--corpus", corpus, *flags, "--out", relabelled]) == 0
+        assert warning in capsys.readouterr().err
+        assert main(["temporal", "--corpus", corpus, "--labels", relabelled,
+                     "--out", str(tmp_path / "t1")]) == 0
+        err = capsys.readouterr().err
+        assert warning in err and "error" not in err
 
 
 class TestConfigFile:

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from operator import itemgetter
 
 import pytest
@@ -316,6 +317,10 @@ _REF_FIELDS = {kind: itemgetter(*names) for kind, names in _REF_REQUIRED.items()
 _REF_REGIONS = {"middleeast": Region.MIDDLE_EAST, "asia": Region.ASIA,
                 "europe": Region.EUROPE, "usnews": Region.US_NEWS,
                 "uspolitics": Region.US_POLITICS, "other": Region.OTHER}
+# the timestamps datetime holds in UTC, the first and last second of years 1
+# and 9999
+_REF_MIN_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+_REF_MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 
 def _ref_int_field(value, name):
@@ -375,6 +380,8 @@ def _ref_parse_record(obj):
     like, ts = _ref_int_field(like, "like_count"), _ref_int_field(ts, "created_ts")
     if like < 0:
         raise ValueError("like_count must be >= 0")
+    if not _REF_MIN_TS <= ts <= _REF_MAX_TS:
+        raise ValueError("created_ts out of range")
     if kind == "post":
         return kind, rid, RefPost(rid, str(parent), str(author), ts, like, str(text))
     return kind, rid, RefComment(rid, str(parent), str(author), ts, like,
@@ -391,7 +398,7 @@ def reference_ingest(path):
             for lineno, line in enumerate(fh, start=1):
                 try:
                     text = line.removesuffix(b"\n").decode("utf-8")
-                    if not text.strip():
+                    if not text.strip(" \t\r\n"):
                         continue
                     kind, rid, rec = _ref_parse_record(json.loads(text))
                 except (ValueError, TypeError, RecursionError) as exc:
@@ -504,6 +511,10 @@ def _fast_check_exits(kind):
                       st.sampled_from([1030.0, 1030.5, 0.0, -0.0, True, False, 1e20])
                       | st.floats()),
             st.tuples(st.just("like_count"), st.integers(max_value=-1)),
+            # created_ts just past what datetime holds, or far past it
+            st.tuples(st.just("created_ts"),
+                      st.sampled_from([_REF_MIN_TS - 1, _REF_MAX_TS + 1, -10**12, 10**15,
+                                       _REF_MIN_TS, _REF_MAX_TS])),
         ]
     return st.one_of(exits)
 
@@ -589,6 +600,33 @@ class TestIngestMatchesReference:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_same_as_reference(str(path))
+
+    # json.loads' message for a line with no JSON value
+    _NO_VALUE = "Expecting value: line 1 column 1 (char 0)"
+
+    @pytest.mark.parametrize("line, error", [
+        (b"", None), (b" \t\r", None),
+        (b"\x0c", _NO_VALUE), (b"\x0b", _NO_VALUE), ("\x1c".encode(), _NO_VALUE),
+        ("\u2028".encode(), _NO_VALUE), ("\x85 ".encode(), _NO_VALUE)])
+    def test_only_json_whitespace_is_blank(self, tmp_path, line, error):
+        # JSON whitespace is space, tab, CR and LF (RFC 8259, section 2)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(_page()).encode() + b"\n" + line + b"\n")
+        got = assert_same_as_reference(str(path))
+        assert got.kept == 1
+        assert got.line_errors == ([] if error is None else [(2, error)])
+
+    @pytest.mark.parametrize("ts, kept", [
+        (_REF_MIN_TS, True), (_REF_MAX_TS, True), (_REF_MIN_TS - 1, False),
+        (_REF_MAX_TS + 1, False), (-10**12, False), (10**15, False)])
+    def test_created_ts_outside_datetime_is_a_line_error(self, tmp_path, ts, kept):
+        path = _write(tmp_path, [_page(), _post("p1"), _post("p2", ts=ts),
+                                 _comment("c1", "p1", ts)])
+        got = assert_same_as_reference(path)
+        assert set(got.corpus.posts) == ({"p1", "p2"} if kept else {"p1"})
+        assert list(got.corpus.comments) == (["c1"] if kept else [])
+        assert got.line_errors == ([] if kept else [(3, "created_ts out of range"),
+                                                    (4, "created_ts out of range")])
 
 
 def _json_loads_calls(monkeypatch):

@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 from threadwatch import cli, labeler, synthgen
@@ -432,7 +434,7 @@ class TestLabelStageMatchesCollectedJoin:
         assert len(pairs) < len(observations)
         assert sorted(calls) == sorted(url for url, _ in pairs)
 
-    def test_label_resolves_each_token_once_and_joins_only_matches(
+    def test_label_resolves_only_matches_twice(
             self, bench_synth, monkeypatch):
         corpus = bench_synth.corpus
         table = shortener_table(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
@@ -457,7 +459,12 @@ class TestLabelStageMatchesCollectedJoin:
         labels = label_comments(corpus.comments.values(), table, index)
         tokens = [t for c in corpus.comments.values() for t in c.url_tokens]
         assert len(set(tokens)) < len(tokens)
-        assert sorted(resolved) == sorted(set(tokens))
+        # every distinct token once; one whose URL matches a key once more,
+        # for the hit that only a matching token keeps
+        matched = {t for t in set(tokens)
+                   if (h := resolve(t, table)) is not None and hit[h[0], h[1]]}
+        assert 0 < len(matched) < len(set(tokens))
+        assert sorted(resolved) == sorted([*set(tokens), *matched])
         assert 0 < len(matching) < len(collected)
         assert sorted(joined) == sorted(matching)
         assert labels == join(collected, index)
@@ -683,7 +690,7 @@ def reference_index(entries):
 def test_load_blacklist_case_insensitive_categories(tmp_path):
     path = tmp_path / "bl.tsv"
     path.write_text("Evil.COM\tPHISHING\nads.net\tads\n")
-    blacklist = load_blacklist(str(path))
+    blacklist = load_blacklist(str(path)).indexed()
     assert blacklist.domains == {"evil.com": (Category.PHISHING,),
                                  "ads.net": (Category.ADS,)}
     assert blacklist.urls == {}
@@ -696,7 +703,7 @@ def test_key_listed_once_shares_one_category_tuple(tmp_path, small_synth):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("twice.com\tporn\nTwice.com\tads\nhttp://twice.com\tporn\n"
                  "twice.com/x\tmalware\nTWICE.com/x\tMalware\n")
-    blacklist = load_blacklist(path)
+    blacklist = load_blacklist(path).indexed()
     once = {e.key: e.category for e in small_synth.blacklist}
     assert len(blacklist) == len(once) + 5
     for index in (blacklist.domains, blacklist.urls):
@@ -791,6 +798,61 @@ def test_reader_builds_the_reference_index(lines, bad, final_newline):
     blacklist = labeler._read_blacklist(lines, "bl.tsv")
     assert (blacklist.domains, blacklist.urls) == reference_index(entries)
     assert len(blacklist) == len(entries)
+
+
+# pieces of blacklist lines: tabs, schemes, slashes, spaces and line
+# breaks other than LF, categories, and letters whose case maps change
+# their length
+_BL_PIECES = st.sampled_from(["\t", "\tads", "://", "http://", "HTTPS:// ", "hTtP", " ", "\r",
+                              "/", "a.com", "B.org/X", "Porn", "spam", "\x0c", "\u2028",
+                              "\x85", "\u0130", "\u00df", "\u03a3"])
+# keys that are, or are not, empty once their scheme is gone
+_SCHEME_KEY = st.tuples(_PAD, st.sampled_from(["http://", "HTTPS://", "hTtP://", "http:/", "://"]),
+                        _PAD, st.sampled_from(["", "a.com", "/x"]), st.just("\t"),
+                        st.sampled_from(_BL_CATEGORIES)).map("".join)
+_ANY_BL_LINE = st.one_of(_BL_LINE, _SCHEME_KEY, st.lists(_BL_PIECES, max_size=8).map("".join),
+                         st.text(st.characters(exclude_characters="\n"), max_size=16))
+_AT_LINE = re.compile(r"bl\.tsv line [1-9][0-9]*: ")
+
+
+def _read_or_error(lines, wanted=None):
+    """len() of what the reader builds from lines, or the text of the
+    LabelError it raises; any other exception propagates."""
+    try:
+        return len(labeler._read_blacklist(lines, "bl.tsv", wanted))
+    except LabelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ANY_BL_LINE, max_size=12), st.booleans())
+def test_reader_loads_or_names_the_line(lines, final_newline):
+    lines = [line + "\n" for line in lines]
+    if lines and not final_newline:
+        lines[-1] = lines[-1][:-1]
+    indexed = _read_or_error(lines)
+    assert isinstance(indexed, int) or _AT_LINE.match(indexed), indexed
+    # the check pass, which takes a url_key only for keys holding "://",
+    # fails on the same line with the same message, or counts the same
+    # entries; so does a read that indexes some keys
+    assert _read_or_error(lines, ()) == indexed
+    assert _read_or_error(lines, {"a.com", "b.org/X"}) == indexed
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.binary(max_size=12)
+                | _ANY_BL_LINE.map(lambda line: line.encode("utf-8", "surrogatepass")),
+                max_size=8))
+def test_loader_loads_or_names_the_line_of_any_bytes(tmp_path, lines):
+    path = tmp_path / "bl.tsv"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        blacklist = load_blacklist(str(path))
+    except LabelError as exc:
+        assert str(exc).startswith(f"{path} line "), str(exc)
+        return
+    assert len(blacklist.indexed()) == len(blacklist)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -934,3 +996,75 @@ def _tiny_corpus(texts, n_posts=1):
 def _by_id(texts):
     """The texts of _tiny_corpus(texts) by comment id."""
     return {f"c{i}": text for i, text in enumerate(texts)}
+
+
+def _upper_host(key):
+    host, slash, path = key.partition("/")
+    return host.upper() + slash + path
+
+
+# keys under the reserved .invalid TLD (RFC 2606), which no URL reaches
+_DECOY_KEYS = st.builds(lambda n, path: f"x{n:04d}.invalid{path}",
+                        st.integers(0, 9999), st.sampled_from(["", "/offer1", "/Offer2"]))
+
+
+class TestReachableIndex:
+    """label indexes only the blacklist keys its corpus can reach, read
+    from the file a second time, and labels as the join over every
+    observation and every key does."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_labels_as_the_reference_join(self, tmp_path, seed, data):
+        rng = random.Random(seed)
+        (corpus, _), table = _random_corpus(rng), _random_table(rng)
+        collected = collect_observations(corpus, table)
+        reached = sorted({key for o in collected for key in (o.domain, url_key(o.url))})
+        # keys the corpus reaches, in host-case and scheme variants and
+        # repeated, and decoys
+        key = (st.sampled_from(reached + ["d.com", "d.com/x"])
+               .flatmap(lambda k: st.sampled_from([k, _upper_host(k)])) | _DECOY_KEYS)
+        line = st.tuples(_PAD, st.sampled_from(["", "http://", "HTTPS://"]), key, _PAD,
+                         st.just("\t"), st.sampled_from(_BL_CATEGORIES)).map("".join)
+        lines = data.draw(st.lists(line, max_size=24))
+        path = tmp_path / "bl.tsv"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        want = reference_join(sort_obs(collected), reference_load(lines))
+        target(float(len(want)))
+        blacklist = load_blacklist(str(path))
+        assert label_comments(corpus.comments.values(), table, blacklist) == want
+        assert len(blacklist) == len(lines)
+
+    def test_unreachable_keys_cost_no_memory(self, tmp_path, small_synth):
+        table = shortener_table(set(small_synth.shortener_hosts), small_synth.shortener_map)
+        comments = small_synth.corpus.comments.values()
+        base = tmp_path / "base.tsv"
+        synthgen.write_blacklist_tsv(small_synth, str(base))
+        padded = tmp_path / "padded.tsv"
+        rng = random.Random(5)
+        decoys = "".join(f"{rng.getrandbits(40):010x}{i:05d}.INVALID{'/x' * (i % 4 == 0)}"
+                         f"\t{rng.choice(['ads', 'porn'])}\n" for i in range(20_000))
+        padded.write_text(base.read_text(encoding="utf-8") + decoys, encoding="utf-8")
+
+        def traced(path):
+            """The labels, and the peak and retained traced memory of
+            checking the file and labelling with it."""
+            tracemalloc.start()
+            try:
+                blacklist = load_blacklist(str(path))
+                labels = label_comments(comments, table, blacklist)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return labels, peak, retained
+
+        traced(base)  # fills urlsplit's cache and the like, once
+        labels, peak, retained = traced(base)
+        padded_labels, padded_peak, padded_retained = traced(padded)
+        assert labels and padded_labels == labels
+        # an index of the 20k keys would take about 2 MB; the peaks differ
+        # by the reader's 8 KB text buffer, which the short file leaves
+        # part empty
+        assert abs(padded_peak - peak) < 12_288
+        assert abs(padded_retained - retained) < 1024
