@@ -103,16 +103,17 @@ def label_stage(corpus: Corpus, table, blacklist, path: str):
     return labels
 
 
-def featurize_stage(corpus: Corpus, labels, path: str, **options):
-    """One feature row and one label per thread; writes the feature CSV
-    and returns the rows and the labels."""
+def featurize_stage(corpus: Corpus, labels, path: str | None, **options):
+    """One feature row and one label per thread, as two lists; writes the
+    feature CSV when a path is given."""
     from . import features
     threads = build_threads(corpus)
     is_target = labeler.label_threads(corpus, labels)[0]
     post_ids = [thread.post.post_id for thread in threads]
     rows = features.featurize_threads(threads, **options)
     targets = [is_target.get(post_id, False) for post_id in post_ids]
-    features.write_feature_csv(post_ids, rows, targets, path)
+    if path:
+        features.write_feature_csv(post_ids, rows, targets, path)
     return rows, targets
 
 
@@ -235,8 +236,8 @@ def cmd_sweep(args) -> tuple[int, int]:
     from . import learn
     labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
-    is_target = labeler.label_threads(corpus, labels)[0]
-    results = learn.sweep_horizon(corpus, is_target, algorithm=args.algorithm,
+    rows, targets = featurize_stage(corpus, labels, None)
+    results = learn.sweep_horizon(learn.Dataset(rows, targets), algorithm=args.algorithm,
                                   seed=args.seed)
     learn.write_sweep_csv(results, args.out)
     return len(corpus.posts), len(results)

@@ -35,6 +35,7 @@ file to read and names the line of a byte that is not UTF-8.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -120,18 +121,21 @@ def at_line(path: str, message: str, *linenos: int) -> str:
 def open_text(path: str, error: type[ValueError], newline: str | None = None):
     """The file at path, open to read as UTF-8 text. A byte that is not
     UTF-8 raises ``error`` with the ``at_line`` text of the first line
-    that holds one; the lines are decoded one by one only then."""
+    that holds one; the lines are decoded one by one only then, and only
+    in a regular file: any other, such as a pipe, cannot be read again."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
+        if not os.path.isfile(path):
+            raise error(f"{path}: {exc}") from None
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise error(at_line(path, str(exc), lineno)) from None
-        raise  # another file's byte, read while this one was open
+                except UnicodeDecodeError as bad:
+                    raise error(at_line(path, str(bad), lineno)) from None
+        raise  # not this file's byte, or the file changed since
 
 
 def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:

@@ -211,9 +211,11 @@ class ShortenerTable:
     def load(cls, map_path: str, hosts_path: str) -> "ShortenerTable":
         """A map line without a tab or with an empty key, or a key that a
         later line maps to another target, raises LabelError naming the
-        file and lines; a repeat of a line's key and target is accepted."""
-        with open_text(hosts_path, LabelError) as hosts, \
-                open_text(map_path, LabelError) as lines:
+        file and lines; a repeat of a line's key and target is accepted.
+        The hosts file is read first, so that each file's fault is its own."""
+        with open_text(hosts_path, LabelError) as fh:
+            hosts = list(fh)
+        with open_text(map_path, LabelError) as lines:
             return _read_shortener_table(hosts, lines, map_path)
 
     def lookup(self, url: str) -> str | None:

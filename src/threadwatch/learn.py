@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .corpus import Corpus, build_threads, write_csv
-from .features import MACRO_COLUMNS, apply_minmax, featurize_threads, fit_minmax
+from .corpus import write_csv
+from .features import MACRO_COLUMNS, apply_minmax, fit_minmax
 
 
 class LearnError(ValueError):
@@ -174,25 +174,22 @@ def evaluate_split(dataset: Dataset, algorithms: list[str],
             for algorithm in algorithms]
 
 
-def sweep_horizon(corpus: Corpus, is_target: dict[str, bool],
-                  algorithm: str = "decision_tree",
+def sweep_horizon(dataset: Dataset, algorithm: str = "decision_tree",
                   seed: int = 0) -> list[tuple[int, Metrics]]:
     """Evaluate the per-window counts alone at each horizon from 5 to 60
     minutes in steps of 5, with the default split and balancing.
 
-    The threads are featurized once, with 5-minute windows up to 60
-    minutes; the counts up to a horizon h are the first h // 5 of them.
-    Each horizon uses an independently derived seed (seed + horizon) so
-    results do not depend on evaluation order. A post missing from
-    is_target is not a target.
+    The rows are those ``featurize`` writes by default (5-minute windows up
+    to 60 minutes); the counts up to a horizon h are their first h // 5 DAV
+    columns. Each horizon uses an independently derived seed (seed +
+    horizon) so results do not depend on evaluation order.
     """
-    threads = build_threads(corpus)
-    data = Dataset(featurize_threads(threads),
-                   [is_target.get(t.post.post_id, False) for t in threads])
-    counts = data.X[:, len(MACRO_COLUMNS):]
+    counts = dataset.X[:, len(MACRO_COLUMNS):]
+    if counts.shape[1] < 12:
+        raise LearnError(f"the sweep needs at least 12 DAV columns, got {counts.shape[1]}")
     results = []
     for horizon in range(5, 65, 5):
-        [metrics] = evaluate_split(Dataset(counts[:, :horizon // 5], data.y),
+        [metrics] = evaluate_split(Dataset(counts[:, :horizon // 5], dataset.y),
                                    [algorithm], seed=seed + horizon)
         results.append((horizon, metrics))
     return results

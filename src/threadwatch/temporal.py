@@ -105,34 +105,32 @@ def inter_attack_intervals(events: list[AttackEvent]) -> dict[str, Ecdf]:
     region = {e.page_id: e.region for e in events}
     groups: dict[str, list[float]] = {}
     for page_id, gaps in page_gaps(events).items():
-        if gaps:
-            groups.setdefault(f"region:{region[page_id]}", []).extend(gaps)
-            groups.setdefault("all", []).extend(gaps)
-
+        groups.setdefault(f"region:{region[page_id]}", []).extend(gaps)
+        groups.setdefault("all", []).extend(gaps)
     # category groups keep label multiplicity but still gap within a page
-    by_page_cat: dict[tuple[str, Category], list[AttackEvent]] = {}
-    for e in events:
-        by_page_cat.setdefault((e.page_id, e.category), []).append(e)
-    for (_, category), evs in by_page_cat.items():
-        evs.sort(key=lambda e: (e.ts, e.comment_id))
-        for prev, cur in zip(evs, evs[1:]):
-            groups.setdefault(f"category:{category.value}", []).append(
-                (cur.ts - prev.ts) / 60.0)
-
-    return _ecdfs(groups)
+    for (_, category), gaps in _gaps(events, lambda e: (e.page_id, e.category)).items():
+        groups.setdefault(f"category:{category.value}", []).extend(gaps)
+    return _ecdfs({name: gaps for name, gaps in groups.items() if gaps})
 
 
 def page_gaps(events: list[AttackEvent]) -> dict[str, list[float]]:
     """Raw per-page gap lists (minutes), comment-deduplicated."""
-    per_page: dict[str, list[int]] = {}
-    seen = set()
+    return _gaps(_per_comment(events), lambda e: e.page_id)
+
+
+def _gaps(events: list[AttackEvent], key) -> dict:
+    """Minutes between consecutive events of each key, in (ts, comment_id)
+    order; a key with one event has no gap."""
+    times: dict = {}
     for e in sorted(events, key=lambda e: (e.ts, e.comment_id)):
-        if (e.page_id, e.comment_id) in seen:
-            continue
-        seen.add((e.page_id, e.comment_id))
-        per_page.setdefault(e.page_id, []).append(e.ts)
-    return {pid: [(b - a) / 60.0 for a, b in zip(ts, ts[1:])]
-            for pid, ts in per_page.items()}
+        times.setdefault(key(e), []).append(e.ts)
+    return {k: [(b - a) / 60.0 for a, b in zip(ts, ts[1:])] for k, ts in times.items()}
+
+
+def _per_comment(events: list[AttackEvent]) -> list[AttackEvent]:
+    """One event per (page, comment): a comment with several category
+    labels counts once."""
+    return list({(e.page_id, e.comment_id): e for e in events}.values())
 
 
 def _month(ts: int) -> int:
@@ -149,10 +147,7 @@ def monthly_heatmap(events: list[AttackEvent], corpus: Corpus
     month axis zero-filled over the observed range. Comments carrying
     several category labels count once.
     """
-    unique = {}
-    for e in events:
-        unique.setdefault((e.page_id, e.comment_id), e)
-    events = list(unique.values())
+    events = _per_comment(events)
     if events:
         months = [_month(e.ts) for e in events]
         span = range(min(months), max(months) + 1)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from threadwatch import features, learn, synthgen, temporal
+from threadwatch import cli, features, learn, synthgen, temporal
 from threadwatch.cli import main
 from threadwatch.corpus import build_threads
 from threadwatch.labeler import (Category, UrlObservation,
@@ -166,10 +166,10 @@ def test_criterion_4_classifier_ordering(bench_synth, bench_labels):
 
 def test_criterion_5_horizon_sweep(bench_synth, bench_labels):
     _, labels = bench_labels
-    is_target, _ = label_threads(bench_synth.corpus, labels)
+    dataset = learn.Dataset(*cli.featurize_stage(bench_synth.corpus, labels, None))
     results = dict(
         (h, m.f1) for h, m in learn.sweep_horizon(
-            bench_synth.corpus, is_target, algorithm="decision_tree", seed=42))
+            dataset, algorithm="decision_tree", seed=42))
     report(5, "horizon sweep",
            results[10] >= 0.8 and results[60] >= results[5],
            f"F1@10={results[10]:.3f} F1@5={results[5]:.3f} "

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 import threadwatch
-from threadwatch import accounts, cli, corpus, features, labeler, models, synthgen
+from threadwatch import accounts, cli, corpus, features, labeler, learn, models, synthgen
 from threadwatch.cli import main
 from threadwatch.synthgen import read_planted_jsonl
 
@@ -248,6 +248,56 @@ def test_operator_file_not_utf8_names_the_line(pipeline, tmp_path, monkeypatch, 
     assert err == (f"error: {files[bad]} line 2: 'utf-8' codec can't decode byte 0xff "
                    "in position 3: invalid start byte\n")
     assert out == ""
+    assert not os.path.exists(files["out"])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("piped, bad", [("blacklist", "blacklist"), ("labels", "labels"),
+                                        ("shortener-map", "shortener-hosts")])
+def test_pipe_not_utf8_exits_one(pipeline, tmp_path, piped, bad):
+    # a pipe cannot be read again to find the line of a byte that is not
+    # UTF-8, so that error names the pipe alone, and the fault of a file
+    # read beside a pipe is that file's own; the command runs in a child,
+    # so that one that waits for a second writer fails the test instead of
+    # hanging it
+    command, first = NOT_UTF8[bad]
+    fifo, bad_file = tmp_path / "piped.fifo", tmp_path / "bad.txt"
+    os.mkfifo(fifo)
+    files = {"blacklist": pipeline["blacklist"], "shortener-map": pipeline["map"],
+             "shortener-hosts": pipeline["hosts"], "labels": pipeline["labels"],
+             "out": str(tmp_path / "out"), bad: str(bad_file), piped: str(fifo)}
+    text = NOT_UTF8[piped][1]
+    if piped == bad:
+        text += b"bad\xff line\n"
+    else:
+        bad_file.write_bytes(first + b"bad\xff line\n")
+    argv = [command, "--corpus", pipeline["corpus"]]
+    for flag in FILE_FLAGS[command]:
+        argv += [f"--{flag}", files[flag]]
+
+    def writer():
+        try:
+            with open(fifo, "wb") as fh:  # waits for a reader
+                fh.write(text)
+        except BrokenPipeError:
+            pass  # the pipe was not read
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        done = subprocess.run([sys.executable, "-m", "threadwatch.cli", *argv],
+                              env=_child_env(), capture_output=True, text=True, timeout=30)
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a waiting writer
+        thread.join(10)
+    assert not thread.is_alive()
+    assert done.returncode == 1
+    assert done.stdout == ""
+    if piped == bad:
+        assert done.stderr.startswith(
+            f"error: {fifo}: 'utf-8' codec can't decode byte 0xff in position "), done.stderr
+    else:
+        assert done.stderr == (f"error: {bad_file} line 2: 'utf-8' codec can't decode "
+                               "byte 0xff in position 3: invalid start byte\n")
     assert not os.path.exists(files["out"])
 
 
@@ -678,6 +728,22 @@ class TestSweep:
         assert len(lines) - 1 == 12
         horizons = [int(l.split(",")[0]) for l in lines[1:]]
         assert horizons == list(range(5, 65, 5))
+
+    @pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+    def test_evaluates_the_table_featurize_writes(self, pipeline, tmp_path, algorithm):
+        # the rows of featurize's defaults, read back from its CSV, sweep as
+        # the command sweeps, and the command writes no table of its own
+        out = tmp_path / "sweep"
+        out.mkdir()
+        assert main(["sweep", "--corpus", pipeline["corpus"], "--labels", pipeline["labels"],
+                     "--algorithm", algorithm, "--seed", "7",
+                     "--out", str(out / "sweep.csv")]) == 0
+        assert os.listdir(out) == ["sweep.csv"]
+        _, rows, labels = features.read_feature_csv(pipeline["features"])
+        want = tmp_path / "want.csv"
+        learn.write_sweep_csv(learn.sweep_horizon(learn.Dataset(rows, labels),
+                                                  algorithm=algorithm, seed=7), str(want))
+        assert read(out / "sweep.csv") == read(want)
 
 
 class TestAnalyses:

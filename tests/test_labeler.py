@@ -855,6 +855,57 @@ def test_loader_loads_or_names_the_line_of_any_bytes(tmp_path, lines):
     assert len(blacklist.indexed()) == len(blacklist)
 
 
+# pieces of labels and shortener map lines: tabs, categories, line breaks
+# other than LF, schemes, an unclosed "[", characters NFKC maps to URL
+# delimiters, and bytes that are not UTF-8
+_LINE_PIECES = st.sampled_from([
+    b"\t", b"c1", b"c2", b"ads", b"PHISHING", b"Porn", b"spam", b"sh.io/a", b"evil.com",
+    b"http://", b"HTTPS://", b"http://x.com/1", b"[", b"http://[::1/", b" ", b"\r",
+    b"\x0c", "\x85\u2028\uff03\u2100".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"])
+_ANY_LINE = st.binary(max_size=12) | st.lists(_LINE_PIECES, max_size=8).map(b"".join)
+_WHERE = r" (line [1-9][0-9]*|lines [1-9][0-9]* and [1-9][0-9]*): "
+
+
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_ANY_LINE, max_size=8))
+def test_labels_reader_loads_or_names_the_line_of_any_bytes(tmp_path, lines):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        labels = labeler.read_labels(str(path))
+    except LabelError as exc:
+        assert re.match(re.escape(str(path)) + _WHERE, str(exc)), str(exc)
+        return
+    assert all(isinstance(lab, MaliciousLabel) for lab in labels)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_ANY_LINE, max_size=8), st.lists(_ANY_LINE, max_size=4))
+def test_shortener_loader_loads_or_names_the_line_of_any_bytes(tmp_path, map_lines,
+                                                               host_lines):
+    smap, hosts = tmp_path / "map.tsv", tmp_path / "hosts.txt"
+    smap.write_bytes(b"\n".join(map_lines))
+    hosts.write_bytes(b"\n".join(host_lines))
+    try:
+        table = ShortenerTable.load(str(smap), str(hosts))
+    except LabelError as exc:
+        # the hosts file is read first
+        named = smap if _is_utf8(hosts.read_bytes()) else hosts
+        assert re.match(re.escape(str(named)) + _WHERE, str(exc)), str(exc)
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in table.mapping.items())
+
+
 @pytest.mark.parametrize("line, message", [
     ("c2\tphishing", "line 2: bad row"),
     ("c2\tphishing\tevil.com\tx", "line 2: bad row"),

@@ -497,4 +497,13 @@ def test_sweep_matches_per_horizon_featurization(small_synth, small_labels):
             data = Dataset([row[len(features.MACRO_COLUMNS):]
                             for row in features.featurize_threads(threads, 5, horizon)], y)
             want.append((horizon, evaluate_split(data, ["decision_tree"], seed=3 + horizon)[0]))
-        assert learn.sweep_horizon(small_synth.corpus, is_target, seed=3) == want
+        dataset = Dataset(*cli.featurize_stage(small_synth.corpus, small_labels[1], None))
+        assert learn.sweep_horizon(dataset, seed=3) == want
+
+
+def test_sweep_rejects_rows_without_twelve_five_minute_counts(small_synth, small_labels):
+    # 10-minute windows up to 60 minutes give six counts, too few to slice
+    rows, targets = cli.featurize_stage(small_synth.corpus, small_labels[1], None,
+                                        window_minutes=10)
+    with pytest.raises(LearnError, match="needs at least 12 DAV columns, got 6"):
+        learn.sweep_horizon(Dataset(rows, targets))

@@ -1,11 +1,17 @@
+from collections import Counter
+from datetime import datetime, timezone
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadwatch.corpus import (Comment, Corpus, Page, Post, Region,
                                 build_threads)
 from threadwatch.labeler import Category, LabelError, MaliciousLabel
-from threadwatch.temporal import (attack_events, ecdf, inter_attack_intervals,
-                                  monthly_heatmap, page_gaps,
-                                  relative_positions, time_since_post)
+from threadwatch.temporal import (AttackEvent, attack_events, ecdf,
+                                  inter_attack_intervals, monthly_heatmap,
+                                  page_gaps, relative_positions,
+                                  time_since_post)
 
 T0 = 1_391_212_800  # 2014-02-01T00:00:00Z
 
@@ -205,3 +211,90 @@ def test_positions_in_unit_interval(small_synth, small_labels):
     for e in attack_events(small_synth.corpus, labels):
         assert 0.0 <= e.relative_position <= 1.0
         assert e.minutes_since_post >= 0.0
+
+
+# References: the gap and dedupe rules as page_gaps, inter_attack_intervals
+# and monthly_heatmap each once kept their own copy.
+
+def reference_page_gaps(events):
+    per_page = {}
+    seen = set()
+    for e in sorted(events, key=lambda e: (e.ts, e.comment_id)):
+        if (e.page_id, e.comment_id) in seen:
+            continue
+        seen.add((e.page_id, e.comment_id))
+        per_page.setdefault(e.page_id, []).append(e.ts)
+    return {pid: [(b - a) / 60.0 for a, b in zip(ts, ts[1:])]
+            for pid, ts in per_page.items()}
+
+
+def reference_intervals(events):
+    region = {e.page_id: e.region for e in events}
+    groups = {}
+    for page_id, gaps in reference_page_gaps(events).items():
+        if gaps:
+            groups.setdefault(f"region:{region[page_id]}", []).extend(gaps)
+            groups.setdefault("all", []).extend(gaps)
+    by_page_cat = {}
+    for e in events:
+        by_page_cat.setdefault((e.page_id, e.category), []).append(e)
+    for (_, category), evs in by_page_cat.items():
+        evs.sort(key=lambda e: (e.ts, e.comment_id))
+        for prev, cur in zip(evs, evs[1:]):
+            groups.setdefault(f"category:{category.value}", []).append(
+                (cur.ts - prev.ts) / 60.0)
+    return {name: ecdf(vals) for name, vals in sorted(groups.items())}
+
+
+def reference_heatmap_cells(events, corpus):
+    """Counts per (page name, YYYY-MM) of the first event of each (page,
+    comment)."""
+    unique = {}
+    for e in events:
+        unique.setdefault((e.page_id, e.comment_id), e)
+    cells = Counter()
+    for e in unique.values():
+        dt = datetime.fromtimestamp(e.ts, tz=timezone.utc)
+        cells[corpus.pages[e.page_id].name, f"{dt.year:04d}-{dt.month:02d}"] += 1
+    return cells
+
+
+# comment ids whose text order differs from their number order, and
+# offsets in minutes that tie, differ by seconds, and cross month ends
+_COMMENT_IDS = [f"c{i}" for i in (1, 2, 10, 11, 20)]
+_OFFSETS = [0, 0.5, 1, 5, 60 * 24 * 27, 60 * 24 * 29, 60 * 24 * 58]
+
+
+@st.composite
+def _events(draw):
+    """Attack events over up to three pages, the corpus that holds the
+    pages, in shuffled order: each comment has one page and one time, and
+    up to three labels, whose categories may repeat."""
+    regions = list(Region)
+    pages = {f"pg{i}": Page(f"pg{i}", f"Page {i}", draw(st.sampled_from(regions)))
+             for i in range(draw(st.integers(1, 3)))}
+    events = []
+    for cid in draw(st.lists(st.sampled_from(_COMMENT_IDS), unique=True)):
+        page = draw(st.sampled_from(sorted(pages)))
+        ts = T0 + int(draw(st.sampled_from(_OFFSETS)) * 60)
+        for category in draw(st.lists(st.sampled_from(list(Category)), min_size=1,
+                                      max_size=3)):
+            events.append(AttackEvent(cid, page, category, ts, 0.0, 0.0,
+                                      pages[page].region.value))
+    posts = {"p1": Post("p1", "pg0", "a", T0, 0, "post")}
+    return Corpus(pages=pages, posts=posts, comments={}), draw(st.permutations(events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events())
+def test_tables_match_the_references(corpus_and_events):
+    corpus, events = corpus_and_events
+    assert page_gaps(events) == reference_page_gaps(events)
+    assert inter_attack_intervals(events) == reference_intervals(events)
+    names, months, matrix = monthly_heatmap(events, corpus)
+    cells = {(name, month): n for name, row in zip(names, matrix)
+             for month, n in zip(months, row) if n}
+    want = reference_heatmap_cells(events, corpus)
+    assert cells == want
+    if want:
+        assert (months[0], months[-1]) == (min(m for _, m in want), max(m for _, m in want))
