@@ -236,8 +236,6 @@ def _run_all_subcommands(root, capsys):
     feats = os.path.join(root, "features.csv")
     assert main(["featurize", "--corpus", corpus, "--labels", labels,
                  "--out", feats]) == 0
-    assert main(["train", "--features", feats, "--algorithm", "decision_tree",
-                 "--out", os.path.join(root, "model.json")]) == 0
     assert main(["eval", "--features", feats, "--algorithm", "decision_tree",
                  "--seed", "0", "--out", os.path.join(root, "eval.csv")]) == 0
     assert main(["sweep", "--corpus", corpus, "--labels", labels,
