@@ -1,7 +1,7 @@
 """Command surface tying the pipeline together.
 
-Subcommands: synth, ingest, label, featurize, train, eval, sweep,
-temporal, accounts, report. Exit codes: 0 success, 1 validation error
+Subcommands: synth, ingest, label, featurize, eval, sweep, temporal,
+accounts, report. Exit codes: 0 success, 1 validation error
 (every module's error class is a ValueError), 2 I/O error or unreadable
 corpus; any other exception propagates with its traceback (the
 interpreter also exits 1). All randomness is seeded through flags/config, so reruns
@@ -197,6 +197,7 @@ def cmd_label(args) -> tuple[int, int]:
 
 def cmd_featurize(args) -> tuple[int, int]:
     from . import features
+    features.n_bins(args.window, args.t_final)
     labels = labeler.read_labels(args.labels)
     corpus = _ingest(args.corpus).corpus
     rows, _ = featurize_stage(corpus, labels, args.out,
@@ -205,25 +206,10 @@ def cmd_featurize(args) -> tuple[int, int]:
     return len(corpus.posts), len(rows)
 
 
-def _load_dataset(path: str):
-    """The learn.Dataset of a feature CSV."""
-    from . import features, learn
-    _, rows, labels = features.read_feature_csv(path)
-    return learn.Dataset(rows, labels)
-
-
-def cmd_train(args) -> tuple[int, int]:
-    from . import features, learn, models
-    dataset = _load_dataset(args.features)
-    stats = features.fit_minmax(dataset.X)
-    scaled = learn.Dataset(features.apply_minmax(dataset.X, stats), dataset.y)
-    models.save_model(learn.train(args.algorithm, scaled), args.out,
-                      scaling=stats.tolist())
-    return len(dataset.y), 1
-
-
 def cmd_eval(args) -> tuple[int, int]:
-    dataset = _load_dataset(args.features)
+    from . import features, learn
+    _, rows, labels = features.read_feature_csv(args.features)
+    dataset = learn.Dataset(rows, labels)
     [metrics] = metrics_stage(dataset, [args.algorithm], args.out,
                               train_frac=args.train_frac,
                               balance=args.smote == "on", seed=args.seed)
@@ -327,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=int, default=60, help="horizon in minutes")
     p.add_argument("--macro-mode", choices=["full", "censored"], default="full",
                    help="macro statistics over the whole thread or up to --t-final")
-
-    p = command("train", "train a classifier and save it as JSON", cmd_train,
-                "features", "out")
-    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
 
     p = command("eval", "75/25 split evaluation", cmd_eval, "features", seed=0)
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)

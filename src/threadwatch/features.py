@@ -26,9 +26,9 @@ class FeatureConfigError(ValueError):
     pass
 
 
-def _n_bins(window_minutes: int, t_final_minutes: int) -> int:
+def n_bins(window_minutes: int, t_final_minutes: int) -> int:
     """The number of DAV bins of a window width and a horizon, both
-    checked."""
+    checked. A command checks them before it reads any file."""
     if window_minutes <= 0 or t_final_minutes <= 0:
         raise FeatureConfigError("window and t_final must be positive")
     if t_final_minutes % window_minutes:
@@ -99,10 +99,10 @@ def featurize_threads(threads: list[PostThread], window_minutes: int = 5,
     """
     if macro_mode not in ("full", "censored"):
         raise FeatureConfigError(f"unknown macro mode {macro_mode!r}")
-    n_bins = _n_bins(window_minutes, t_final_minutes)
+    bins = n_bins(window_minutes, t_final_minutes)
     window_s, final_s = window_minutes * 60, t_final_minutes * 60
     censored = macro_mode == "censored"
-    return [_row(thread, window_s, final_s, n_bins, censored) for thread in threads]
+    return [_row(thread, window_s, final_s, bins, censored) for thread in threads]
 
 
 def write_feature_csv(post_ids: list[str], rows: list[list[float]],

@@ -57,6 +57,10 @@ _TRAILING_JUNK = ".,;:!?)\"'’”]}>"
 
 _SCHEME_RE = re.compile(r"(?i)https?://")
 
+# the unknown comment ids one error lists; a labels file run against the
+# wrong corpus can name hundreds
+_UNKNOWN_SHOWN = 10
+
 class Category(str, Enum):
     ADS = "Ads"
     MALWARE = "Malware"
@@ -472,13 +476,16 @@ def _matching_tokens(tokens: Iterable[str], table: ShortenerTable,
 
 def labelled_comments(corpus: Corpus, labels: list[MaliciousLabel]) -> dict[str, Comment]:
     """The comment of each label, by comment id, in label order. Labels
-    that name comments the corpus lacks raise one LabelError listing
-    every such id; each stage that reads labels checks them here."""
+    that name comments the corpus lacks raise one LabelError listing the
+    first ten such ids in sorted order, and how many more there are; each
+    stage that reads labels checks them here."""
     comments = corpus.comments
     unknown = sorted({lab.comment_id for lab in labels
                       if lab.comment_id not in comments})
     if unknown:
-        raise LabelError(f"labels reference unknown comments: {unknown}")
+        more = len(unknown) - _UNKNOWN_SHOWN
+        raise LabelError(f"labels reference unknown comments: {unknown[:_UNKNOWN_SHOWN]}"
+                         + (f" and {more} more" if more > 0 else ""))
     return {lab.comment_id: comments[lab.comment_id] for lab in labels}
 
 

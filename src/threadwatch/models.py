@@ -1,8 +1,7 @@
 """Three from-scratch classifiers sharing one contract: Gaussian naive
 Bayes, a CART-style decision tree, and AdaBoost over depth-1 stumps.
-Each has ``fit``, ``predict_scores``, which rejects rows of any width
-but the training width, and ``to_dict``, the JSON that ``save_model``
-writes.
+Each has ``fit`` and ``predict_scores``, which rejects rows of any
+width but the training width.
 
 Both tree learners sort each feature column once per fit, as in SLIQ
 (Mehta, Agrawal & Rissanen, EDBT 1996): AdaBoost reuses the orders in
@@ -12,12 +11,9 @@ rows, which keeps them the stable sort of that node's column.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
-
-from .corpus import write_lines
 
 VARIANCE_FLOOR = 1e-9
 
@@ -50,8 +46,6 @@ def _rows(X, width: int) -> np.ndarray:
 class GaussianNaiveBayes:
     """Per-class, per-dimension Gaussian likelihoods with class priors."""
 
-    variant = "gaussian_naive_bayes"
-
     def __init__(self):
         self.means = None       # (2, d)
         self.variances = None   # (2, d), floored
@@ -80,12 +74,6 @@ class GaussianNaiveBayes:
         lj -= lj.max(axis=1, keepdims=True)
         p = np.exp(lj)
         return p[:, 1] / p.sum(axis=1)
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant,
-                "means": self.means.tolist(),
-                "variances": self.variances.tolist(),
-                "priors": self.priors.tolist()}
 
 
 def _gini(neg, pos, n):
@@ -129,9 +117,7 @@ class DecisionTree:
     split reduces the weighted impurity. Equal gains resolve to the
     lowest dimension, then the lowest threshold."""
 
-    variant = "decision_tree"
     max_depth = 20
-    min_leaf = 1  # written to the model JSON; every cut leaves a row on each side
 
     def __init__(self):
         self.root = None
@@ -171,7 +157,7 @@ class DecisionTree:
         if 0 < n_pos < n and depth < self.max_depth:
             split = self._best_split(X, y, orders, n_pos)
         if split is None:
-            return {"leaf": True, "cls": purity_pos >= 0.5, "score": purity_pos}
+            return {"leaf": True, "score": purity_pos}
         _, dim, thr = split
         go_left = X[:, dim] <= thr
         return {
@@ -190,10 +176,6 @@ class DecisionTree:
         """Positive-class fraction of the reached leaf."""
         return np.array([self._leaf(x)["score"] for x in _rows(X, self.n_features)])
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "max_depth": self.max_depth,
-                "min_leaf": self.min_leaf, "root": self.root}
-
 
 class AdaBoost:
     """Boosted depth-1 stumps with exponential reweighting.
@@ -201,7 +183,6 @@ class AdaBoost:
     Stops early when the best stump's weighted error reaches 0.5 or
     hits 0 (the perfect stump is kept)."""
 
-    variant = "adaboost"
     n_rounds = 50
 
     def __init__(self):
@@ -275,21 +256,9 @@ class AdaBoost:
         total = sum(self.alphas)
         return (margin + total) / (2 * total)
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "n_rounds": self.n_rounds,
-                "stumps": [list(s) for s in self.stumps],
-                "alphas": self.alphas}
-
 
 ALGORITHMS = {
     "naive_bayes": GaussianNaiveBayes,
     "decision_tree": DecisionTree,
     "adaboost": AdaBoost,
 }
-
-
-def save_model(model, path: str, scaling: list) -> None:
-    """Write the model's JSON with the min-max scaling of its training
-    features under ``scaling``."""
-    write_lines(path, [json.dumps({**model.to_dict(), "scaling": scaling},
-                                  indent=2, sort_keys=True)])

@@ -3,11 +3,14 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import threadwatch
 from threadwatch import accounts, cli, corpus, features, labeler, learn, models, synthgen
@@ -649,14 +652,23 @@ class TestFeaturize:
         assert labels == [is_target[post_id] for post_id in ids] and any(labels)
 
 
-class TestTrainEval:
-    def test_train_writes_model_with_scaling(self, pipeline, tmp_path):
-        out = str(tmp_path / "model.json")
-        assert main(["train", "--features", pipeline["features"],
-                     "--algorithm", "decision_tree", "--out", out]) == 0
-        doc = json.loads(read(out))
-        assert "scaling" in doc
+    @pytest.mark.parametrize("window, t_final, message", [
+        ("7", "60", "window 7 does not divide t_final 60"),
+        ("0", "60", "window and t_final must be positive"),
+        ("5", "-5", "window and t_final must be positive"),
+    ])
+    def test_bad_window_exit_one_before_any_read(self, tmp_path, capsys, window, t_final,
+                                                 message):
+        # neither file exists, so reading either would exit 2
+        out = tmp_path / "features.csv"
+        assert main(["featurize", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--labels", str(tmp_path / "labels.tsv"), "--out", str(out),
+                     "--window", window, "--t-final", t_final]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
+
+class TestTrainEval:
     def test_eval_prints_metrics(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "metrics.csv")
         assert main(["eval", "--features", pipeline["features"],
@@ -701,7 +713,7 @@ class TestTrainEval:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exit_one(self, pipeline, tmp_path, capsys, command, value):
         lines = read(pipeline["features"]).decode().splitlines()
@@ -909,6 +921,29 @@ class TestConfigFile:
                      "--shortener-map", pipeline["map"],
                      "--shortener-hosts", pipeline["hosts"], "--out", out]) == 0
         assert "report ok: 120 in" in capsys.readouterr().out
+
+
+# pieces of config lines: keys, "=", comments, spaces, a NUL, line breaks
+# other than LF, a byte order mark, and bytes that are not UTF-8
+_CONFIG_PIECES = st.sampled_from([
+    b"seed", b"t-final", b"=", b" = ", b"3", b"#", b" ", b"\t", b"\r", b"\x0c", b"\x00",
+    "\u2028\ufeff".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"])
+_ANY_CONFIG_LINE = (st.binary(max_size=12)
+                    | st.lists(_CONFIG_PIECES, max_size=8).map(b"".join))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_ANY_CONFIG_LINE, max_size=8))
+def test_config_reader_loads_or_names_the_line_of_any_bytes(tmp_path, lines):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        config = cli._load_config(str(path))
+    except ValueError as exc:
+        assert re.match(re.escape(str(path)) + r" line [1-9][0-9]*: ", str(exc)), str(exc)
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in config.items())
 
 
 class TestDeterminism:

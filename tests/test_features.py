@@ -1,7 +1,11 @@
+import math
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from threadwatch.corpus import Comment, Post, PostThread, rel_seconds
 from threadwatch.features import (MACRO_COLUMNS, FeatureConfigError,
@@ -321,3 +325,33 @@ class TestReadFeatureCsv:
         with pytest.raises(FeatureConfigError) as err:
             read_feature_csv(str(path))
         assert str(err.value) == f"no feature rows in {path}"
+
+
+# pieces of feature CSV lines: the header's names, separators, quotes,
+# numbers read as non-finite, line breaks other than LF, a NUL, and bytes
+# that are not UTF-8
+_CSV_PIECES = st.sampled_from([
+    b"post_id,is_target", b",span_days", b",dav_1", b"p1", b",", b"0", b"1", b"2.5",
+    b"1e999", b"nan", b"-inf", b"abc", b" ", b'"', b'""', b"\r", b"\x00", b"\xff",
+    b"\xc3", "\u2028".encode()])
+_ANY_CSV_LINE = st.binary(max_size=12) | st.lists(_CSV_PIECES, max_size=8).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.just(b"post_id,is_target,span_days") | _ANY_CSV_LINE,
+       st.lists(_ANY_CSV_LINE, max_size=6))
+def test_reader_loads_or_names_the_line_of_any_bytes(tmp_path, header, lines):
+    path = tmp_path / "features.csv"
+    path.write_bytes(b"\n".join([header, *lines]))
+    try:
+        ids, rows, labels = read_feature_csv(str(path))
+    except FeatureConfigError as exc:
+        # two faults are the whole file's, every other one a line's
+        assert (str(exc) in (f"unexpected feature CSV header in {path}",
+                             f"no feature rows in {path}")
+                or re.match(re.escape(str(path)) + r" line [1-9][0-9]*: ", str(exc))), \
+            str(exc)
+        return
+    assert len(ids) == len(rows) == len(labels) > 0
+    assert all(math.isfinite(v) for row in rows for v in row)

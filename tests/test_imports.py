@@ -1,7 +1,8 @@
 """Every name a threadwatch module or test module imports is referenced
 in that module, no threadwatch module imports a private name of another,
-every public name a threadwatch module defines and every
-record field is used by the program or its benchmark, not only by tests,
+every public name a threadwatch module defines, every
+record field and every class attribute is used by the program or its
+benchmark, not only by tests,
 every generator setting is set by some caller, every third-party
 module the program imports is a declared dependency, and only the
 corpus module's two writers open a file to write."""
@@ -202,6 +203,57 @@ def test_no_unread_fields():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_fields(texts, others) == sorted(UNREAD_FIELDS)
+
+
+def _is_enum(node: ast.ClassDef) -> bool:
+    """A class with a base named ``Enum`` or ``...Enum`` (``IntEnum``,
+    ``enum.Enum``)."""
+    return any(getattr(b, "id", getattr(b, "attr", "")).endswith("Enum")
+               for b in node.bases)
+
+
+def unread_class_attributes(sources: list[str], others: list[str]) -> list[str]:
+    """Public names assigned in the body of a class defined in sources,
+    Enum members and dunders aside, that no code in sources or others
+    reads as an attribute. Goes by name, as ``unread_fields`` does."""
+    trees = [ast.parse(text) for text in [*sources, *others]]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assigned = set()
+    for tree in trees[:len(sources)]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or _is_enum(node):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                    targets = [stmt.target]
+                else:
+                    continue
+                assigned.update(n.id for target in targets for n in ast.walk(target)
+                                if isinstance(n, ast.Name) and not n.id.startswith("_"))
+    return sorted(assigned - read)
+
+
+def test_scan_finds_unread_class_attributes():
+    source = ("import enum\nfrom enum import Enum\n"
+              "class Color(str, Enum):\n    RED = 'red'\n"
+              "class Size(enum.IntEnum):\n    BIG = 2\n"
+              "class Model:\n    __slots__ = ()\n    _cache = {}\n"
+              "    variant = 'tree'\n    max_depth = 20\n    min_leaf: int = 1\n"
+              "    width: int\n    lo = hi = 0\n"
+              "    def fit(self):\n        return self.max_depth\n"
+              "def f(m):\n    m.variant = 'x'\n")
+    assert unread_class_attributes([source], []) == ["hi", "lo", "min_leaf", "variant"]
+    assert unread_class_attributes([source], ["print(x.min_leaf, x.lo)"]) == \
+        ["hi", "variant"]
+
+
+def test_no_unread_class_attributes():
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    others = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_class_attributes(texts, others) == []
 
 
 CONFIG_CALLS = {"GeneratorConfig", "profile_config", "replace"}

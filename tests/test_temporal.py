@@ -69,6 +69,18 @@ def test_unknown_label_is_the_labeler_error():
     assert str(err.value) == "labels reference unknown comments: ['ghost1', 'ghost2']"
 
 
+def test_unknown_labels_beyond_ten_are_counted():
+    ghosts = [f"ghost{i:02d}" for i in range(12)]
+    corpus, labels = build_corpus([0, 1], ["c0", *reversed(ghosts), "c1"])
+    with pytest.raises(LabelError) as err:
+        attack_events(corpus, labels)
+    assert str(err.value) == f"labels reference unknown comments: {ghosts[:10]} and 2 more"
+    corpus, labels = build_corpus([0], ghosts[:10])
+    with pytest.raises(LabelError) as err:
+        attack_events(corpus, labels)
+    assert str(err.value) == f"labels reference unknown comments: {ghosts[:10]}"
+
+
 class TestRelativePositions:
     def test_positions_match_full_rank_table(self, small_synth, small_labels):
         # twelve comments on three timestamps: ties break by comment id,
