@@ -68,6 +68,16 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str],
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """A negative --seed, or an eval --train-frac outside (0, 1), raises
+    ValueError before the command reads or writes any file."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 < getattr(args, "train_frac", 0.5) < 1:
+        raise ValueError("train_frac must be in (0,1)")
+
+
 def _say(line: str) -> None:
     """Print a line to stdout. Once its reader has left, stdout is pointed
     at devnull, so this and every later write, the flush at exit too,
@@ -351,6 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_with_config(parser, argv, args))
+        _check_options(args)
         started = time.perf_counter()
         n_in, n_out = args.func(args)
         _say(f"{args.subcommand} ok: {n_in} in, {n_out} out, "

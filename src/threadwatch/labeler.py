@@ -13,23 +13,25 @@ lowercased and the path kept as written, since scheme and host are
 case-insensitive and the path is not (RFC 3986 §6.2.2.1).
 
 Blacklist keys containing "/" are full-URL keys; keys without "/" are
-domain keys. A comment gets one label per category it matches; the
-label's matched key is the smallest matching domain key, or, when no
-domain key matches, the smallest matching full-URL key.
+domain keys. One rule (``_matches``) says which keys a URL matches: a
+domain key matches its registrable domain, so a key below a registrable
+domain matches nothing, and a full-URL key its ``url_key``. A comment
+gets one label per category it matches; the label's matched key is the
+smallest matching domain key, or, when no domain key matches, the
+smallest matching full-URL key.
 
 A blacklist is read twice, each time in one loop. ``load_blacklist``
 checks and counts every line before the corpus is read, and indexes
 nothing. ``label_comments`` then resolves each distinct raw URL token of
-the corpus once, keeping only the ``url_key`` and the domain of its URL,
-and reads the file again to index only the keys those can match. A
-blacklist is far larger than the part of it one corpus reaches, so the
-join's hash table is built on its small side (Shapiro, ACM TODS 11(3),
-1986). The second read must find the same file (device, inode, size and
-modification time) with the same number of entries; a file that cannot
-be read twice, such as a pipe, is indexed whole at the first read. Each token is checked against that index once;
-only the few that match are resolved again and make observations, one at
-a time, and the join sees no other.
-``collect_observations`` keeps every observation, in thread order.
+the corpus once, and reads the file again to index only the keys those
+URLs can match. A blacklist is far larger than the part of it one corpus
+reaches, so the join's hash table is built on its small side (Shapiro,
+ACM TODS 11(3), 1986). The second read must find the same file (device,
+inode, size and modification time) with the same number of entries; a
+file that cannot be read twice, such as a pipe, is indexed whole at the
+first read. Only the tokens whose URLs match a key make observations,
+and the join sees no other. ``collect_observations`` resolves tokens by
+the same loop and keeps every observation, in thread order.
 """
 
 from __future__ import annotations
@@ -284,21 +286,23 @@ def _resolve(token: str, table: ShortenerTable) -> tuple[str, str, bool] | None:
     return resolved, registrable_domain(resolved), flagged
 
 
+def _resolved(token_tuples: Iterable[tuple[str, ...]],
+              table: ShortenerTable) -> dict[str, tuple[str, str, bool]]:
+    """The (resolved URL, domain, flagged) of each usable token, each resolved once."""
+    tokens = set(chain.from_iterable(token_tuples))
+    return {token: hit for token in tokens if (hit := _resolve(token, table)) is not None}
+
+
 def _observations(comments: Iterable[Comment], hits: dict[str, tuple[str, str, bool]]):
     """One observation per (comment, URL token in hits) pair, yielded in
     the order of the comments given, each comment's in token order; hits
     maps a token to the (resolved URL, domain, flagged) of its URL."""
-    new = tuple.__new__
-    get = hits.get
-    for comment in comments:
-        if not comment.url_tokens:
-            continue
-        cid, _, author, _, _, tokens = comment
-        for token in tokens:
-            hit = get(token)
+    for c in comments:
+        for token in c.url_tokens:
+            hit = hits.get(token)
             if hit is not None:
-                resolved, domain, flagged = hit
-                yield new(UrlObservation, (resolved, domain, cid, author, flagged))
+                url, domain, flagged = hit
+                yield UrlObservation(url, domain, c.comment_id, c.author_id, flagged)
 
 
 # a Comment's url_tokens, by field position
@@ -312,11 +316,7 @@ def collect_observations(corpus: Corpus, table: ShortenerTable) -> list[UrlObser
     resolved once. The campaign stage reads these for the labelled
     comments; labelling itself keeps no observation (``label_comments``).
     """
-    hits = {}
-    for token in set(chain.from_iterable(map(_URL_TOKENS, corpus.comments.values()))):
-        hit = _resolve(token, table)
-        if hit is not None:
-            hits[token] = hit
+    hits = _resolved(map(_URL_TOKENS, corpus.comments.values()), table)
     comments = (c for thread in build_threads(corpus) for c in thread.comments)
     return list(_observations(comments, hits))
 
@@ -392,40 +392,35 @@ def _read_blacklist(lines: Iterable[str], path: str,
     return Blacklist(domains, urls, n)
 
 
+def _matches(index: Blacklist, url: str, domain: str
+             ) -> list[tuple[Category, tuple[bool, str]]]:
+    """The (category, rank) of each key of the index that a URL with this
+    domain matches: a domain key matches the domain, a full-URL key the
+    URL's ``url_key``. The rank (is_url, key) orders domain keys first,
+    then by key."""
+    key = url_key(url)
+    return ([(c, (False, domain)) for c in index.domains.get(domain, ())]
+            + [(c, (True, key)) for c in index.urls.get(key, ())])
+
+
 def join_blacklist(observations: Iterable[UrlObservation],
                    blacklist: Blacklist | BlacklistFile) -> list[MaliciousLabel]:
-    """Match observations against the blacklist by keyed lookup.
-
-    An observation matches when the ``url_key`` of its URL equals a
-    full-URL key or its domain equals a domain key. Output has one
-    label per (comment_id, category), sorted; its matched key is the
-    smallest matching domain key, else the smallest matching full-URL
-    key. The observations may be any iterable, read once, in any order;
-    the keys of each distinct (url, domain) pair are looked up once. A
-    blacklist file is indexed whole.
+    """Match observations against the blacklist by keyed lookup: a domain
+    key matches an observation's domain, a full-URL key its URL's
+    ``url_key`` (``_matches``). Output has one label per (comment_id,
+    category), sorted; its matched key is the smallest matching domain
+    key, else the smallest matching full-URL key. The observations may be
+    any iterable, read once, in any order; each is looked up on its own,
+    with no memo. A blacklist file is indexed whole.
     """
     index = blacklist.indexed()
-    domain_index, url_index = index.domains, index.urls
-
-    # (is_url, key) orders domain keys first, then by key
     found: dict[tuple[str, Category], tuple[bool, str]] = {}
-    # (url, domain) -> the (category, rank) pairs it matches
-    matches: dict[tuple[str, str], list[tuple[Category, tuple[bool, str]]]] = {}
     for url, domain, cid, _, _ in observations:
-        hits = matches.get((url, domain))
-        if hits is None:
-            key = url_key(url)
-            hits = [(c, (False, domain)) for c in domain_index.get(domain, ())]
-            hits += [(c, (True, key)) for c in url_index.get(key, ())]
-            matches[url, domain] = hits
-        for category, rank in hits:
-            k = (cid, category)
-            best = found.get(k)
-            if best is None or rank < best:
-                found[k] = rank
-
-    labels = [MaliciousLabel(cid, cat, key)
-              for (cid, cat), (_, key) in found.items()]
+        for category, rank in _matches(index, url, domain):
+            best = found.setdefault((cid, category), rank)
+            if rank < best:
+                found[cid, category] = rank
+    labels = [MaliciousLabel(cid, cat, key) for (cid, cat), (_, key) in found.items()]
     labels.sort(key=lambda lab: (lab.comment_id, lab.category.value))
     return labels
 
@@ -437,41 +432,21 @@ def label_comments(comments: Collection[Comment], table: ShortenerTable,
     Equal, for the comments of a corpus in any order, to ``join_blacklist``
     over ``collect_observations`` of that corpus.
 
-    No Python loop runs over every comment. Those that hold a URL token
-    are picked out once, and their distinct token tuples are few: ingest
-    shares equal tuples, and campaigns repeat their links. The tokens that
-    match a key (``_matching_tokens``) are resolved again, so only their
-    hits are ever kept, and only the comments holding one make
-    observations.
+    Each distinct URL token is resolved once; the keys its URL can reach
+    are indexed, and only the tokens that match one are kept. The comments
+    holding a token are picked out once, and their distinct token tuples
+    are few (ingest shares equal tuples), so no Python loop runs over every
+    comment; only those holding a matching token make observations.
     """
     linked = list(filter(_URL_TOKENS, comments))  # the comments holding a token
     token_tuples = set(map(_URL_TOKENS, linked))
-    matching, index = _matching_tokens(set(chain.from_iterable(token_tuples)), table,
-                                       blacklist)
-    hits = {token: _resolve(token, table) for token in matching}
-    hit_tuples = {tokens for tokens in token_tuples if not matching.isdisjoint(tokens)}
+    hits = _resolved(token_tuples, table)
+    index = blacklist.indexed({key for url, domain, _ in hits.values()
+                               for key in (url_key(url), domain)})
+    hits = {token: hit for token, hit in hits.items() if _matches(index, hit[0], hit[1])}
+    hit_tuples = {tokens for tokens in token_tuples if not hits.keys().isdisjoint(tokens)}
     hit_comments = compress(linked, map(hit_tuples.__contains__, map(_URL_TOKENS, linked)))
     return join_blacklist(_observations(hit_comments, hits), index)
-
-
-def _matching_tokens(tokens: Iterable[str], table: ShortenerTable,
-                     blacklist: Blacklist | BlacklistFile) -> tuple[set[str], Blacklist]:
-    """The distinct URL tokens whose URLs match a key, and the join's index
-    of the blacklist's keys those URLs can reach. Each token is resolved
-    once, and only the ``url_key`` and the domain of its URL are kept; each
-    is checked against that index once."""
-    url_keys: dict[str, str] = {}  # each token that normalizes -> its URL's url_key
-    by_domain: dict[str, list[str]] = {}  # each domain of those URLs -> its tokens
-    for token in tokens:
-        hit = _resolve(token, table)
-        if hit is not None:
-            url_keys[token] = url_key(hit[0])
-            by_domain.setdefault(hit[1], []).append(token)
-    index = blacklist.indexed({*url_keys.values(), *by_domain})
-    matching = {token for token, key in url_keys.items() if key in index.urls}
-    for domain in by_domain.keys() & index.domains.keys():
-        matching.update(by_domain[domain])
-    return matching, index
 
 
 def labelled_comments(corpus: Corpus, labels: list[MaliciousLabel]) -> dict[str, Comment]:

@@ -668,6 +668,37 @@ class TestFeaturize:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["report", "--seed", "-1", "--blacklist", "bl.tsv", "--shortener-map", "map.tsv",
+      "--shortener-hosts", "hosts.txt"], "seed must be >= 0, got -1"),
+    (["sweep", "--seed", "-3", "--labels", "labels.tsv"], "seed must be >= 0, got -3"),
+    (["sweep", "--seed", "-10", "--labels", "labels.tsv"], "seed must be >= 0, got -10"),
+    (["accounts", "--seed", "-1", "--labels", "labels.tsv", "--shortener-map", "map.tsv",
+      "--shortener-hosts", "hosts.txt"], "seed must be >= 0, got -1"),
+    (["eval", "--features", "nope.csv", "--algorithm", "decision_tree", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["eval", "--features", "nope.csv", "--algorithm", "decision_tree",
+      "--train-frac", "1.5"], "train_frac must be in (0,1)"),
+    (["eval", "--features", "nope.csv", "--algorithm", "decision_tree",
+      "--train-frac", "0"], "train_frac must be in (0,1)"),
+    (["eval", "--features", "nope.csv", "--algorithm", "decision_tree",
+      "--train-frac", "nan"], "train_frac must be in (0,1)"),
+], ids=["synth", "report", "sweep-3", "sweep-10", "accounts", "eval-seed", "eval-frac-1.5",
+        "eval-frac-0", "eval-frac-nan"])
+def test_bad_seed_or_train_frac_exit_one_before_any_read(tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+    # no input file exists, so reading one would exit 2
+    monkeypatch.chdir(tmp_path)
+    command, flags = argv[0], argv[1:]
+    if command not in ("synth", "eval"):
+        flags += ["--corpus", "corpus.jsonl"]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 class TestTrainEval:
     def test_eval_prints_metrics(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "metrics.csv")

@@ -4,8 +4,10 @@ every public name a threadwatch module defines, every
 record field and every class attribute is used by the program or its
 benchmark, not only by tests,
 every generator setting is set by some caller, every third-party
-module the program imports is a declared dependency, and only the
-corpus module's two writers open a file to write."""
+module the program imports is a declared dependency, only the
+corpus module's two writers open a file to write, only the labeler's
+match rule reads a blacklist index's keys, and every module parses at
+the oldest Python version the project declares."""
 
 import ast
 import pathlib
@@ -36,6 +38,9 @@ UNREAD_FIELDS = {
 MODULES = ([pytest.param(p, id=p.name) for p in SOURCES]
            + [pytest.param(p, id=f"tests/{p.name}") for p in
               sorted(pathlib.Path(__file__).parent.glob("*.py"))])
+
+# the one function that reads a blacklist index's keys: the join's match rule
+MATCH_RULE = "_matches"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,6 +122,34 @@ def test_scan_finds_file_writes():
                                   if p.name != "corpus.py"])
 def test_only_the_corpus_writers_open_files_to_write(path):
     assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def index_reads(source: str) -> list[int]:
+    """The lines that read a ``domains`` or ``urls`` attribute outside a
+    function named MATCH_RULE."""
+    tree = ast.parse(source)
+    rule = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == MATCH_RULE for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in ("domains", "urls")
+                  and isinstance(n.ctx, ast.Load) and id(n) not in rule)
+
+
+def test_scan_finds_index_reads():
+    source = ("class Blacklist:\n    def __init__(self, domains, urls):\n"
+              "        self.domains = domains\n        self.urls = urls\n"
+              f"def {MATCH_RULE}(index, url, domain):\n"
+              "    return index.domains.get(domain), index.urls.get(url)\n"
+              "def join(index, domain):\n    return domain in index.domains\n"
+              "def keys(index):\n    return list(index.urls)\n")
+    assert index_reads(source) == [8, 10]
+
+
+def test_only_the_match_rule_reads_the_index():
+    assert {p.name: index_reads(p.read_text(encoding="utf-8"))
+            for p in SOURCES} == {p.name: [] for p in SOURCES}
+    labeler = next(p for p in SOURCES if p.name == "labeler.py").read_text(encoding="utf-8")
+    assert f"def {MATCH_RULE}(" in labeler
 
 
 def _names(node: ast.AST) -> Counter:
@@ -325,3 +358,27 @@ def test_scan_finds_undeclared_imports():
 def test_program_imports_only_declared_dependencies():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     assert undeclared_imports(texts, PYPROJECT.read_text(encoding="utf-8")) == []
+
+
+def python_floor(pyproject: str) -> tuple[int, int]:
+    """The (major, minor) of the ``>=`` bound in pyproject's
+    ``requires-python``."""
+    tomllib = pytest.importorskip("tomllib")
+    spec = tomllib.loads(pyproject)["project"]["requires-python"]
+    major, minor = re.search(r">=\s*(\d+)\.(\d+)", spec).groups()
+    return int(major), int(minor)
+
+
+def test_scan_rejects_syntax_newer_than_the_floor():
+    assert python_floor('[project]\nrequires-python = ">= 3.10"\n') == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11 syntax
+    ast.parse(newer, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES + [pytest.param(p, id=f"perfbench/{p.name}")
+                                            for p in PERFBENCH])
+def test_parses_at_the_python_floor(path):
+    floor = python_floor(PYPROJECT.read_text(encoding="utf-8"))
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
-from threadwatch import cli, labeler, synthgen
+from threadwatch import accounts, cli, labeler, synthgen
 from threadwatch.corpus import (Comment, Corpus, Page, Post, Region, build_threads,
                                 url_tokens)
 from threadwatch.labeler import (MAX_EXPANSION_HOPS, Category, LabelError,
@@ -374,6 +374,22 @@ class TestCollectMatchesReference:
         assert [o.comment_id for o in observations] == ["c0", "c1", "c2", "c3"]
 
 
+def reference_clusters(labels, observations):
+    """Campaign clusters by the join's rule: each label takes the smallest
+    (domain, url) among its comment's observations that match its key, a
+    domain key by domain and a full-URL key by ``url_key``."""
+    hits = {}  # url -> comment_id -> account
+    for lab in labels:
+        key = lab.matched_key
+        _, url, account = min((o.domain, o.url, o.account_id) for o in observations
+                              if o.comment_id == lab.comment_id
+                              and (url_key(o.url) if "/" in key else o.domain) == key)
+        hits.setdefault(url, {})[lab.comment_id] = account
+    clusters = [accounts.CampaignCluster(url, len(comments), frozenset(comments.values()))
+                for url, comments in hits.items()]
+    return sorted(clusters, key=lambda c: (-c.occurrences, c.url))
+
+
 def _shuffled(corpus, rng):
     """The corpus with its comments dict rebuilt in a shuffled order."""
     comments = list(corpus.comments.items())
@@ -419,23 +435,31 @@ class TestLabelStageMatchesCollectedJoin:
             labelled += bool(self._check(corpus, table, blacklist, tmp_path, rng))
         assert labelled > 50
 
-    def test_join_looks_each_distinct_pair_up_once(self, bench_synth, bench_labels,
-                                                   monkeypatch):
+    def test_random_corpora_cluster_by_the_join_rule(self):
+        rng = random.Random(2026)
+        categories = list(Category)
+        clustered = 0
+        for trial in range(200):
+            (corpus, _), table = _random_corpus(rng), _random_table(rng)
+            collected = collect_observations(corpus, table)
+            keys = ["d.com"] + [key for o in collected for key in (o.domain, url_key(o.url))]
+            blacklist = read_blacklist((rng.choice(keys), rng.choice(categories))
+                                       for _ in range(rng.randint(0, 6)))
+            labels = join_blacklist(collected, blacklist)
+            rng.shuffle(collected)
+            clusters = accounts.cluster_campaigns(labels, collected)
+            assert clusters == reference_clusters(labels, collected), f"trial {trial}"
+            clustered += bool(clusters)
+        assert clustered > 50
+
+    def test_join_reads_shuffled_observations_once(self, bench_synth, bench_labels):
         observations, labels = bench_labels
         shuffled = list(observations)
         random.Random(9).shuffle(shuffled)
         index = read_blacklist(bench_synth.blacklist)
-        calls = []
-        key = labeler.url_key
-        monkeypatch.setattr(labeler, "url_key",
-                            lambda url: calls.append(url) or key(url))
         assert join_blacklist(iter(shuffled), index) == labels
-        pairs = {(o.url, o.domain) for o in observations}
-        assert len(pairs) < len(observations)
-        assert sorted(calls) == sorted(url for url, _ in pairs)
 
-    def test_label_resolves_only_matches_twice(
-            self, bench_synth, monkeypatch):
+    def test_label_resolves_each_distinct_token_once(self, bench_synth, monkeypatch):
         corpus = bench_synth.corpus
         table = shortener_table(set(bench_synth.shortener_hosts), bench_synth.shortener_map)
         index = read_blacklist(bench_synth.blacklist)
@@ -459,12 +483,7 @@ class TestLabelStageMatchesCollectedJoin:
         labels = label_comments(corpus.comments.values(), table, index)
         tokens = [t for c in corpus.comments.values() for t in c.url_tokens]
         assert len(set(tokens)) < len(tokens)
-        # every distinct token once; one whose URL matches a key once more,
-        # for the hit that only a matching token keeps
-        matched = {t for t in set(tokens)
-                   if (h := resolve(t, table)) is not None and hit[h[0], h[1]]}
-        assert 0 < len(matched) < len(set(tokens))
-        assert sorted(resolved) == sorted([*set(tokens), *matched])
+        assert sorted(resolved) == sorted(set(tokens))
         assert 0 < len(matching) < len(collected)
         assert sorted(joined) == sorted(matching)
         assert labels == join(collected, index)
